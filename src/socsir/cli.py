@@ -5,8 +5,8 @@ bifurcation, sensitivity, mixed, scan-participation.  Reports print to
 standard output unless --out redirects them; CSV/SVG side files go where
 --csv/--svg point.
 
-Exit codes: 0 success, 2 validation error, 3 numerical error, 4 config
-parse error.
+Exit codes: 0 success, 2 validation error (including an unwritable
+output path), 3 numerical error, 4 config parse error.
 """
 
 from __future__ import annotations
@@ -41,15 +41,17 @@ def _fmt(x: float) -> str:
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:

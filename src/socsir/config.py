@@ -127,9 +127,9 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     if not isinstance(time_block, dict):
         raise ConfigError('"time" must be an object')
     _reject_unknown(time_block, _TIME_KEYS, '"time"')
-    t0 = float(time_block.get("t0", 0.0))
+    t0 = _require_number(time_block, "t0", "time") if "t0" in time_block else 0.0
     t1 = _require_number(time_block, "t1", "time")
-    dt = float(time_block.get("dt", 1.0))
+    dt = _require_number(time_block, "dt", "time") if "dt" in time_block else 1.0
     record_every = time_block.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise ConfigError('"time.record_every" must be an integer')

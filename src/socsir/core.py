@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Union
 
-from .errors import MissingFieldError, OrderError, RangeError
+from .errors import MissingFieldError, NumericError, OrderError, RangeError
 
 __all__ = [
     "ModelKind",
@@ -32,6 +32,7 @@ __all__ = [
     "validate_params",
     "total_population",
     "exact_complement",
+    "split_share",
     "with_rho_one",
 ]
 
@@ -257,7 +258,7 @@ def total_population(state: State) -> float:
     """Sum of all compartments.
 
     The additions are grouped so that a class split performed with
-    exact_complement leaves the computed total bit-identical: for MA the
+    split_share leaves the computed total bit-identical: for MA the
     susceptible classes and then the infective classes are combined before
     anything else, and MB mirrors that grouping with (A1+A2) in place of Ia.
     """
@@ -269,18 +270,32 @@ def total_population(state: State) -> float:
 def exact_complement(total: float, part: float) -> float:
     """Return c with part + c == total exactly in float arithmetic.
 
-    Plain total - part already satisfies this except in rare half-ulp tie
-    cases, which the correction loop repairs.
+    c is the rounded difference total - part.  It fails only when that
+    difference is a half-ulp tie, and then no float complement of part
+    exists at all: raises NumericError.  split_share never fails.
     """
     c = total - part
-    for _ in range(10):
-        err = (part + c) - total
-        if err == 0.0:
-            return c
-        c = c - err
-    raise ArithmeticError(
-        f"could not split {total!r} exactly around {part!r}"
-    )  # pragma: no cover - unreachable for finite nonnegative inputs
+    if part + c != total:
+        raise NumericError(
+            f"no float c gives {part!r} + c == {total!r}; split_share "
+            f"moves the part by half an ulp instead"
+        )
+    return c
+
+
+def split_share(total: float, share: float) -> tuple[float, float]:
+    """Split total >= 0 into (part, rest) with part ~ share * total.
+
+    part + rest == total exactly.  part is share * total unless that has
+    no float complement; then (for 0 <= share <= 1) rest = total - part is
+    at least total / 2, so total - rest is exact and moves part by at most
+    half an ulp of total.
+    """
+    part = share * total
+    rest = total - part
+    if part + rest != total:
+        part = total - rest
+    return part, rest
 
 
 def with_rho_one(p: Params) -> Params:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .core import ModelKind, Params, State, StateMA, StateMB, total_population
@@ -57,11 +58,7 @@ def observables_for(model: ModelKind) -> dict[str, Observable]:
         names: tuple[str, ...] = ("S1", "S2", "A1", "A2", "Is", "R")
     else:
         names = ("S1", "S2", "Ia", "Is", "R")
-    obs = {
-        name: Observable(name, lambda s, _n=name: getattr(s, _n))
-        for name in names
-    }
-    obs["I"] = Observable("I", lambda s: s.I)
+    obs = {name: Observable(name, attrgetter(name)) for name in (*names, "I")}
     obs["N"] = Observable("N", total_population)
     return obs
 
@@ -164,7 +161,14 @@ def simulate(
     always at t1 (a final partial step covers any remainder of t1 - t0 that
     is not a whole multiple of dt).  Step failures propagate with the
     failing time attached.
+
+    Raises RangeError for a non-finite t0, t1 or dt, t1 <= t0, or
+    record_every < 1.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise RangeError(
+            f"t0, t1 and dt must be finite, got t0={t0}, t1={t1}, dt={dt}"
+        )
     if t1 <= t0:
         raise RangeError(f"t1 must exceed t0, got t0={t0}, t1={t1}")
     if record_every < 1:

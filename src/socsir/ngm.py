@@ -3,20 +3,17 @@
 The linearized infection subsystem of either model factors as
 K = -T * Sigma^{-1} with a new-infection matrix T whose rows are constant:
 every new infection is distributed over the infected compartments by one
-fixed vector, so K has rank one.  The matrix route is kept numerically
-honest by doing the inversion and the characteristic polynomial in exact
-rational arithmetic (floats are rationals); the char poly then reduces to
-lambda^(n-1) * (lambda - trace) with exactly zero low-order coefficients,
-and the spectrum is read off in closed form rather than iterated for.
+fixed vector, so K has rank one.  Its characteristic polynomial is
+lambda^(n-1) * (lambda - trace), and the spectrum is read off in closed
+form rather than iterated for.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import ModelKind, Params, State, StateMA, StateMB, exact_complement
+from .core import ModelKind, Params, State, StateMA, StateMB, split_share
 from .errors import OrderError, SingularMatrixError
 
 __all__ = [
@@ -70,11 +67,10 @@ def dfe_of(model: ModelKind, p: Params) -> State:
 
     All infective compartments are zero and the susceptibles are split
     rho : (1-rho) between the classes (for MB, rho comes from the switch
-    rates).  The class-2 share is built as an exact complement so the state
-    sums to N exactly; it may differ from literal (1-rho)*N by one ulp.
+    rates).  split_share makes the state sum to N exactly, so either share
+    may differ from literal rho*N or (1-rho)*N by an ulp.
     """
-    s1 = p.rho * p.N
-    s2 = exact_complement(p.N, s1)
+    s1, s2 = split_share(p.N, p.rho)
     if model is ModelKind.MB:
         return StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=0.0, R=0.0)
     return StateMA(S1=s1, S2=s2, Is=0.0, Ia=0.0, R=0.0)
@@ -106,12 +102,8 @@ def _build_matrices(model: ModelKind, p: Params) -> tuple[Matrix, Matrix]:
     return T, Sigma
 
 
-def _exact(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
-
-
-def _exact_inverse(m: tuple[tuple[Fraction, ...], ...]):
-    """Adjugate inverse of a 2x2 or 3x3 rational matrix."""
+def _inverse(m: Matrix) -> Matrix:
+    """Adjugate inverse of a 2x2 or 3x3 matrix."""
     n = len(m)
     if n == 2:
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -133,27 +125,6 @@ def _exact_inverse(m: tuple[tuple[Fraction, ...], ...]):
     )
 
 
-def _char_poly_coeffs(k: tuple[tuple[Fraction, ...], ...]):
-    """(trace, second elementary symmetric, det) of a 2x2/3x3 matrix."""
-    n = len(k)
-    if n == 2:
-        tr = k[0][0] + k[1][1]
-        det = k[0][0] * k[1][1] - k[0][1] * k[1][0]
-        return tr, det, None
-    tr = k[0][0] + k[1][1] + k[2][2]
-    e2 = (
-        (k[0][0] * k[1][1] - k[0][1] * k[1][0])
-        + (k[0][0] * k[2][2] - k[0][2] * k[2][0])
-        + (k[1][1] * k[2][2] - k[1][2] * k[2][1])
-    )
-    det = (
-        k[0][0] * (k[1][1] * k[2][2] - k[1][2] * k[2][1])
-        - k[0][1] * (k[1][0] * k[2][2] - k[1][2] * k[2][0])
-        + k[0][2] * (k[1][0] * k[2][1] - k[1][1] * k[2][0])
-    )
-    return tr, e2, det
-
-
 @dataclass(frozen=True)
 class NgmResult:
     """Next-generation analysis of the linearized infection subsystem."""
@@ -169,45 +140,29 @@ class NgmResult:
 def ngm(model: ModelKind, p: Params) -> NgmResult:
     """Build T and Sigma, form K = -T * Sigma^{-1}, and take its spectrum.
 
-    The inverse and the characteristic polynomial are evaluated in exact
-    rational arithmetic, so the rank-one structure of K survives: the
-    non-dominant eigenvalues are exact zeros and the dominant one is the
-    exactly computed trace (correctly rounded to float).
+    K has rank one, so its spectrum is (0, ..., 0, trace(K)): the
+    non-dominant eigenvalues are reported as exact zeros and the dominant
+    one is the float trace of K.
 
     Raises SingularMatrixError if Sigma cannot be inverted (impossible for
     validated parameters, where kappa > 0; checked defensively).
     """
     T, Sigma = _build_matrices(model, p)
-    t_exact = _exact(T)
-    sigma_inv = _exact_inverse(_exact(Sigma))
-
+    sigma_inv = _inverse(Sigma)
     n = len(T)
-    k_exact = tuple(
-        tuple(
-            -sum(t_exact[i][m] * sigma_inv[m][j] for m in range(n))
-            for j in range(n)
-        )
+    K: Matrix = tuple(
+        tuple(-sum(T[i][m] * sigma_inv[m][j] for m in range(n)) for j in range(n))
         for i in range(n)
     )
-
-    tr, e2, det = _char_poly_coeffs(k_exact)
     # T's rows are constant vectors, so K = -T Sigma^{-1} is an outer
-    # product: in exact arithmetic every 2x2 minor vanishes and the
-    # characteristic polynomial is lambda^(n-1) * (lambda - trace).
-    low_order = (e2, det) if n == 3 else (e2,)
-    if any(c != 0 for c in low_order):  # pragma: no cover - structurally impossible
-        raise SingularMatrixError(
-            "next-generation matrix unexpectedly has rank above one"
-        )
-    dominant = float(tr)
-    eigenvalues = (0.0,) * (n - 1) + (dominant,)
-
-    k_float: Matrix = tuple(tuple(float(x) for x in row) for row in k_exact)
+    # product of rank one and its only nonzero eigenvalue is its trace
+    # (Diekmann, Heesterbeek & Roberts, J. R. Soc. Interface 7:873, 2010).
+    dominant = sum(K[i][i] for i in range(n))
     return NgmResult(
         T=T,
         Sigma=Sigma,
-        K=k_float,
-        eigenvalues=eigenvalues,
+        K=K,
+        eigenvalues=(0.0,) * (n - 1) + (dominant,),
         dominant=dominant,
         dimension=n,
     )

@@ -12,6 +12,7 @@ so the files diff cleanly and need no renderer support beyond SVG 1.1.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Sequence
 
 from .core import ModelKind, total_population
@@ -62,44 +63,14 @@ def write_csv(traj: Trajectory) -> str:
     runs (including mixed runs, whose pre-switch records embed Ia as A1)
     carry the A1/A2/Is split.
     """
-    lines = []
-    if traj.model is ModelKind.MB:
-        lines.append(CSV_HEADER_MB)
-        for t, s in zip(traj.times, traj.states):
-            lines.append(
-                ",".join(
-                    _num(v)
-                    for v in (
-                        t,
-                        s.S1,
-                        s.S2,
-                        s.A1,
-                        s.A2,
-                        s.Is,
-                        s.R,
-                        s.I,
-                        total_population(s),
-                    )
-                )
-            )
-    else:
-        lines.append(CSV_HEADER_MA)
-        for t, s in zip(traj.times, traj.states):
-            lines.append(
-                ",".join(
-                    _num(v)
-                    for v in (
-                        t,
-                        s.S1,
-                        s.S2,
-                        s.Ia,
-                        s.Is,
-                        s.R,
-                        s.I,
-                        total_population(s),
-                    )
-                )
-            )
+    header = CSV_HEADER_MB if traj.model is ModelKind.MB else CSV_HEADER_MA
+    # Every column between t and N is a state field or the I property.
+    columns = attrgetter(*header.split(",")[1:-1])
+    lines = [header]
+    for t, s in zip(traj.times, traj.states):
+        lines.append(
+            ",".join(_num(v) for v in (t, *columns(s), total_population(s)))
+        )
     return "\n".join(lines) + "\n"
 
 

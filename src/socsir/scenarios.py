@@ -20,7 +20,7 @@ from .core import (
     State,
     StateMA,
     StateMB,
-    exact_complement,
+    split_share,
     validate_params,
     with_rho_one,
 )
@@ -111,8 +111,7 @@ def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     pool = p.N - 1.0
     if pool < 0:
         raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
-    s1 = p.rho * pool
-    s2 = exact_complement(pool, s1)
+    s1, s2 = split_share(pool, p.rho)
     if model is ModelKind.MB:
         return StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
     return StateMA(S1=s1, S2=s2, Is=1.0, Ia=0.0, R=0.0)
@@ -135,11 +134,8 @@ def _split_state(pre: StateMA, rho_split: float) -> StateMB:
     so S1 + S2 reproduces the pre-switch susceptible total bit-for-bit (and
     likewise A1 + A2 the asymptomatic total).
     """
-    s_total = pre.S1 + pre.S2
-    s1 = rho_split * s_total
-    s2 = exact_complement(s_total, s1)
-    a1 = rho_split * pre.Ia
-    a2 = exact_complement(pre.Ia, a1)
+    s1, s2 = split_share(pre.S1 + pre.S2, rho_split)
+    a1, a2 = split_share(pre.Ia, rho_split)
     return StateMB(S1=s1, S2=s2, A1=a1, A2=a2, Is=pre.Is, R=pre.R)
 
 
@@ -330,7 +326,7 @@ def participation_scan(
     window [0, t1]; the largest simultaneous infected count (I = A + Is,
     everyone needing care at one time) is compared against capacity.
     """
-    if capacity <= 0:
+    if not capacity > 0:
         raise RangeError(f"capacity must be positive, got {capacity}")
     if len(grid) == 0:
         raise RangeError("grid must be nonempty")
@@ -344,8 +340,7 @@ def participation_scan(
     peaks: list[float] = []
     obs_i = observables_for(ModelKind.MB)["I"]
     for q in grid:
-        s2 = q * pool
-        s1 = exact_complement(pool, s2)
+        s2, s1 = split_share(pool, q)
         init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
         traj = simulate(ModelKind.MB, p, init, 0.0, t1, dt)
         peaks.append(peak_of(traj, obs_i)[1])

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from socsir.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 MA_CFG = str(DATA / "ma_basic.json")
 MB_CFG = str(DATA / "mb_switching.json")
@@ -92,6 +96,15 @@ def test_stability_report(capsys):
     assert "DFE: S1 = 75, S2 = 25" in out
 
 
+def test_stability_splits_any_population(capsys):
+    # 0.4 * N has no float complement in N; the DFE split still sums to N
+    argv = _r0_flags(N=473797.3256195704)
+    argv[0] = "stability"
+    argv[argv.index("--rho") + 1] = "0.4"
+    assert main(argv) == 0
+    assert "verdict = " in capsys.readouterr().out
+
+
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     csv_path = tmp_path / "run.csv"
     svg_path = tmp_path / "run.svg"
@@ -123,6 +136,18 @@ def test_mixed_subcommand(capsys):
     out = capsys.readouterr().out
     assert "switch at t = 1000" in out
     assert "model = mb" in out
+
+
+def test_mixed_split_without_float_complement(tmp_path, capsys):
+    # at t_switch, 0.27 * S has no float complement in S
+    doc = json.loads(pathlib.Path(MIXED_CFG).read_text())
+    doc["mixed"]["rho_split"] = 0.27
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(doc))
+    csv_path = tmp_path / "mixed.csv"
+    assert main(["mixed", "--config", str(cfg), "--csv", str(csv_path)]) == 0
+    assert "switch at t = 1000" in capsys.readouterr().out
+    assert len(csv_path.read_text().splitlines()) == 2002
 
 
 def test_mixed_requires_mixed_block(capsys):
@@ -164,6 +189,41 @@ def test_numeric_errors_exit_3(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg)]) == 3
     assert "at t = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--svg", "--out"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
+    target = str(tmp_path / "no-such-dir" / "file")
+    assert main(["simulate", "--config", MA_CFG, flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
+
+
+@pytest.mark.parametrize(
+    "time_block",
+    [
+        {"t1": float("inf")},
+        {"t0": float("-inf"), "t1": 10.0},
+        {"t0": float("nan"), "t1": 10.0},
+        {"t1": 10.0, "dt": float("nan")},
+    ],
+)
+def test_non_finite_time_exits_2(tmp_path, time_block):
+    # infinite times used to loop forever, so each case runs in a separate
+    # process with a timeout: a regression fails instead of hanging
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    doc["time"] = time_block
+    cfg = tmp_path / "times.json"
+    cfg.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "socsir", "simulate", "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "finite" in done.stderr
 
 
 def test_feasibility_report(capsys):
@@ -239,6 +299,12 @@ def test_scan_participation(capsys):
     out = capsys.readouterr().out
     assert "minimal compliant fraction = 0.2" in out
     assert "peaks non-increasing along grid = yes" in out
+
+
+def test_scan_participation_rejects_nan_capacity(capsys):
+    argv = ["scan-participation", "--preset", "masks", "--capacity", "nan", "--steps", "3"]
+    assert main(argv) == 2
+    assert "capacity" in capsys.readouterr().err
 
 
 def test_unknown_preset_rejected():

@@ -140,6 +140,14 @@ def test_time_validation():
         loads_config(json.dumps(_doc(time={"t1": 10.0, "cadence": 3})))
 
 
+@pytest.mark.parametrize("key", ["t0", "dt"])
+@pytest.mark.parametrize("value", ["abc", [1], None, "5", True])
+def test_time_values_must_be_numbers(key, value):
+    time_block = {"t1": 10.0, key: value}
+    with pytest.raises(ConfigError, match=f"time\\.{key}"):
+        loads_config(json.dumps(_doc(time=time_block)))
+
+
 def test_init_validation():
     with pytest.raises(MissingFieldError, match="init"):
         doc = _doc()

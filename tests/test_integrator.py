@@ -94,6 +94,22 @@ def test_simulate_validations():
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 5.0, 1.0, record_every=0)
 
 
+@pytest.mark.parametrize(
+    "t0, t1, dt",
+    [
+        (math.nan, 5.0, 1.0),
+        (0.0, math.nan, 1.0),
+        (0.0, 5.0, math.nan),
+        (0.0, 5.0, math.inf),
+    ],
+)
+def test_simulate_rejects_non_finite_times(t0, t1, dt):
+    # t0 = -inf and t1 = inf are covered through the CLI in a subprocess,
+    # since a build without this check loops forever on them
+    with pytest.raises(RangeError, match="finite"):
+        simulate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
+
+
 def test_simulate_conserves_population():
     traj = simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 2000.0, 2.0)
     from socsir.core import total_population

@@ -8,6 +8,7 @@ K = -T Sigma^{-1}) so a regression in either one trips the comparison.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -137,6 +138,20 @@ def test_ngm_matches_closed_form_both_models():
         resb = ngm(ModelKind.MB, q)
         wantb = r0(q.beta1, q.beta2, q.rho, q.kappa)
         assert abs(resb.dominant - wantb) <= 1e-10 * wantb
+
+
+@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])
+def test_ngm_k_has_rank_one(model):
+    # the fact the spectrum (0, ..., 0, trace) rests on: every 2x2 minor
+    # of K vanishes up to rounding
+    rng = random.Random(2002)
+    for _ in range(200):
+        k = ngm(model, validate_params(draw_raw_params(rng, model), model)).K
+        scale = max(abs(x) for row in k for x in row) ** 2
+        pairs = list(combinations(range(len(k)), 2))
+        for (i, j), (a, b) in product(pairs, repeat=2):
+            minor = k[i][a] * k[j][b] - k[i][b] * k[j][a]
+            assert abs(minor) <= 1e-12 * scale
 
 
 def test_ngm_mb_lambda_one_boundary():

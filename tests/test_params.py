@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -12,11 +13,18 @@ from socsir.core import (
     StateMA,
     StateMB,
     exact_complement,
+    split_share,
     total_population,
     validate_params,
     with_rho_one,
 )
-from socsir.errors import MissingFieldError, OrderError, RangeError, ValidationError
+from socsir.errors import (
+    MissingFieldError,
+    NumericError,
+    OrderError,
+    RangeError,
+    ValidationError,
+)
 
 GOOD_MA = {
     "beta1": 0.0042,
@@ -150,3 +158,22 @@ def test_exact_complement_identity():
     # complement is defined so part + complement == total exactly
     for total, part in [(100.0, 74.25), (1.0, 0.1), (3e5, 12345.678)]:
         assert part + exact_complement(total, part) == total
+
+
+def test_split_share_parts_sum_to_total():
+    rng = random.Random(2207)
+    ties = 0
+    for k in range(20000):
+        total = 2.0 ** rng.randint(-8, 30) if k % 3 == 0 else rng.uniform(1e-3, 1e7)
+        share = rng.random()
+        part, rest = split_share(total, share)
+        assert part + rest == total
+        # part moves off share * total only where that has no complement
+        assert abs(part - share * total) <= math.ulp(total) / 2
+        if part != share * total:
+            ties += 1
+            with pytest.raises(NumericError):
+                exact_complement(total, share * total)
+        else:
+            assert rest == exact_complement(total, part)
+    assert ties > 0  # the draws reach the half-ulp ties

@@ -281,6 +281,8 @@ def test_participation_scan_validations():
     with pytest.raises(RangeError):
         participation_scan(masks, 0.0, [0.5])
     with pytest.raises(RangeError):
+        participation_scan(masks, float("nan"), [0.5])
+    with pytest.raises(RangeError):
         participation_scan(masks, 80.0, [])
     with pytest.raises(RangeError):
         participation_scan(masks, 80.0, [0.0, 0.5])
