@@ -98,7 +98,7 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     _reject_unknown(doc, _TOP_KEYS, "document root")
 
     model_name = doc.get("model")
-    if model_name not in _MODEL_NAMES:
+    if not isinstance(model_name, str) or model_name not in _MODEL_NAMES:
         raise ConfigError(
             f'"model" must be one of {sorted(_MODEL_NAMES)}, got {model_name!r}'
         )

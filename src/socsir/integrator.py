@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import ModelKind, Params, State, StateMA, StateMB, total_population
-from .dynamics import rhs_ma, rhs_mb
+from .core import ModelKind, Params, State, total_population
+from .dynamics import vector_field
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -30,13 +30,17 @@ __all__ = [
     "SwitchRecord",
     "Trajectory",
     "step_rk4",
+    "check_times",
+    "integrate",
     "simulate",
     "peak_of",
     "observables_for",
 ]
 
-# A vector field maps (time, state-tuple) to a derivative tuple of the
-# same length.  Model fields ignore the time argument (autonomous systems).
+# step_rk4's vector field maps (time, state-tuple) to a derivative tuple of
+# the same length.  The model fields that integrate runs take the components
+# positionally instead (see dynamics.vector_field) and ignore the time
+# argument (autonomous systems).
 VectorField = Callable[[float, Sequence[float]], Sequence[float]]
 
 # Tolerance for "a compartment went negative": one part in 1e9 of the
@@ -93,57 +97,119 @@ class Trajectory:
         return len(self.times)
 
 
-def _advance(f: VectorField, s: Sequence[float], t: float, dt: float):
-    """One classical RK4 stage evaluation; returns the raw new components."""
+def _step(f, s: Sequence[float], t: float, dt: float) -> list[float]:
+    """One classical RK4 step of the positional field f(t, *components).
+
+    The result is checked once: NaN and inf propagate through +, * and /,
+    so a non-finite stage always leaves a non-finite result, and the
+    negativity floor needs computing only when a component is negative.
+    """
     half = 0.5 * dt
-    k1 = f(t, s)
-    k2 = f(t + half, tuple(x + half * k for x, k in zip(s, k1)))
-    k3 = f(t + half, tuple(x + half * k for x, k in zip(s, k2)))
-    k4 = f(t + dt, tuple(x + dt * k for x, k in zip(s, k3)))
+    k1 = f(t, *s)
+    k2 = f(t + half, *[x + half * k for x, k in zip(s, k1)])
+    k3 = f(t + half, *[x + half * k for x, k in zip(s, k2)])
+    k4 = f(t + dt, *[x + dt * k for x, k in zip(s, k3)])
     sixth = dt / 6.0
-    return tuple(
+    new = [
         x + sixth * (a + 2.0 * (b + c) + d)
         for x, a, b, c, d in zip(s, k1, k2, k3, k4)
-    )
-
-
-def _rebuild(template: Sequence[float], components) -> Sequence[float]:
-    cls = type(template)
-    make = getattr(cls, "_make", None)
-    return make(components) if make is not None else cls(components)
+    ]
+    if not all(map(math.isfinite, new)):
+        raise NonFiniteError(f"non-finite value in step from t={t}", time=t)
+    low = min(new)
+    if low < 0:
+        floor = -NEGATIVE_TOL * sum(map(abs, s))
+        if low < floor:
+            raise NegativeStateError(
+                f"component {low} fell below {floor} in step from t={t}; "
+                f"reduce dt",
+                time=t,
+            )
+    return new
 
 
 def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     """Advance the state s at time t by one RK4 step of size dt.
 
+    f(t, components) receives the stage components as a plain tuple.
     Deterministic: identical inputs give bit-identical outputs.  The result
     has the same type as s (named state tuples stay named state tuples).
 
-    Raises NonFiniteError if the step produces NaN/inf, NegativeStateError
-    if any component falls below -1e-9 times the state's magnitude.
+    Raises RangeError if dt <= 0, NonFiniteError if the step produces
+    NaN/inf, NegativeStateError if any component falls below -1e-9 times
+    the state's magnitude.
     """
     if dt <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
-    new = _advance(f, s, t, dt)
-    floor = -NEGATIVE_TOL * sum(abs(x) for x in s)
-    for x in new:
-        if not math.isfinite(x):
-            raise NonFiniteError(
-                f"non-finite value in step from t={t}", time=t
-            )
-        if x < floor:
-            raise NegativeStateError(
-                f"component {x} fell below {floor} in step from t={t}; "
-                f"reduce dt",
-                time=t,
-            )
-    return _rebuild(s, new)
+    new = _step(lambda t, *c: f(t, c), s, t, dt)
+    cls = type(s)
+    return cls._make(new) if hasattr(cls, "_make") else cls(new)
 
 
-def _field_for(model: ModelKind, p: Params) -> VectorField:
-    if model is ModelKind.MB:
-        return lambda t, s: rhs_mb(p, s if isinstance(s, StateMB) else StateMB(*s))
-    return lambda t, s: rhs_ma(p, s if isinstance(s, StateMA) else StateMA(*s))
+def check_times(t0: float, t1: float, dt: float) -> None:
+    """Raise RangeError unless t0, t1 and dt are finite, dt > 0 and t1 > t0."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise RangeError(
+            f"t0, t1 and dt must be finite, got t0={t0}, t1={t1}, dt={dt}"
+        )
+    if dt <= 0:
+        raise RangeError(f"dt must be positive, got {dt}")
+    if t1 <= t0:
+        raise RangeError(f"t1 must exceed t0, got t0={t0}, t1={t1}")
+
+
+def integrate(
+    model: ModelKind,
+    p: Params,
+    init: State,
+    t0: float,
+    t1: float,
+    dt: float = 1.0,
+    record_every: int = 1,
+) -> Iterator[tuple[float, State]]:
+    """Integrate the model from t0 to t1, yielding (t, state) at each record.
+
+    The state is recorded at t0, then after every record_every-th step, and
+    always at t1 (a final partial step covers any remainder of t1 - t0 that
+    is not a whole multiple of dt).  Each recorded state is checked to keep
+    the initial total population within 1e-9 * N before it is yielded.
+    Step failures propagate with the failing time attached.
+
+    Raises RangeError (see check_times, and record_every < 1) before the
+    first step.
+    """
+    check_times(t0, t1, dt)
+    if record_every < 1:
+        raise RangeError(f"record_every must be >= 1, got {record_every}")
+
+    f = vector_field(model, p)
+    make = type(init)._make
+    n_expected = total_population(init)
+    tol = 1e-9 * abs(n_expected)
+
+    t = float(t0)
+    yield t, init
+    s: Sequence[float] = init
+    k = 0
+    while t < t1:
+        # Recompute the grid time from the step index so long runs do not
+        # accumulate additive rounding.
+        t_next = t0 + (k + 1) * dt
+        step = dt
+        if t_next >= t1:
+            t_next = float(t1)
+            step = t1 - t
+        s = _step(f, s, t, step)
+        k += 1
+        t = t_next
+        if k % record_every == 0 or t >= t1:
+            state = make(s)
+            drift = abs(total_population(state) - n_expected)
+            if drift > tol:
+                raise NumericError(
+                    f"population drifted by {drift} at t={t}", time=t
+                )
+            yield t, state
 
 
 def simulate(
@@ -157,52 +223,13 @@ def simulate(
 ) -> Trajectory:
     """Integrate the model from t0 to t1 and record the trajectory.
 
-    The state is recorded at t0, then after every record_every-th step, and
-    always at t1 (a final partial step covers any remainder of t1 - t0 that
-    is not a whole multiple of dt).  Step failures propagate with the
-    failing time attached.
-
-    Raises RangeError for a non-finite t0, t1 or dt, t1 <= t0, or
-    record_every < 1.
+    Records and raises exactly as integrate does.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
-        raise RangeError(
-            f"t0, t1 and dt must be finite, got t0={t0}, t1={t1}, dt={dt}"
-        )
-    if t1 <= t0:
-        raise RangeError(f"t1 must exceed t0, got t0={t0}, t1={t1}")
-    if record_every < 1:
-        raise RangeError(f"record_every must be >= 1, got {record_every}")
-
-    f = _field_for(model, p)
-    n_expected = total_population(init)
-    tol = 1e-9 * abs(n_expected)
-
-    times = [float(t0)]
-    states: list[State] = [init]
-    s = init
-    k = 0
-    t = float(t0)
-    while t < t1:
-        # Recompute the grid time from the step index so long runs do not
-        # accumulate additive rounding.
-        t_next = t0 + (k + 1) * dt
-        step = dt
-        if t_next >= t1:
-            t_next = float(t1)
-            step = t1 - t
-        s = step_rk4(f, s, t, step)
-        k += 1
-        t = t_next
-        if k % record_every == 0 or t >= t1:
-            drift = abs(total_population(s) - n_expected)
-            if drift > tol:
-                raise NumericError(
-                    f"population drifted by {drift} at t={t}", time=t
-                )
-            times.append(t)
-            states.append(s)
-
+    times: list[float] = []
+    states: list[State] = []
+    for t, s in integrate(model, p, init, t0, t1, dt, record_every):
+        times.append(t)
+        states.append(s)
     return Trajectory(
         model=model,
         times=tuple(times),

@@ -28,6 +28,8 @@ from .errors import RangeError, ValidationError
 from .integrator import (
     SwitchRecord,
     Trajectory,
+    check_times,
+    integrate,
     observables_for,
     peak_of,
     simulate,
@@ -182,6 +184,7 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     if cfg.mixed is None:
         raise ValidationError("config has no mixed block")
     spec = cfg.mixed
+    check_times(cfg.t0, cfg.t1, cfg.dt)
     if not cfg.t0 < spec.t_switch < cfg.t1:
         raise RangeError(
             f"t_switch must lie inside ({cfg.t0}, {cfg.t1}), got {spec.t_switch}"
@@ -338,12 +341,13 @@ def participation_scan(
     p = preset_params(preset, n_total)
     pool = n_total - 1.0
     peaks: list[float] = []
-    obs_i = observables_for(ModelKind.MB)["I"]
     for q in grid:
         s2, s1 = split_share(pool, q)
         init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
-        traj = simulate(ModelKind.MB, p, init, 0.0, t1, dt)
-        peaks.append(peak_of(traj, obs_i)[1])
+        # Only the running peak is kept.  max keeps the first of equal
+        # maxima, as peak_of's strict > does.
+        run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
+        peaks.append(max(state.I for _, state in run))
 
     minimal = next(
         (q for q, peak in zip(grid, peaks) if peak <= capacity), None

@@ -102,8 +102,10 @@ def test_unknown_top_level_key():
 
 
 def test_unknown_model():
-    with pytest.raises(ConfigError, match='"model"'):
-        loads_config(json.dumps(_doc(model="sir")))
+    # non-string names must not reach the name lookup (unhashable)
+    for model in ("sir", [1], {"a": 1}):
+        with pytest.raises(ConfigError, match='"model"'):
+            loads_config(json.dumps(_doc(model=model)))
 
 
 def test_missing_param_reports_path():

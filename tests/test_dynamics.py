@@ -129,6 +129,12 @@ def test_rhs_mb_pure_recovery():
     assert d.dS1 == d.dS2 == d.dA1 == d.dA2 == 0.0
 
 
+def test_rhs_mb_rejects_nonfinite_state():
+    p = validate_params(MB_PARAMS, ModelKind.MB)
+    with pytest.raises(NonFiniteError):
+        rhs_mb(p, MB_STATE._replace(A2=float("nan")))
+
+
 def test_rhs_mb_uniform_normalization_still_conserves():
     raw = dict(MB_PARAMS, transition_normalization="uniform")
     p = validate_params(raw, ModelKind.MB)

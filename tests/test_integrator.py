@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -35,6 +40,7 @@ FIG_A = validate_params(
     ModelKind.MA,
 )
 FIG_A_INIT = StateMA(S1=74.25, S2=24.75, Is=1.0, Ia=0.0, R=0.0)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_step_rk4_exponential_decay():
@@ -64,6 +70,21 @@ def test_step_rk4_raises_on_nonfinite():
     with pytest.raises(NonFiniteError) as exc:
         step_rk4(lambda t, s: (float("inf"),), (1.0,), 3.0, 1.0)
     assert exc.value.time == 3.0
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_step_rk4_raises_on_nonfinite_inner_stage(stage):
+    # the kernel checks only the result, so a stage that alone turns
+    # non-finite must still surface there
+    calls = []
+
+    def f(t, s):
+        calls.append(t)
+        return (math.inf,) if len(calls) == stage else (0.0,)
+
+    with pytest.raises(NonFiniteError) as exc:
+        step_rk4(f, (1.0,), 4.0, 1.0)
+    assert exc.value.time == 4.0
 
 
 def test_step_rk4_raises_on_negative_overshoot():
@@ -108,6 +129,48 @@ def test_simulate_rejects_non_finite_times(t0, t1, dt):
     # since a build without this check loops forever on them
     with pytest.raises(RangeError, match="finite"):
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
+
+
+_BAD_TIME_RUN = textwrap.dedent(
+    """
+    import math
+    from socsir import (ModelKind, RangeError, covid_mitigation_presets,
+                        participation_scan, preset_params, resolve_init,
+                        simulate)
+    masks = covid_mitigation_presets()[0]
+    p = preset_params(masks)
+    init = resolve_init(ModelKind.MB, p, "dfe_plus_one_symptomatic")
+    try:
+        {call}
+    except RangeError:
+        raise SystemExit(0)
+    raise SystemExit("no RangeError")
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "simulate(ModelKind.MB, p, init, 0.0, 10.0, 0.0)",
+        "simulate(ModelKind.MB, p, init, 0.0, 10.0, -1.0)",
+        "simulate(ModelKind.MB, p, init, 0.0, math.inf, 1.0)",
+        "participation_scan(masks, 80.0, [0.5], dt=0.0)",
+        "participation_scan(masks, 80.0, [0.5], dt=-1.0)",
+        "participation_scan(masks, 80.0, [0.5], t1=math.inf)",
+    ],
+)
+def test_bad_times_raise_before_stepping(call):
+    # a kernel without these checks loops forever, so each case runs in a
+    # separate process with a timeout: a regression fails instead of hanging
+    done = subprocess.run(
+        [sys.executable, "-c", _BAD_TIME_RUN.format(call=call)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_conserves_population():

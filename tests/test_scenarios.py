@@ -3,13 +3,25 @@ mitigation presets, and the participation scan."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
-from socsir.core import ModelKind, StateMA, StateMB, total_population, validate_params
+from socsir.core import (
+    ModelKind,
+    StateMA,
+    StateMB,
+    split_share,
+    total_population,
+    validate_params,
+)
 from socsir.errors import RangeError, ValidationError
 from socsir.integrator import observables_for, peak_of, simulate
 from socsir.scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
+    SCAN_DT,
+    SCAN_T1,
     MixedSpec,
     ScenarioConfig,
     covid_mitigation_presets,
@@ -187,6 +199,15 @@ def test_mixed_validations():
     )
     with pytest.raises(ValidationError):
         run_mixed(plain)
+    # bad times are rejected before the first phase, and the error names the
+    # configured window, not the phase that hit it
+    for changes in (
+        {"t1": math.inf, "mixed": MixedSpec(t_switch=200000.0, rho_split=0.25)},
+        {"dt": math.nan},
+    ):
+        bad = dataclasses.replace(cfg, **changes)
+        with pytest.raises(RangeError, match=f"t0=0.0, t1={bad.t1}, dt={bad.dt}"):
+            run_mixed(bad)
 
 
 def test_run_scenario_delegates_mixed():
@@ -304,3 +325,18 @@ def test_participation_scan_peaks_fall_with_compliance():
     assert scan.monotone
     assert scan.peak_I[0] > scan.peak_I[-1]
     assert scan.grid == (0.2, 0.5, 0.8)
+
+
+@pytest.mark.parametrize("preset", covid_mitigation_presets(), ids=lambda p: p.name)
+def test_participation_scan_matches_simulate_peaks(preset):
+    # the scan keeps only a running peak; it must equal the peak of the
+    # recorded run, bit for bit
+    grid = [0.1, 0.4, 0.7, 0.95]
+    scan = participation_scan(preset, 80.0, grid)
+    p = preset_params(preset)
+    obs_i = observables_for(ModelKind.MB)["I"]
+    for q, peak in zip(grid, scan.peak_I):
+        s2, s1 = split_share(p.N - 1.0, q)
+        init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
+        traj = simulate(ModelKind.MB, p, init, 0.0, SCAN_T1, SCAN_DT)
+        assert peak == peak_of(traj, obs_i)[1]
