@@ -33,6 +33,11 @@ __all__ = ["main"]
 
 _DEFAULT_PLOT_OBSERVABLES = ("S1", "S2", "I", "R")
 
+# Largest --steps (grid size) that bifurcation and scan-participation
+# accept.  Each scan point is one 510-step simulation (about 5 ms), so the
+# cap bounds a scan near a minute and a grid list near 10^4 floats.
+MAX_GRID_STEPS = 10_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
@@ -188,6 +193,13 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_grid_steps(steps: int) -> None:
+    if steps > MAX_GRID_STEPS:
+        raise ValidationError(
+            f"--steps must be at most {MAX_GRID_STEPS}, got {steps}"
+        )
+
+
 def _rho_grid(model: ModelKind, steps: int) -> list[float]:
     """Evenly spaced interior grid of the admissible rho range.
 
@@ -196,6 +208,7 @@ def _rho_grid(model: ModelKind, steps: int) -> list[float]:
     """
     if steps < 2:
         raise ValidationError(f"--steps must be at least 2, got {steps}")
+    _check_grid_steps(steps)
     upper = 1.0 if model is ModelKind.MA else 0.5
     return [upper * i / (steps + 1) for i in range(1, steps + 1)]
 
@@ -247,6 +260,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     presets = {preset.name: preset for preset in covid_mitigation_presets()}
     preset = presets[args.preset]
+    _check_grid_steps(args.steps)
     grid = [i / (args.steps + 1) for i in range(1, args.steps + 1)]
     result = participation_scan(preset, args.capacity, grid)
     lines = [

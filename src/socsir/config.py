@@ -19,6 +19,7 @@ from .core import (
     Params,
     StateMA,
     StateMB,
+    to_float,
     total_population,
     validate_params,
     with_rho_one,
@@ -70,14 +71,16 @@ def _require_number(mapping: Mapping[str, Any], key: str, where: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return to_float(value)
 
 
 def loads_config(text: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfig:
     """Parse a scenario document from JSON text."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise ConfigError(f"not valid JSON: {exc}") from exc
     return _config_from_doc(doc, allow_beta_gt_one=allow_beta_gt_one)
 

@@ -33,6 +33,7 @@ __all__ = [
     "total_population",
     "exact_complement",
     "split_share",
+    "to_float",
     "with_rho_one",
 ]
 
@@ -141,13 +142,25 @@ class Params:
         return out
 
 
+def to_float(value: int | float) -> float:
+    """float(value), with an int beyond the float range mapped to +-inf.
+
+    JSON reads 1e400 as inf but 10**400 written out as an int; both then
+    meet the same finiteness check instead of an OverflowError.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require(raw: Mapping[str, object], key: str) -> float:
     if key not in raw or raw[key] is None:
         raise MissingFieldError(f"missing required parameter {key!r}")
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RangeError(f"parameter {key!r} must be a number, got {value!r}")
-    value = float(value)
+    value = to_float(value)
     if not math.isfinite(value):
         raise RangeError(f"parameter {key!r} must be finite, got {value!r}")
     return value

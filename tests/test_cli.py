@@ -211,19 +211,50 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, flag):
 def test_non_finite_time_exits_2(tmp_path, time_block):
     # infinite times used to loop forever, so each case runs in a separate
     # process with a timeout: a regression fails instead of hanging
-    doc = json.loads(pathlib.Path(MA_CFG).read_text())
-    doc["time"] = time_block
-    cfg = tmp_path / "times.json"
-    cfg.write_text(json.dumps(doc))
-    done = subprocess.run(
-        [sys.executable, "-m", "socsir", "simulate", "--config", str(cfg)],
+    done = _simulate_with_times(tmp_path, time_block)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "finite" in done.stderr
+
+
+def _socsir(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "socsir", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=20,
     )
+
+
+def _simulate_with_times(tmp_path, time_block):
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    doc["time"] = time_block
+    cfg = tmp_path / "times.json"
+    cfg.write_text(json.dumps(doc))
+    return _socsir("simulate", "--config", str(cfg))
+
+
+def test_step_cap_exits_2(tmp_path):
+    # 10**9 steps are finite but would store records without bound; the
+    # cap rejects the run before its first step
+    done = _simulate_with_times(tmp_path, {"t1": 1e9, "dt": 1})
     assert done.returncode == 2
-    assert done.stderr.startswith("error: ") and "finite" in done.stderr
+    assert done.stderr.startswith("error: ") and "1000000 steps" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bifurcation", "--model", "ma", "--kappa", "0.5"],
+        ["scan-participation", "--preset", "masks", "--capacity", "80"],
+    ],
+)
+def test_grid_steps_cap_exits_2(argv):
+    # without the cap the scan runs 10,001 simulations, so this runs in a
+    # separate process with a timeout
+    done = _socsir(*argv, "--steps", "10001")
+    assert done.returncode == 2
+    assert done.stderr == "error: --steps must be at most 10000, got 10001\n"
 
 
 def test_feasibility_report(capsys):

@@ -94,6 +94,10 @@ def test_invalid_json_is_config_error():
         loads_config("{not json")
     with pytest.raises(ConfigError):
         loads_config("[1, 2, 3]")  # wrong root type
+    with pytest.raises(ConfigError):
+        loads_config('{"time": 1' + "0" * 5000 + "}")  # past the int digit limit
+    with pytest.raises(ConfigError):
+        loads_config("[" * 100000)  # nested past the recursion limit
 
 
 def test_unknown_top_level_key():

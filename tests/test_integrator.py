@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,20 +13,30 @@ import textwrap
 import pytest
 
 from socsir.core import ModelKind, StateMA, validate_params
+from socsir.dynamics import vector_field
 from socsir.errors import (
     EmptyTrajectoryError,
     NegativeStateError,
     NonFiniteError,
+    NumericError,
     RangeError,
 )
 from socsir.integrator import (
+    MAX_STEPS,
     Observable,
     Trajectory,
+    _step,
+    _step5,
+    _step6,
+    check_times,
+    integrate,
     observables_for,
     peak_of,
     simulate,
     step_rk4,
 )
+from socsir.scenarios import INIT_RULE_DFE_PLUS_ONE, resolve_init
+from tests._samplers import draw_raw_params
 
 FIG_A = validate_params(
     {
@@ -72,25 +83,78 @@ def test_step_rk4_raises_on_nonfinite():
     assert exc.value.time == 3.0
 
 
+def _generic_step(f, s, t, dt):
+    # step_rk4 on a positional field, so all three kernels take one form
+    return step_rk4(lambda t, c: f(t, *c), s, t, dt)
+
+
+# (kernel, state size): the generic step behind step_rk4 and the two
+# unrolled steps integrate runs
+KERNELS = {
+    "step_rk4": (_generic_step, 1),
+    "_step5": (_step5, 5),
+    "_step6": (_step6, 6),
+}
+
+
 @pytest.mark.parametrize("stage", [2, 3])
-def test_step_rk4_raises_on_nonfinite_inner_stage(stage):
-    # the kernel checks only the result, so a stage that alone turns
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_step_rk4_raises_on_nonfinite_inner_stage(kernel, stage):
+    # the kernels check only the result, so a stage that alone turns
     # non-finite must still surface there
+    step, n = KERNELS[kernel]
     calls = []
 
-    def f(t, s):
+    def f(t, *c):
         calls.append(t)
-        return (math.inf,) if len(calls) == stage else (0.0,)
+        return (math.inf,) + (0.0,) * (n - 1) if len(calls) == stage else (0.0,) * n
 
     with pytest.raises(NonFiniteError) as exc:
-        step_rk4(f, (1.0,), 4.0, 1.0)
+        step(f, (1.0,) * n, 4.0, 1.0)
     assert exc.value.time == 4.0
 
 
-def test_step_rk4_raises_on_negative_overshoot():
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_step_rk4_raises_on_negative_overshoot(kernel):
+    step, n = KERNELS[kernel]
     with pytest.raises(NegativeStateError) as exc:
-        step_rk4(lambda t, s: (-3.0,), (1.0,), 2.0, 1.0)
+        step(lambda t, *c: (-3.0,) * n, (1.0,) * n, 2.0, 1.0)
     assert exc.value.time == 2.0
+
+
+def _outcome(step, f, s, t, h):
+    try:
+        return [x.hex() for x in step(f, s, t, h)]
+    except NumericError as exc:
+        return type(exc), exc.time
+
+
+@pytest.mark.parametrize(
+    "model, unrolled", [(ModelKind.MA, _step5), (ModelKind.MB, _step6)]
+)
+def test_unrolled_steps_match_generic_step_bit_for_bit(model, unrolled):
+    # the unrolled steps must give exactly _step's bits or raise the same
+    # error at the same time, on full steps and on a partial final step,
+    # from states along sampler runs
+    rng = random.Random(20221018)
+    for _ in range(1000):
+        p = validate_params(draw_raw_params(rng, model), model)
+        f = vector_field(model, p)
+        dt = rng.uniform(0.1, 5.0)
+        states = []
+        try:
+            for t, s in integrate(
+                model, p, resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE),
+                0.0, 40 * dt, dt,
+            ):
+                states.append((t, s))
+        except NumericError:
+            pass
+        for t, s in states[:: rng.randint(5, 10)]:
+            for h in (dt, dt * rng.random()):
+                assert _outcome(unrolled, f, s, t, h) == _outcome(
+                    _step, f, s, t, h
+                )
 
 
 def test_simulate_grid_times_are_exact():
@@ -131,6 +195,15 @@ def test_simulate_rejects_non_finite_times(t0, t1, dt):
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
 
 
+def test_check_times_caps_the_step_count():
+    check_times(0.0, float(MAX_STEPS), 1.0)
+    check_times(1.0, 1.0 + 2.0 * MAX_STEPS, 2.0)
+    with pytest.raises(RangeError, match=f"more than {MAX_STEPS} steps"):
+        check_times(0.0, MAX_STEPS + 0.5, 1.0)
+    with pytest.raises(RangeError, match="steps"):
+        check_times(-1e308, 1e308, 1.0)  # t1 - t0 overflows to inf
+
+
 _BAD_TIME_RUN = textwrap.dedent(
     """
     import math
@@ -158,6 +231,8 @@ _BAD_TIME_RUN = textwrap.dedent(
         "participation_scan(masks, 80.0, [0.5], dt=0.0)",
         "participation_scan(masks, 80.0, [0.5], dt=-1.0)",
         "participation_scan(masks, 80.0, [0.5], t1=math.inf)",
+        "simulate(ModelKind.MB, p, init, 0.0, 1e9, 1.0)",
+        "participation_scan(masks, 80.0, [0.5], t1=1e9)",
     ],
 )
 def test_bad_times_raise_before_stepping(call):

@@ -134,6 +134,9 @@ def test_nonfinite_rejected():
         validate_params(dict(GOOD_MA, beta1=math.nan), ModelKind.MA)
     with pytest.raises(ValidationError):
         validate_params(dict(GOOD_MA, N=math.inf), ModelKind.MA)
+    # an int past the float range reads as infinite, not as an OverflowError
+    with pytest.raises(ValidationError, match="finite"):
+        validate_params(dict(GOOD_MA, N=10**400), ModelKind.MA)
 
 
 def test_with_rho_one():

@@ -204,6 +204,7 @@ def test_mixed_validations():
     for changes in (
         {"t1": math.inf, "mixed": MixedSpec(t_switch=200000.0, rho_split=0.25)},
         {"dt": math.nan},
+        {"t1": 1e9, "mixed": MixedSpec(t_switch=200000.0, rho_split=0.25)},
     ):
         bad = dataclasses.replace(cfg, **changes)
         with pytest.raises(RangeError, match=f"t0=0.0, t1={bad.t1}, dt={bad.dt}"):
