@@ -154,16 +154,25 @@ def to_float(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _require(raw: Mapping[str, object], key: str) -> float:
-    if key not in raw or raw[key] is None:
-        raise MissingFieldError(f"missing required parameter {key!r}")
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RangeError(f"parameter {key!r} must be a number, got {value!r}")
-    value = to_float(value)
+def _number(key: str, value: object) -> float:
+    """value as a finite float, or RangeError naming the parameter."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RangeError(f"parameter {key!r} must be a number, got {value!r}")
+        value = to_float(value)
     if not math.isfinite(value):
         raise RangeError(f"parameter {key!r} must be finite, got {value!r}")
     return value
+
+
+def _require(raw: Mapping[str, object], key: str) -> float:
+    value = raw.get(key)
+    # A finite float, the common case, needs no further check.
+    if type(value) is float and math.isfinite(value):
+        return value
+    if value is None:
+        raise MissingFieldError(f"missing required parameter {key!r}")
+    return _number(key, value)
 
 
 def validate_params(
@@ -235,7 +244,7 @@ def validate_params(
         if not 0 < rho < 1:
             raise RangeError(f"rho must lie in (0, 1) for model MA, got {rho}")
     elif model is ModelKind.SINGLE:
-        rho = float(mapping.get("rho", 1.0))  # type: ignore[arg-type]
+        rho = _number("rho", mapping["rho"]) if "rho" in mapping else 1.0
         if rho != 1.0:
             raise RangeError(f"rho must equal 1 for a single-class run, got {rho}")
     elif model is ModelKind.MB:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 
 from .core import ModelKind, Params, State, StateMA, StateMB, split_share
 from .errors import OrderError, SingularMatrixError
@@ -72,8 +73,8 @@ def dfe_of(model: ModelKind, p: Params) -> State:
     """
     s1, s2 = split_share(p.N, p.rho)
     if model is ModelKind.MB:
-        return StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=0.0, R=0.0)
-    return StateMA(S1=s1, S2=s2, Is=0.0, Ia=0.0, R=0.0)
+        return StateMB(s1, s2, 0.0, 0.0, 0.0, 0.0)
+    return StateMA(s1, s2, 0.0, 0.0, 0.0)
 
 
 def _build_matrices(model: ModelKind, p: Params) -> tuple[Matrix, Matrix]:
@@ -82,23 +83,25 @@ def _build_matrices(model: ModelKind, p: Params) -> tuple[Matrix, Matrix]:
     MA orders the infected compartments (Is, Ia); MB orders them
     (A1, A2, Is).
     """
-    b = b_rho(p.beta1, p.beta2, p.rho)
+    beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
+    gamma, kappa = p.gamma, p.kappa
+    b = b_rho(beta1, beta2, rho)
     if model is ModelKind.MB:
-        t1 = (1.0 - p.lam) * p.beta1 * p.rho
-        t2 = (1.0 - p.lam) * p.beta2 * (1.0 - p.rho)
-        t3 = p.lam * b
+        t1 = (1.0 - lam) * beta1 * rho
+        t2 = (1.0 - lam) * beta2 * (1.0 - rho)
+        t3 = lam * b
         T: Matrix = ((t1, t1, t1), (t2, t2, t2), (t3, t3, t3))
         a1, a2 = p.alpha1, p.alpha2
         Sigma: Matrix = (
-            (-(a1 + p.gamma + p.kappa), a2, 0.0),
-            (a1, -(a2 + p.gamma + p.kappa), 0.0),
-            (p.gamma, p.gamma, -p.kappa),
+            (-(a1 + gamma + kappa), a2, 0.0),
+            (a1, -(a2 + gamma + kappa), 0.0),
+            (gamma, gamma, -kappa),
         )
     else:
-        lam_b = p.lam * b
-        rest_b = (1.0 - p.lam) * b
+        lam_b = lam * b
+        rest_b = (1.0 - lam) * b
         T = ((lam_b, lam_b), (rest_b, rest_b))
-        Sigma = ((-p.kappa, p.gamma), (0.0, -(p.gamma + p.kappa)))
+        Sigma = ((-kappa, gamma), (0.0, -(gamma + kappa)))
     return T, Sigma
 
 
@@ -148,16 +151,14 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     validated parameters, where kappa > 0; checked defensively).
     """
     T, Sigma = _build_matrices(model, p)
-    sigma_inv = _inverse(Sigma)
-    n = len(T)
-    K: Matrix = tuple(
-        tuple(-sum(T[i][m] * sigma_inv[m][j] for m in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    # K[i][j] = -sum over m of T[i][m] * inv[m][j], summed in m order.
+    cols = tuple(zip(*_inverse(Sigma)))
+    K: Matrix = tuple([tuple([-sum(map(mul, row, col)) for col in cols]) for row in T])
     # T's rows are constant vectors, so K = -T Sigma^{-1} is an outer
     # product of rank one and its only nonzero eigenvalue is its trace
     # (Diekmann, Heesterbeek & Roberts, J. R. Soc. Interface 7:873, 2010).
-    dominant = sum(K[i][i] for i in range(n))
+    n = len(T)
+    dominant = sum([row[i] for i, row in enumerate(K)])
     return NgmResult(
         T=T,
         Sigma=Sigma,
@@ -191,7 +192,8 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
     case is genuinely ambiguous between the strict and non-strict forms of
     the stability statements, so it is reported, not arbitrated.
     """
-    value = r0(p.beta1, p.beta2, p.rho, p.kappa)
+    mixed = b_rho(p.beta1, p.beta2, p.rho)
+    value = mixed / p.kappa  # r0, the same expression
     if abs(value - 1.0) <= MARGINAL_TOL:
         verdict = StabilityVerdict.MARGINAL
     elif value < 1.0:
@@ -202,5 +204,5 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
         r0=value,
         verdict=verdict,
         dfe=dfe_of(model, p),
-        b_rho=b_rho(p.beta1, p.beta2, p.rho),
+        b_rho=mixed,
     )

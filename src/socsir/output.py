@@ -52,10 +52,6 @@ _PALETTE = (
 )
 
 
-def _num(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def write_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV text (LF line endings, 9 sig. digits).
 
@@ -64,13 +60,16 @@ def write_csv(traj: Trajectory) -> str:
     carry the A1/A2/Is split.
     """
     header = CSV_HEADER_MB if traj.model is ModelKind.MB else CSV_HEADER_MA
+    names = header.split(",")
     # Every column between t and N is a state field or the I property.
-    columns = attrgetter(*header.split(",")[1:-1])
+    columns = attrgetter(*names[1:-1])
+    # "%.9g" % x is the same text as f"{x:.9g}".
+    row = ",".join(["%.9g"] * len(names))
     lines = [header]
-    for t, s in zip(traj.times, traj.states):
-        lines.append(
-            ",".join(_num(v) for v in (t, *columns(s), total_population(s)))
-        )
+    lines.extend(
+        row % (t, *columns(s), total_population(s))
+        for t, s in zip(traj.times, traj.states)
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -143,12 +142,14 @@ def render_svg(
 
     px0, px1 = _MARGIN_LEFT, width - _MARGIN_RIGHT
     py0, py1 = height - _MARGIN_BOTTOM, _MARGIN_TOP  # y axis points up
+    x_span, px_span = x_hi - x_lo, px1 - px0
+    y_span, py_span = y_hi - y_lo, py1 - py0
 
     def sx(x: float) -> float:
-        return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
+        return px0 + (x - x_lo) / x_span * px_span
 
     def sy(y: float) -> float:
-        return py0 + (y - y_lo) / (y_hi - y_lo) * (py1 - py0)
+        return py0 + (y - y_lo) / y_span * py_span
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -188,8 +189,16 @@ def render_svg(
 
     for idx, name in enumerate(observables):
         color = _PALETTE[idx % len(_PALETTE)]
+        # sx and sy written out, as this loop runs once per record.
         pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, series[name])
+            [
+                "%.2f,%.2f"
+                % (
+                    px0 + (x - x_lo) / x_span * px_span,
+                    py0 + (y - y_lo) / y_span * py_span,
+                )
+                for x, y in zip(xs, series[name])
+            ]
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

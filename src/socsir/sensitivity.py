@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ModelKind, Params
-from .errors import RangeError
+from .errors import NumericError, RangeError
 from .ngm import b_rho, r0, rho_from_alphas
 
 __all__ = [
@@ -78,28 +78,22 @@ class OrderingCase:
     thresholds: dict[str, float]
 
 
+def _closed_forms(model: ModelKind, p: Params) -> tuple[float, ...]:
+    """The indices in the order rho, beta1, beta2 (then alpha1, alpha2 for MB)."""
+    beta1, beta2, rho = p.beta1, p.beta2, p.rho
+    mixed = b_rho(beta1, beta2, rho)
+    u_rho = rho * (beta1 - beta2) / mixed
+    u_beta1 = rho * beta1 / mixed
+    u_beta2 = (1.0 - rho) * beta2 / mixed
+    if model is not ModelKind.MB:
+        return u_rho, u_beta1, u_beta2
+    swing = rho * (1.0 - rho) * (beta1 - beta2) / mixed
+    return u_rho, u_beta1, u_beta2, -swing, swing
+
+
 def sensitivity_indices(model: ModelKind, p: Params) -> SensitivityIndices:
     """Closed-form indices for the model's parameters."""
-    mixed = b_rho(p.beta1, p.beta2, p.rho)
-    u_rho = p.rho * (p.beta1 - p.beta2) / mixed
-    u_beta1 = p.rho * p.beta1 / mixed
-    u_beta2 = (1.0 - p.rho) * p.beta2 / mixed
-    if model is not ModelKind.MB:
-        return SensitivityIndices(
-            model=model,
-            upsilon_rho=u_rho,
-            upsilon_beta1=u_beta1,
-            upsilon_beta2=u_beta2,
-        )
-    swing = p.rho * (1.0 - p.rho) * (p.beta1 - p.beta2) / mixed
-    return SensitivityIndices(
-        model=model,
-        upsilon_rho=u_rho,
-        upsilon_beta1=u_beta1,
-        upsilon_beta2=u_beta2,
-        upsilon_alpha1=-swing,
-        upsilon_alpha2=swing,
-    )
+    return SensitivityIndices(model, *_closed_forms(model, p))
 
 
 def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
@@ -118,26 +112,28 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
                                             (rho > beta2/(beta1-beta2))
     BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint.
     """
-    t_sum = p.beta2 / (p.beta1 + p.beta2)
-    t_ratio = p.beta2 / p.beta1
-    t_diff = p.beta2 / (p.beta1 - p.beta2)
+    beta1, beta2, rho = p.beta1, p.beta2, p.rho
+    t_sum = beta2 / (beta1 + beta2)
+    t_ratio = beta2 / beta1
+    t_diff = beta2 / (beta1 - beta2)
     thresholds = {
         "beta2/(beta1+beta2)": t_sum,
         "beta2/beta1": t_ratio,
         "beta2/(beta1-beta2)": t_diff,
     }
 
-    relevant = [t_sum, t_ratio]
-    if model is ModelKind.MB:
-        relevant.append(t_diff)
-    if any(abs(p.rho - t) <= BOUNDARY_TOL for t in relevant):
+    if (
+        abs(rho - t_sum) <= BOUNDARY_TOL
+        or abs(rho - t_ratio) <= BOUNDARY_TOL
+        or (model is ModelKind.MB and abs(rho - t_diff) <= BOUNDARY_TOL)
+    ):
         return OrderingCase(label="BOUNDARY", chain=(), thresholds=thresholds)
 
-    if p.rho < t_sum:
+    if rho < t_sum:
         label, tail = "A", ("rho", "beta1", "beta2")
-    elif p.rho < t_ratio:
+    elif rho < t_ratio:
         label, tail = "B", ("rho", "beta2", "beta1")
-    elif model is not ModelKind.MB or p.rho < t_diff:
+    elif model is not ModelKind.MB or rho < t_diff:
         label, tail = "C", ("beta2", "rho", "beta1")
     else:
         label, tail = "D", ("beta2", "rho", "beta1")
@@ -161,45 +157,41 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     difference of relative step h; the alpha indices differentiate through
     rho(alpha1, alpha2), perturbing the switch rates themselves.  Returns
     the worst relative error over all indices of the model.
+
+    Raises NumericError when the rates are so small that 2*h*r0 or a
+    closed-form index underflows to zero.
     """
     if not 1e-10 < h <= 1e-2:
         raise RangeError(f"h must lie in (1e-10, 1e-2], got {h}")
 
-    closed = sensitivity_indices(model, p)
-    base = r0(p.beta1, p.beta2, p.rho, p.kappa)
-    two_h = 2.0 * h
-
-    def rel_index(plus: float, minus: float) -> float:
-        # (param/r0) * (f(+) - f(-)) / (2*h*param) with the param cancelled.
-        return (plus - minus) / (two_h * base)
-
-    estimates = {
-        "rho": rel_index(
-            r0(p.beta1, p.beta2, p.rho * (1.0 + h), p.kappa),
-            r0(p.beta1, p.beta2, p.rho * (1.0 - h), p.kappa),
-        ),
-        "beta1": rel_index(
-            r0(p.beta1 * (1.0 + h), p.beta2, p.rho, p.kappa),
-            r0(p.beta1 * (1.0 - h), p.beta2, p.rho, p.kappa),
-        ),
-        "beta2": rel_index(
-            r0(p.beta1, p.beta2 * (1.0 + h), p.rho, p.kappa),
-            r0(p.beta1, p.beta2 * (1.0 - h), p.rho, p.kappa),
-        ),
-    }
+    beta1, beta2, rho, kappa = p.beta1, p.beta2, p.rho, p.kappa
+    up, down = 1.0 + h, 1.0 - h
+    # (param/r0) * (f(+) - f(-)) / (2*h*param) with the param cancelled.
+    scale = 2.0 * h * r0(beta1, beta2, rho, kappa)
+    diffs = [
+        r0(beta1, beta2, rho * up, kappa) - r0(beta1, beta2, rho * down, kappa),
+        r0(beta1 * up, beta2, rho, kappa) - r0(beta1 * down, beta2, rho, kappa),
+        r0(beta1, beta2 * up, rho, kappa) - r0(beta1, beta2 * down, rho, kappa),
+    ]
     if model is ModelKind.MB:
         a1, a2 = p.alpha1, p.alpha2
-        estimates["alpha1"] = rel_index(
-            r0(p.beta1, p.beta2, rho_from_alphas(a1 * (1.0 + h), a2), p.kappa),
-            r0(p.beta1, p.beta2, rho_from_alphas(a1 * (1.0 - h), a2), p.kappa),
+        diffs.append(
+            r0(beta1, beta2, rho_from_alphas(a1 * up, a2), kappa)
+            - r0(beta1, beta2, rho_from_alphas(a1 * down, a2), kappa)
         )
-        estimates["alpha2"] = rel_index(
-            r0(p.beta1, p.beta2, rho_from_alphas(a1, a2 * (1.0 + h)), p.kappa),
-            r0(p.beta1, p.beta2, rho_from_alphas(a1, a2 * (1.0 - h)), p.kappa),
+        diffs.append(
+            r0(beta1, beta2, rho_from_alphas(a1, a2 * up), kappa)
+            - r0(beta1, beta2, rho_from_alphas(a1, a2 * down), kappa)
         )
-
-    closed_map = closed.as_dict()
-    return max(
-        abs(estimates[name] - closed_map[name]) / abs(closed_map[name])
-        for name in estimates
-    )
+    try:
+        return max(
+            [
+                abs(diff / scale - closed) / abs(closed)
+                for diff, closed in zip(diffs, _closed_forms(model, p))
+            ]
+        )
+    except ZeroDivisionError:
+        raise NumericError(
+            f"the rates are too small for a central difference at step "
+            f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
+        ) from None

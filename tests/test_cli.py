@@ -316,6 +316,24 @@ def test_sensitivity_report(capsys):
     assert "finite-diff max relative error" in out
 
 
+UNDERFLOW_ARGV = [
+    # 2*h*r0 underflows to zero
+    ["--beta1", "1e-323", "--beta2", "5e-324", "--rho", "0.5", "--kappa", "1"],
+    # the closed-form index of rho underflows to zero
+    ["--beta1", "1", "--beta2", "5e-324", "--rho", "0.9", "--kappa", "1"],
+]
+
+
+@pytest.mark.parametrize("rates", UNDERFLOW_ARGV)
+def test_sensitivity_underflow_exits_3(rates):
+    # these used to end in a ZeroDivisionError traceback (exit 1)
+    done = _socsir("sensitivity", "--model", "ma", *rates)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: the rates are too small")
+    assert "h=1e-06" in done.stderr
+
+
 def test_scan_participation(capsys):
     argv = [
         "scan-participation",

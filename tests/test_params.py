@@ -139,6 +139,27 @@ def test_nonfinite_rejected():
         validate_params(dict(GOOD_MA, N=10**400), ModelKind.MA)
 
 
+@pytest.mark.parametrize(
+    "rho",
+    ["1", True, "abc", [1], None, 10**400],
+    ids=["str-1", "bool", "str-abc", "list", "none", "huge-int"],
+)
+def test_single_rho_goes_through_the_number_check(rho):
+    # a present rho is checked like every other field, then must equal 1
+    raw = dict(GOOD_MA, rho=rho)
+    with pytest.raises(RangeError):
+        validate_params(raw, ModelKind.SINGLE)
+
+
+def test_single_rho_defaults_to_one():
+    raw = dict(GOOD_MA)
+    del raw["rho"]
+    assert validate_params(raw, ModelKind.SINGLE).rho == 1.0
+    assert validate_params(dict(GOOD_MA, rho=1), ModelKind.SINGLE).rho == 1.0
+    with pytest.raises(RangeError, match="equal 1"):
+        validate_params(dict(GOOD_MA, rho=0.5), ModelKind.SINGLE)
+
+
 def test_with_rho_one():
     p = validate_params(GOOD_MB, ModelKind.MB)
     q = with_rho_one(p)

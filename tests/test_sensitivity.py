@@ -12,7 +12,7 @@ import random
 import pytest
 
 from socsir.core import ModelKind, Params, validate_params
-from socsir.errors import RangeError
+from socsir.errors import NumericError, RangeError
 from socsir.sensitivity import finite_diff_check, ordering_case, sensitivity_indices
 from tests._samplers import draw_raw_params
 
@@ -206,3 +206,14 @@ def test_finite_diff_step_bounds():
         finite_diff_check(ModelKind.MA, _ma(), 1e-10)
     with pytest.raises(RangeError):
         finite_diff_check(ModelKind.MA, _ma(), 0.02)
+
+
+@pytest.mark.parametrize(
+    "beta1, beta2, rho",
+    [(1e-323, 5e-324, 0.5), (1.0, 5e-324, 0.9)],
+    ids=["scale-underflows", "index-underflows"],
+)
+def test_finite_diff_underflow_is_numeric_error(beta1, beta2, rho):
+    p = _ma(rho, beta1=beta1, beta2=beta2, kappa=1.0)
+    with pytest.raises(NumericError, match="too small for a central difference"):
+        finite_diff_check(ModelKind.MA, p)
