@@ -34,8 +34,10 @@ __all__ = ["main"]
 _DEFAULT_PLOT_OBSERVABLES = ("S1", "S2", "I", "R")
 
 # Largest --steps (grid size) that bifurcation and scan-participation
-# accept.  Each scan point is one 510-step simulation (about 5 ms), so the
-# cap bounds a scan near a minute and a grid list near 10^4 floats.
+# accept.  Each scan point is one 510-step MB run, about 3-4 ms of one
+# CPU, and the scan spreads the points over the usable CPUs; so the cap
+# bounds a scan near 40 s even on one CPU, and a grid list near 10^4
+# floats.
 MAX_GRID_STEPS = 10_000
 
 

@@ -11,11 +11,12 @@ form rather than iterated for.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from operator import mul
 
 from .core import ModelKind, Params, State, StateMA, StateMB, split_share
-from .errors import OrderError, SingularMatrixError
+from .errors import NumericError, OrderError, SingularMatrixError
 
 __all__ = [
     "NgmResult",
@@ -191,9 +192,17 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
     Within MARGINAL_TOL of r0 = 1 the verdict is MARGINAL; the threshold
     case is genuinely ambiguous between the strict and non-strict forms of
     the stability statements, so it is reported, not arbitrated.
+
+    Raises NumericError when R0 or B_rho overflows to a non-finite value
+    (a tiny kappa, or huge rates admitted with allow_beta_gt_one).
     """
     mixed = b_rho(p.beta1, p.beta2, p.rho)
     value = mixed / p.kappa  # r0, the same expression
+    if not (math.isfinite(value) and math.isfinite(mixed)):
+        raise NumericError(
+            f"R0 = B_rho / kappa overflows the float range: "
+            f"B_rho = {mixed!r}, kappa = {p.kappa!r}"
+        )
     if abs(value - 1.0) <= MARGINAL_TOL:
         verdict = StabilityVerdict.MARGINAL
     elif value < 1.0:

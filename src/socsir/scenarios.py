@@ -11,8 +11,10 @@ the switch.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from .core import (
     ModelKind,
@@ -312,6 +314,119 @@ SCAN_T1 = 1020.0
 SCAN_DT = 2.0
 
 
+def _scan_peaks(p: Params, qs: Sequence[float], t1: float, dt: float) -> list[float]:
+    """Peak infected load of the MB run over [0, t1] for each fraction in qs."""
+    pool = p.N - 1.0
+    peaks: list[float] = []
+    for q in qs:
+        s2, s1 = split_share(pool, q)
+        init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
+        # Only the running peak is kept.  max keeps the first of equal
+        # maxima, as peak_of's strict > does.
+        run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
+        peaks.append(max(state.I for _, state in run))
+    return peaks
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
+def _other_threads_running() -> bool:
+    # fork copies only the calling thread, so a lock another thread holds
+    # stays held in the child forever.
+    threading = sys.modules.get("threading")
+    return threading is not None and threading.active_count() > 1
+
+
+def _fork_scan(
+    p: Params, qs: Sequence[float], t1: float, dt: float
+) -> tuple[int, BinaryIO] | None:
+    """Fork a child that scans qs and pipes back its pickled outcome.
+
+    The outcome is (True, peaks) or (False, exception).  Returns the
+    child's pid and the pipe's read end, or None when the fork fails.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child leaves only through os._exit
+        code = 1
+        try:
+            os.close(r)
+            try:
+                outcome = (True, _scan_peaks(p, qs, t1, dt))
+            except Exception as exc:
+                outcome = (False, exc)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(pickle.dumps(outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _parallel_peaks(
+    p: Params, grid: Sequence[float], t1: float, dt: float
+) -> list[float]:
+    """_scan_peaks over the grid, split into one contiguous chunk per usable CPU.
+
+    The parent scans chunk 0 and forked children the rest; outcomes are
+    taken in chunk order, so the first failing chunk's exception is the
+    one the serial scan raises.  A chunk whose fork fails or whose child
+    dies without an outcome is scanned in-process.
+    """
+    n = min(_usable_cpus(), len(grid))
+    if n < 2 or not hasattr(os, "fork") or _other_threads_running():
+        return _scan_peaks(p, grid, t1, dt)
+    import pickle
+    import signal
+
+    cuts = [len(grid) * k // n for k in range(n + 1)]
+    chunks = [grid[a:b] for a, b in zip(cuts, cuts[1:])]
+    live: dict[int, BinaryIO] = {}  # children not yet reaped
+    try:
+        children = []
+        for qs in chunks[1:]:
+            child = _fork_scan(p, qs, t1, dt)
+            if child is not None:
+                live[child[0]] = child[1]
+            children.append(child)
+        peaks = _scan_peaks(p, chunks[0], t1, dt)
+        for qs, child in zip(chunks[1:], children):
+            outcome = None
+            if child is not None:
+                pid, reader = child
+                data = reader.read()
+                reader.close()
+                _, status = os.waitpid(pid, 0)
+                del live[pid]
+                if status == 0:  # a full outcome was written
+                    outcome = pickle.loads(data)
+            if outcome is None:
+                peaks += _scan_peaks(p, qs, t1, dt)
+            elif outcome[0]:
+                peaks += outcome[1]
+            else:
+                raise outcome[1]
+        return peaks
+    finally:
+        for pid, reader in live.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def participation_scan(
     preset: MitigationPreset,
     capacity: float,
@@ -328,6 +443,13 @@ def participation_scan(
     symptomatic individual is seeded, and the two-class model runs over the
     window [0, t1]; the largest simultaneous infected count (I = A + Is,
     everyone needing care at one time) is compared against capacity.
+
+    The runs are independent.  On POSIX the grid is split into contiguous
+    chunks, one per usable CPU: this process scans the first and forks up
+    to (usable CPUs - 1) workers for the rest.  The peaks are identical to
+    a serial scan, bit for bit, and a failing run raises the error of the
+    first failing grid point, as the serial scan would.  Every argument is
+    checked before any fork.
     """
     if not capacity > 0:
         raise RangeError(f"capacity must be positive, got {capacity}")
@@ -339,15 +461,8 @@ def participation_scan(
         raise RangeError("grid must be strictly increasing")
 
     p = preset_params(preset, n_total)
-    pool = n_total - 1.0
-    peaks: list[float] = []
-    for q in grid:
-        s2, s1 = split_share(pool, q)
-        init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
-        # Only the running peak is kept.  max keeps the first of equal
-        # maxima, as peak_of's strict > does.
-        run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
-        peaks.append(max(state.I for _, state in run))
+    check_times(0.0, t1, dt)
+    peaks = _parallel_peaks(p, grid, t1, dt)
 
     minimal = next(
         (q for q, peak in zip(grid, peaks) if peak <= capacity), None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import ModelKind, Params
 from .errors import NumericError, RangeError
-from .ngm import b_rho, r0, rho_from_alphas
+from .ngm import b_rho, r0
 
 __all__ = [
     "SensitivityIndices",
@@ -155,8 +155,9 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
 
     Each index is re-derived as (param/r0) * d(r0)/d(param) with a central
     difference of relative step h; the alpha indices differentiate through
-    rho(alpha1, alpha2), perturbing the switch rates themselves.  Returns
-    the worst relative error over all indices of the model.
+    rho = alpha2 / (alpha1 + alpha2), perturbing the switch rates
+    themselves.  Returns the worst relative error over all indices of the
+    model.
 
     Raises NumericError when the rates are so small that 2*h*r0 or a
     closed-form index underflows to zero.
@@ -174,14 +175,18 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
         r0(beta1, beta2 * up, rho, kappa) - r0(beta1, beta2 * down, rho, kappa),
     ]
     if model is ModelKind.MB:
+        # rho_from_alphas's formula without its order check: a step can
+        # carry alpha1 below alpha2 when the two are within a factor
+        # (1+h)/(1-h), and the derivative is still defined there.
         a1, a2 = p.alpha1, p.alpha2
+        a2_up, a2_down = a2 * up, a2 * down
         diffs.append(
-            r0(beta1, beta2, rho_from_alphas(a1 * up, a2), kappa)
-            - r0(beta1, beta2, rho_from_alphas(a1 * down, a2), kappa)
+            r0(beta1, beta2, a2 / (a1 * up + a2), kappa)
+            - r0(beta1, beta2, a2 / (a1 * down + a2), kappa)
         )
         diffs.append(
-            r0(beta1, beta2, rho_from_alphas(a1, a2 * up), kappa)
-            - r0(beta1, beta2, rho_from_alphas(a1, a2 * down), kappa)
+            r0(beta1, beta2, a2_up / (a1 + a2_up), kappa)
+            - r0(beta1, beta2, a2_down / (a1 + a2_down), kappa)
         )
     try:
         return max(

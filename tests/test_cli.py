@@ -334,6 +334,47 @@ def test_sensitivity_underflow_exits_3(rates):
     assert "h=1e-06" in done.stderr
 
 
+def test_sensitivity_mb_with_nearly_equal_alphas(capsys):
+    # a central-difference step carries alpha1 below alpha2 here; the
+    # check used to raise OrderError naming alphas the user never gave
+    argv = "sensitivity --model mb --beta1 0.5 --beta2 0.1 --kappa 0.5"
+    argv += " --alpha1 0.1 --alpha2 0.0999999"
+    assert main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert "finite-diff max relative error" in out and err == ""
+
+
+@pytest.mark.parametrize("command", ["r0", "stability"])
+def test_overflowing_r0_exits_3(command):
+    # R0 = 0.75 / 5e-324 overflows; it used to be reported as inf
+    done = _socsir(command, "--model", "ma", "--beta1", "1", "--beta2", "0.5",
+                   "--rho", "0.5", "--kappa", "5e-324")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: R0 = B_rho / kappa overflows the float range: "
+        "B_rho = 0.75, kappa = 5e-324\n"
+    )
+
+
+def test_cli_import_loads_no_process_machinery():
+    # the scan imports pickle only when it forks; start-up stays lean
+    code = (
+        "import sys, socsir.cli; "
+        "print(sorted(m for m in ('pickle', 'multiprocessing', "
+        "'concurrent.futures') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_scan_participation(capsys):
     argv = [
         "scan-participation",

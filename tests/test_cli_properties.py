@@ -1,9 +1,12 @@
-"""Property test: no value of an analysis flag escapes the exit-code table.
+"""Property tests: no value of an analysis flag escapes the exit-code table.
 
 Drives cli.main in-process for r0, stability, sensitivity and feasibility
 with rates, --N and --fd-step drawn from subnormals, huge values, +-inf,
 NaN and ordinary floats.  Every run returns 0, 2 or 3, or argparse exits
 with code 2; any other exception would reach the user as a traceback.
+The grid commands, scan-participation and bifurcation, take --capacity or
+--kappa from the same values and --steps from small and out-of-range
+sizes; they return 0 or 2.
 """
 
 from __future__ import annotations
@@ -113,3 +116,36 @@ def test_analysis_flags_exit_only_with_documented_codes(argv):
         assert err.startswith("error"), (argv, err)
     if " ".join(argv) in UNDERFLOW:
         assert code == 3
+
+
+GRID_STEPS = st.sampled_from([-1, 0, 1, 2, 3, 4, 10001])
+
+
+@st.composite
+def grid_argvs(draw):
+    value = draw(st.one_of(ORDINARY, EXTREME))
+    steps = draw(GRID_STEPS)
+    if draw(st.booleans()):
+        preset = draw(st.sampled_from(["masks", "common_areas", "distancing"]))
+        argv = ["scan-participation", "--preset", preset, f"--capacity={value!r}"]
+    else:
+        model = draw(st.sampled_from(["ma", "mb"]))
+        argv = ["bifurcation", "--model", model, f"--kappa={value!r}"]
+    return argv + [f"--steps={steps}"]
+
+
+# A scan of four points takes a few tens of milliseconds, so the example
+# count keeps this test near a second.
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(grid_argvs())
+@example(["scan-participation", "--preset", "masks", "--capacity=nan", "--steps=4"])
+@example(["scan-participation", "--preset", "masks", "--capacity=inf", "--steps=4"])
+@example(["scan-participation", "--preset", "masks", "--capacity=5e-324", "--steps=4"])
+@example(["bifurcation", "--model", "mb", "--kappa=5e-324", "--steps=4"])
+def test_grid_flags_exit_0_or_2(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2), argv
+    if code == 0:
+        assert out and not err
+    else:
+        assert err.startswith("error"), (argv, err)
