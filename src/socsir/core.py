@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Union
 
 from .errors import MissingFieldError, NumericError, OrderError, RangeError
@@ -89,8 +88,7 @@ State = Union[StateMA, StateMB]
 TRANSITION_NORMALIZATIONS = ("asymmetric", "uniform")
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Full parameter vector.
 
     beta1, beta2   infection rates of class 1 / class 2 contacts
@@ -262,17 +260,9 @@ def validate_params(
     else:  # pragma: no cover - enum is exhaustive
         raise RangeError(f"unknown model kind {model!r}")
 
+    # Positional: a NamedTuple built from keywords costs about twice as much.
     return Params(
-        beta1=beta1,
-        beta2=beta2,
-        lam=lam,
-        gamma=gamma,
-        kappa=kappa,
-        rho=rho,
-        N=n_total,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        transition_normalization=str(norm),
+        beta1, beta2, lam, gamma, kappa, rho, n_total, alpha1, alpha2, str(norm)
     )
 
 
@@ -322,4 +312,4 @@ def split_share(total: float, share: float) -> tuple[float, float]:
 
 def with_rho_one(p: Params) -> Params:
     """Internal helper: the single-class variant of p (rho pinned to 1)."""
-    return replace(p, rho=1.0)
+    return p._replace(rho=1.0)

@@ -18,8 +18,7 @@ kappa = 1 degenerates TYPE_1 to the half-square (0,0), (1,1), (1,0).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ModelKind
 from .errors import RangeError
@@ -47,8 +46,7 @@ class SetType(enum.Enum):
     TYPE_MINUS_1 = -1
 
 
-@dataclass(frozen=True)
-class FeasibleSetReport:
+class FeasibleSetReport(NamedTuple):
     """Classification of the rho-feasible set for one (rho, kappa)."""
 
     type_label: SetType
@@ -57,8 +55,7 @@ class FeasibleSetReport:
     rho: float
 
 
-@dataclass(frozen=True)
-class BifurcationScan:
+class BifurcationScan(NamedTuple):
     """Feasible-set types along a parameter grid.
 
     breakpoints holds one (lo, hi) interval per label change, with
@@ -170,9 +167,7 @@ def classify_feasible_set(
     else:
         label = SetType.TYPE_MINUS_1
         vertices = ((0.0, 0.0), (kappa, kappa), (kappa / rho, 0.0))
-    return FeasibleSetReport(
-        type_label=label, vertices=vertices, kappa=kappa, rho=rho
-    )
+    return FeasibleSetReport(label, vertices, kappa, rho)
 
 
 def bifurcation_scan(

@@ -11,9 +11,8 @@ conservation, while the error tells the caller to shrink dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import ModelKind, Params, State, total_population
 from .dynamics import vector_field
@@ -56,8 +55,7 @@ NEGATIVE_TOL = 1e-9
 MAX_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(NamedTuple):
     """A named scalar read off a state, e.g. total infectives."""
 
     name: str
@@ -75,8 +73,7 @@ def observables_for(model: ModelKind) -> dict[str, Observable]:
     return obs
 
 
-@dataclass(frozen=True)
-class SwitchRecord:
+class SwitchRecord(NamedTuple):
     """What happened at a mid-run model switch."""
 
     t_switch: float
@@ -84,7 +81,6 @@ class SwitchRecord:
     post_state: State
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """A recorded run: strictly increasing times and matching states.
 
@@ -92,17 +88,61 @@ class Trajectory:
     final partial step (and, for composite runs, the junction at
     ``switch_record.t_switch``).  Every recorded state keeps the total
     population within 1e-9 * N of the initial one.
+
+    An immutable value like the NamedTuple types, but a slotted class:
+    len() is the record count, which a tuple's len() cannot be.
     """
+
+    __slots__ = ("model", "times", "states", "params_used", "dt", "switch_record")
+    __match_args__ = __slots__
 
     model: ModelKind
     times: tuple[float, ...]
     states: tuple[State, ...]
     params_used: Params
     dt: float
-    switch_record: SwitchRecord | None = field(default=None)
+    switch_record: SwitchRecord | None
+
+    def __init__(
+        self,
+        model: ModelKind,
+        times: tuple[float, ...],
+        states: tuple[State, ...],
+        params_used: Params,
+        dt: float,
+        switch_record: SwitchRecord | None = None,
+    ) -> None:
+        values = (model, times, states, params_used, dt, switch_record)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Trajectory:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"Trajectory({fields})"
+
+    def __reduce__(self):
+        return Trajectory, self._values()
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"Trajectory is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _checked_step(new: list[float], s: Sequence[float], t: float) -> list[float]:

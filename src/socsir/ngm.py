@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .core import ModelKind, Params, State, StateMA, StateMB, split_share
 from .errors import NumericError, OrderError, SingularMatrixError
@@ -49,6 +49,22 @@ def r0(beta1: float, beta2: float, rho: float, kappa: float) -> float:
 def b_rho(beta1: float, beta2: float, rho: float) -> float:
     """The class-mixed infection rate rho*beta1 + (1-rho)*beta2."""
     return rho * beta1 + (1.0 - rho) * beta2
+
+
+def checked_r0(p: Params) -> tuple[float, float]:
+    """R0 and B_rho of p, computed as r0 and b_rho compute them.
+
+    Raises NumericError when either is not finite: a tiny kappa, or huge
+    rates admitted with allow_beta_gt_one, overflow the float range.
+    """
+    mixed = b_rho(p.beta1, p.beta2, p.rho)
+    value = mixed / p.kappa  # r0, the same expression
+    if not (math.isfinite(value) and math.isfinite(mixed)):
+        raise NumericError(
+            f"R0 = B_rho / kappa overflows the float range: "
+            f"B_rho = {mixed!r}, kappa = {p.kappa!r}"
+        )
+    return value, mixed
 
 
 def rho_from_alphas(alpha1: float, alpha2: float) -> float:
@@ -129,8 +145,7 @@ def _inverse(m: Matrix) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class NgmResult:
+class NgmResult(NamedTuple):
     """Next-generation analysis of the linearized infection subsystem."""
 
     T: Matrix
@@ -160,14 +175,7 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     # (Diekmann, Heesterbeek & Roberts, J. R. Soc. Interface 7:873, 2010).
     n = len(T)
     dominant = sum([row[i] for i, row in enumerate(K)])
-    return NgmResult(
-        T=T,
-        Sigma=Sigma,
-        K=K,
-        eigenvalues=(0.0,) * (n - 1) + (dominant,),
-        dominant=dominant,
-        dimension=n,
-    )
+    return NgmResult(T, Sigma, K, (0.0,) * (n - 1) + (dominant,), dominant, n)
 
 
 class StabilityVerdict(enum.Enum):
@@ -176,8 +184,7 @@ class StabilityVerdict(enum.Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Stability of the disease-free equilibrium."""
 
     r0: float
@@ -193,25 +200,13 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
     case is genuinely ambiguous between the strict and non-strict forms of
     the stability statements, so it is reported, not arbitrated.
 
-    Raises NumericError when R0 or B_rho overflows to a non-finite value
-    (a tiny kappa, or huge rates admitted with allow_beta_gt_one).
+    Raises NumericError when R0 or B_rho is not finite (see checked_r0).
     """
-    mixed = b_rho(p.beta1, p.beta2, p.rho)
-    value = mixed / p.kappa  # r0, the same expression
-    if not (math.isfinite(value) and math.isfinite(mixed)):
-        raise NumericError(
-            f"R0 = B_rho / kappa overflows the float range: "
-            f"B_rho = {mixed!r}, kappa = {p.kappa!r}"
-        )
+    value, mixed = checked_r0(p)
     if abs(value - 1.0) <= MARGINAL_TOL:
         verdict = StabilityVerdict.MARGINAL
     elif value < 1.0:
         verdict = StabilityVerdict.STABLE
     else:
         verdict = StabilityVerdict.UNSTABLE
-    return StabilityReport(
-        r0=value,
-        verdict=verdict,
-        dfe=dfe_of(model, p),
-        b_rho=mixed,
-    )
+    return StabilityReport(value, verdict, dfe_of(model, p), mixed)

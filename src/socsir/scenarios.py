@@ -4,17 +4,16 @@ mitigation presets, and the participation scan.
 The mixed scenario chains a single-class run (everyone in class 1, rate
 beta1) into a two-class run: at t_switch the susceptibles and asymptomatic
 carriers are split rho_split : (1 - rho_split) between the classes and the
-combined model takes over.  The split uses exact complements, so every
-aggregate (S total, asymptomatic total, Is, R, N) is bit-identical across
-the switch.
+combined model takes over.  The split uses core.split_share, whose two
+shares sum to the total exactly, so every aggregate (S total, asymptomatic
+total, Is, R, N) is bit-identical across the switch.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .core import (
     ModelKind,
@@ -36,7 +35,7 @@ from .integrator import (
     peak_of,
     simulate,
 )
-from .ngm import r0
+from .ngm import checked_r0
 
 __all__ = [
     "MixedSpec",
@@ -56,8 +55,7 @@ __all__ = [
 INIT_RULE_DFE_PLUS_ONE = "dfe_plus_one_symptomatic"
 
 
-@dataclass(frozen=True)
-class MixedSpec:
+class MixedSpec(NamedTuple):
     """Switch description for the mixed scenario."""
 
     t_switch: float
@@ -65,8 +63,7 @@ class MixedSpec:
     split_rule: str = "proportional"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A fully resolved run description.
 
     init_rule remembers the symbolic initial condition ("dfe_plus_one_
@@ -87,8 +84,7 @@ class ScenarioConfig:
     outputs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Headline numbers of a run."""
 
     r0: float
@@ -97,8 +93,7 @@ class RunSummary:
     final_R: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     trajectory: Trajectory
     summary: RunSummary
 
@@ -149,7 +144,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     Configs with a mixed block are delegated to run_mixed.  The summary
     reports r0 (for MB, at the equilibrium class split implied by the
     switch rates), the peaks of total and symptomatic infectives, and the
-    final recovered count.
+    final recovered count.  A non-finite r0 raises NumericError.
     """
     if cfg.mixed is not None:
         return run_mixed(cfg)
@@ -166,9 +161,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def _summarize(traj: Trajectory, p: Params) -> RunSummary:
+    """Raises NumericError when R0 is not finite (see ngm.checked_r0)."""
     obs = observables_for(traj.model)
     return RunSummary(
-        r0=r0(p.beta1, p.beta2, p.rho, p.kappa),
+        r0=checked_r0(p)[0],
         peak_I=peak_of(traj, obs["I"]),
         peak_Is=peak_of(traj, obs["Is"]),
         final_R=traj.states[-1].R,
@@ -242,8 +238,7 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     return RunResult(trajectory=traj, summary=_summarize(traj, p))
 
 
-@dataclass(frozen=True)
-class MitigationPreset:
+class MitigationPreset(NamedTuple):
     """Named mitigation behavior with its two class infection rates."""
 
     name: str
@@ -283,8 +278,7 @@ def preset_params(preset: MitigationPreset, n_total: float = 100.0) -> Params:
     return validate_params(raw, ModelKind.MB, allow_zero_alpha2=True)
 
 
-@dataclass(frozen=True)
-class ParticipationScanResult:
+class ParticipationScanResult(NamedTuple):
     """Outcome of scanning compliant-population fractions.
 
     minimal_compliant is the smallest scanned fraction whose peak infected

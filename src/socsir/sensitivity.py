@@ -21,7 +21,7 @@ beta2/beta1 and beta2/(beta1-beta2), which is what ordering_case labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ModelKind, Params
 from .errors import NumericError, RangeError
@@ -41,8 +41,7 @@ __all__ = [
 BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SensitivityIndices:
+class SensitivityIndices(NamedTuple):
     """The indices of one parameter set; alpha entries are None for MA."""
 
     model: ModelKind
@@ -64,8 +63,7 @@ class SensitivityIndices:
         return out
 
 
-@dataclass(frozen=True)
-class OrderingCase:
+class OrderingCase(NamedTuple):
     """Which ordering chain the indices follow.
 
     label is "A".."D" or "BOUNDARY"; chain lists the parameter names in
@@ -127,7 +125,7 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
         or abs(rho - t_ratio) <= BOUNDARY_TOL
         or (model is ModelKind.MB and abs(rho - t_diff) <= BOUNDARY_TOL)
     ):
-        return OrderingCase(label="BOUNDARY", chain=(), thresholds=thresholds)
+        return OrderingCase("BOUNDARY", (), thresholds)
 
     if rho < t_sum:
         label, tail = "A", ("rho", "beta1", "beta2")
@@ -139,7 +137,7 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
         label, tail = "D", ("beta2", "rho", "beta1")
 
     if model is not ModelKind.MB:
-        return OrderingCase(label=label, chain=tail, thresholds=thresholds)
+        return OrderingCase(label, tail, thresholds)
 
     if label == "C":
         chain = ("alpha1", "alpha2", "beta2", "rho", "beta1")
@@ -147,7 +145,7 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
         chain = ("alpha1", "beta2", "alpha2", "rho", "beta1")
     else:
         chain = ("alpha1", "alpha2") + tail
-    return OrderingCase(label=label, chain=chain, thresholds=thresholds)
+    return OrderingCase(label, chain, thresholds)
 
 
 def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:

@@ -357,12 +357,36 @@ def test_overflowing_r0_exits_3(command):
     )
 
 
+@pytest.mark.parametrize(
+    ("command", "config"),
+    [("simulate", MA_CFG), ("mixed", MIXED_CFG)],
+    ids=["simulate", "mixed"],
+)
+def test_run_summary_with_overflowing_r0_exits_3(tmp_path, command, config):
+    # the run summary's R0 used to be printed as inf with exit 0
+    doc = json.loads(pathlib.Path(config).read_text())
+    doc["params"]["kappa"] = 5e-324
+    doc["time"]["t1"] = 1020.0
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(doc))
+    csv = tmp_path / "run.csv"
+    done = _socsir(command, "--config", str(cfg), "--csv", str(csv))
+    assert done.returncode == 3
+    assert done.stdout == "" and not csv.exists()
+    assert done.stderr.startswith(
+        "error: R0 = B_rho / kappa overflows the float range: B_rho = "
+    )
+    assert done.stderr.endswith(", kappa = 5e-324\n")
+
+
 def test_cli_import_loads_no_process_machinery():
-    # the scan imports pickle only when it forks; start-up stays lean
+    # the scan imports pickle only when it forks, and the value types are
+    # NamedTuples, so neither dataclasses nor inspect loads; start-up stays
+    # lean
     code = (
         "import sys, socsir.cli; "
         "print(sorted(m for m in ('pickle', 'multiprocessing', "
-        "'concurrent.futures') if m in sys.modules))"
+        "'concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],

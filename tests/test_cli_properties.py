@@ -6,13 +6,17 @@ NaN and ordinary floats.  Every run returns 0, 2 or 3, or argparse exits
 with code 2; any other exception would reach the user as a traceback.
 The grid commands, scan-participation and bifurcation, take --capacity or
 --kappa from the same values and --steps from small and out-of-range
-sizes; they return 0 or 2.
+sizes; they return 0 or 2.  simulate and mixed run the mutated tests/data
+documents of test_config_properties, with the report, CSV and SVG written
+to a temporary directory; they return 0, 2, 3 or 4, and a run that
+returns 0 reports and writes only finite numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 
 import pytest
@@ -23,6 +27,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from socsir.cli import main  # noqa: E402
+from socsir.config import dumps_config, loads_config  # noqa: E402
+from socsir.errors import ConfigError, ValidationError  # noqa: E402
+from tests.test_config_properties import CAP_STEPS, DATA, mutated_docs  # noqa: E402
 
 EDGES = [
     5e-324,
@@ -149,3 +156,58 @@ def test_grid_flags_exit_0_or_2(argv):
         assert out and not err
     else:
         assert err.startswith("error"), (argv, err)
+
+
+def _capped_text(doc) -> str:
+    """doc as JSON, with a parsable run cut to CAP_STEPS steps."""
+    text = json.dumps(doc)
+    try:
+        cfg = loads_config(text)
+    except (ConfigError, ValidationError):
+        return text  # the CLI meets the same error
+    limit = cfg.t0 + CAP_STEPS * cfg.dt
+    if limit < cfg.t1:  # false for NaN, so bad times still reach the run
+        return dumps_config(cfg._replace(t1=limit))
+    return text
+
+
+def _numbers(text: str) -> list[float]:
+    found = []
+    for token in text.replace(",", " ").split():
+        try:
+            found.append(float(token))
+        except ValueError:
+            pass
+    return found
+
+
+# R0 = B_rho / kappa overflows; the summary used to report it as inf
+OVERFLOW_DOC = json.loads((DATA / "ma_basic.json").read_text())
+OVERFLOW_DOC["params"]["kappa"] = 5e-324
+OVERFLOW_DOC["time"]["t1"] = 20
+
+
+# Each example writes a report, a CSV and an SVG of up to 2000 steps, so
+# the example count keeps this test near a second.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutated_docs(), st.sampled_from(["simulate", "mixed"]))
+@example(OVERFLOW_DOC, "simulate")
+def test_run_commands_exit_only_with_documented_codes(tmp_path_factory, doc, command):
+    tmp = tmp_path_factory.mktemp("run")
+    config = tmp / "config.json"
+    config.write_text(_capped_text(doc))
+    files = {flag: tmp / name for flag, name in
+             (("--out", "report.txt"), ("--csv", "run.csv"), ("--svg", "run.svg"))}
+    argv = [command, "--config", str(config)]
+    for flag, path in files.items():
+        argv += [flag, str(path)]
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (doc, command)
+    assert not out
+    if code == 0:
+        assert not err and all(path.exists() for path in files.values())
+        for name in ("--out", "--csv"):
+            numbers = _numbers(files[name].read_text())
+            assert numbers and all(map(math.isfinite, numbers)), (doc, name)
+    else:
+        assert err.startswith("error"), (doc, err)

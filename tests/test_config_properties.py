@@ -9,7 +9,6 @@ the user as a traceback.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import pathlib
@@ -108,7 +107,7 @@ def test_mutated_documents_fail_only_with_documented_errors(doc):
         cfg = loads_config(json.dumps(doc))
         limit = cfg.t0 + CAP_STEPS * cfg.dt
         if limit < cfg.t1:  # false for NaN, so bad times still reach the run
-            cfg = dataclasses.replace(cfg, t1=limit)
+            cfg = cfg._replace(t1=limit)
         run_scenario(cfg)
     except (ConfigError, ValidationError, NumericError):
         pass

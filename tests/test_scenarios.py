@@ -3,7 +3,6 @@ mitigation presets, and the participation scan."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -206,7 +205,7 @@ def test_mixed_validations():
         {"dt": math.nan},
         {"t1": 1e9, "mixed": MixedSpec(t_switch=200000.0, rho_split=0.25)},
     ):
-        bad = dataclasses.replace(cfg, **changes)
+        bad = cfg._replace(**changes)
         with pytest.raises(RangeError, match=f"t0=0.0, t1={bad.t1}, dt={bad.dt}"):
             run_mixed(bad)
 
