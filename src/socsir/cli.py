@@ -68,7 +68,7 @@ def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:
     involve lambda or gamma, so inert values stand in for them; this keeps
     the full ordering/range validation in one place.
     """
-    model = ModelKind.MA if args.model == "ma" else ModelKind.MB
+    model = ModelKind(args.model)
     raw: dict[str, object] = {
         "beta1": args.beta1,
         "beta2": args.beta2,
@@ -177,7 +177,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    model = ModelKind.MA if args.model == "ma" else ModelKind.MB
+    model = ModelKind(args.model)
     report = classify_feasible_set(args.rho, args.kappa, model)
     vertices = ", ".join(
         f"({_fmt(b1)}, {_fmt(b2)})" for b1, b2 in report.vertices
@@ -216,7 +216,7 @@ def _rho_grid(model: ModelKind, steps: int) -> list[float]:
 
 
 def _cmd_bifurcation(args: argparse.Namespace) -> int:
-    model = ModelKind.MA if args.model == "ma" else ModelKind.MB
+    model = ModelKind(args.model)
     grid = _rho_grid(model, args.steps)
     scan = bifurcation_scan(model, args.kappa, grid)
     lines = [

@@ -12,6 +12,7 @@ path ("params.kappa") in the message.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     with_rho_one,
 )
 from .errors import ConfigError, MissingFieldError, RangeError
-from .integrator import observables_for
+from .integrator import check_times, observables_for
 from .scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
     MixedSpec,
@@ -66,12 +67,16 @@ def _reject_unknown(mapping: Mapping[str, Any], allowed: set, where: str) -> Non
 
 
 def _require_number(mapping: Mapping[str, Any], key: str, where: str) -> float:
+    """mapping[key] as a finite float, or an error naming the key path."""
     if key not in mapping:
         raise MissingFieldError(f"missing required key {where}.{key}")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return to_float(value)
+    value = to_float(value)
+    if not math.isfinite(value):
+        raise RangeError(f"{where}.{key} must be finite, got {value!r}")
+    return value
 
 
 def loads_config(text: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfig:
@@ -136,10 +141,7 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     record_every = time_block.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise ConfigError('"time.record_every" must be an integer')
-    if t1 <= t0:
-        raise RangeError(f"time.t1 must exceed time.t0, got t0={t0}, t1={t1}")
-    if dt <= 0:
-        raise RangeError(f"time.dt must be positive, got {dt}")
+    check_times(t0, t1, dt)
     if record_every < 1:
         raise RangeError(f"time.record_every must be >= 1, got {record_every}")
 

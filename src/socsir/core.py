@@ -213,11 +213,9 @@ def validate_params(
             f"beta1 must exceed beta2 (the classes are indistinguishable "
             f"otherwise); got beta1={beta1}, beta2={beta2}"
         )
-    if not allow_beta_gt_one:
-        if beta1 > 1:
-            raise RangeError(f"beta1 must lie in (0, 1], got {beta1}")
-        if beta2 >= 1:
-            raise RangeError(f"beta2 must lie in (0, 1), got {beta2}")
+    # beta2 < beta1 <= 1 keeps beta2 below 1 as well.
+    if beta1 > 1 and not allow_beta_gt_one:
+        raise RangeError(f"beta1 must lie in (0, 1], got {beta1}")
     if not 0 < lam <= 1:
         raise RangeError(f"lambda must lie in (0, 1], got {lam}")
     if gamma < 0:

@@ -6,7 +6,8 @@ to zero (up to float rounding); nothing here integrates or mutates.
 
 vector_field binds a model's parameters once and returns a plain positional
 field for the integrator; rhs_ma and rhs_mb check a named state and
-evaluate that field on it once.
+evaluate that field on it once.  Both models are autonomous, so the fields
+take no time argument.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class DerivMB(NamedTuple):
 
 
 def _field_ma(p: Params):
-    """Model MA (and SINGLE) vector field f(t, S1, S2, Is, Ia, R) -> tuple.
+    """Model MA (and SINGLE) vector field f(S1, S2, Is, Ia, R) -> tuple.
 
     Class membership is fixed.  Both infective classes (Ia, Is) infect both
     susceptible classes; new infections split lam : (1-lam) into symptomatic
@@ -57,7 +58,7 @@ def _field_ma(p: Params):
     asym_share = 1.0 - lam
     leave_ia = gamma + kappa
 
-    def f(t, S1, S2, Is, Ia, R):
+    def f(S1, S2, Is, Ia, R):
         infectives = Ia + Is
         force1 = beta1 * S1 / N
         force2 = beta2 * S2 / N
@@ -74,7 +75,7 @@ def _field_ma(p: Params):
 
 
 def _field_mb(p: Params):
-    """Model MB vector field f(t, S1, S2, A1, A2, Is, R) -> tuple.
+    """Model MB vector field f(S1, S2, A1, A2, Is, R) -> tuple.
 
     Like MA, but susceptibles and asymptomatics switch class at rates
     alpha1 (1 -> 2) and alpha2 (2 -> 1).  Susceptible switch terms are
@@ -92,7 +93,7 @@ def _field_mb(p: Params):
     asym_rate2 = (1.0 - lam) * beta2
     leave_a = gamma + kappa
 
-    def f(t, S1, S2, A1, A2, Is, R):
+    def f(S1, S2, A1, A2, Is, R):
         asympt = A1 + A2
         infectives = asympt + Is
         s1n = S1 / N
@@ -123,7 +124,7 @@ def _field_mb(p: Params):
 
 
 def vector_field(model: ModelKind, p: Params):
-    """The positional vector field f(t, *components) -> tuple of a model.
+    """The positional vector field f(*components) -> tuple of a model.
 
     The parameters are bound once.  The field does no checks: a non-finite
     input gives a non-finite output, which the integrator rejects.
@@ -142,7 +143,7 @@ def rhs_ma(p: Params, s: StateMA) -> DerivMA:
     Raises NonFiniteError when any input component is not finite.
     """
     _checked(s)
-    return DerivMA._make(_field_ma(p)(0.0, *s))
+    return DerivMA._make(_field_ma(p)(*s))
 
 
 def rhs_mb(p: Params, s: StateMB) -> DerivMB:
@@ -151,4 +152,4 @@ def rhs_mb(p: Params, s: StateMB) -> DerivMB:
     Raises NonFiniteError when any input component is not finite.
     """
     _checked(s)
-    return DerivMB._make(_field_mb(p)(0.0, *s))
+    return DerivMB._make(_field_mb(p)(*s))

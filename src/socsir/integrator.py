@@ -38,9 +38,8 @@ __all__ = [
 ]
 
 # step_rk4's vector field maps (time, state-tuple) to a derivative tuple of
-# the same length.  The model fields that integrate runs take the components
-# positionally instead (see dynamics.vector_field) and ignore the time
-# argument (autonomous systems).
+# the same length.  The model fields that integrate runs are autonomous and
+# take the components positionally instead (see dynamics.vector_field).
 VectorField = Callable[[float, Sequence[float]], Sequence[float]]
 
 # Tolerance for "a compartment went negative": one part in 1e9 of the
@@ -166,17 +165,18 @@ def _checked_step(new: list[float], s: Sequence[float], t: float) -> list[float]
     return new
 
 
-def _step(f, s: Sequence[float], t: float, dt: float) -> list[float]:
-    """One classical RK4 step of the positional field f(t, *components).
+def _step(f: VectorField, s: Sequence[float], t: float, dt: float) -> list[float]:
+    """One classical RK4 step of the field f(t, components).
 
-    Works for any number of components; _step5 and _step6 are the same
-    arithmetic written out per component.
+    f receives each stage's components as a plain tuple.  Works for any
+    number of components; _step5 and _step6 are the same arithmetic
+    written out per component.
     """
     half = 0.5 * dt
-    k1 = f(t, *s)
-    k2 = f(t + half, *[x + half * k for x, k in zip(s, k1)])
-    k3 = f(t + half, *[x + half * k for x, k in zip(s, k2)])
-    k4 = f(t + dt, *[x + dt * k for x, k in zip(s, k3)])
+    k1 = f(t, tuple(s))
+    k2 = f(t + half, tuple([x + half * k for x, k in zip(s, k1)]))
+    k3 = f(t + half, tuple([x + half * k for x, k in zip(s, k2)]))
+    k4 = f(t + dt, tuple([x + dt * k for x, k in zip(s, k3)]))
     sixth = dt / 6.0
     new = [
         x + sixth * (a + 2.0 * (b + c) + d)
@@ -186,28 +186,26 @@ def _step(f, s: Sequence[float], t: float, dt: float) -> list[float]:
 
 
 # _step5 (MA and SINGLE) and _step6 (MB) unroll _step for the two state
-# sizes integrate runs.  Each expression keeps _step's operands and their
-# order, so the results are bit-identical; what they save is the per-stage
-# list comprehensions and argument unpacking, about half the cost of a step.
+# sizes integrate runs, on the positional fields f(*components).  Each
+# expression keeps _step's operands and their order, so the results are
+# bit-identical; what they save is the per-stage list comprehensions and
+# argument unpacking, about half the cost of a step.  t only labels errors.
 
 
 def _step5(f, s: Sequence[float], t: float, dt: float) -> list[float]:
     """_step for five components."""
     half = 0.5 * dt
     x1, x2, x3, x4, x5 = s
-    a1, a2, a3, a4, a5 = f(t, x1, x2, x3, x4, x5)
+    a1, a2, a3, a4, a5 = f(x1, x2, x3, x4, x5)
     b1, b2, b3, b4, b5 = f(
-        t + half,
         x1 + half * a1, x2 + half * a2, x3 + half * a3,
         x4 + half * a4, x5 + half * a5,
     )
     c1, c2, c3, c4, c5 = f(
-        t + half,
         x1 + half * b1, x2 + half * b2, x3 + half * b3,
         x4 + half * b4, x5 + half * b5,
     )
     d1, d2, d3, d4, d5 = f(
-        t + dt,
         x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
         x4 + dt * c4, x5 + dt * c5,
     )
@@ -226,19 +224,16 @@ def _step6(f, s: Sequence[float], t: float, dt: float) -> list[float]:
     """_step for six components."""
     half = 0.5 * dt
     x1, x2, x3, x4, x5, x6 = s
-    a1, a2, a3, a4, a5, a6 = f(t, x1, x2, x3, x4, x5, x6)
+    a1, a2, a3, a4, a5, a6 = f(x1, x2, x3, x4, x5, x6)
     b1, b2, b3, b4, b5, b6 = f(
-        t + half,
         x1 + half * a1, x2 + half * a2, x3 + half * a3,
         x4 + half * a4, x5 + half * a5, x6 + half * a6,
     )
     c1, c2, c3, c4, c5, c6 = f(
-        t + half,
         x1 + half * b1, x2 + half * b2, x3 + half * b3,
         x4 + half * b4, x5 + half * b5, x6 + half * b6,
     )
     d1, d2, d3, d4, d5, d6 = f(
-        t + dt,
         x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
         x4 + dt * c4, x5 + dt * c5, x6 + dt * c6,
     )
@@ -267,7 +262,7 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     """
     if dt <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
-    new = _step(lambda t, *c: f(t, c), s, t, dt)
+    new = _step(f, s, t, dt)
     cls = type(s)
     return cls._make(new) if hasattr(cls, "_make") else cls(new)
 

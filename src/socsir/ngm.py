@@ -163,8 +163,10 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     non-dominant eigenvalues are reported as exact zeros and the dominant
     one is the float trace of K.
 
-    Raises SingularMatrixError if Sigma cannot be inverted (impossible for
-    validated parameters, where kappa > 0; checked defensively).
+    Raises SingularMatrixError if Sigma's float determinant is zero.  Its
+    exact value is nonzero for validated parameters (kappa > 0), but it
+    underflows when the rates on its diagonal are tiny: kappa = 1e-200
+    with gamma = 0 (and, for MB, alphas as small) does it.
     """
     T, Sigma = _build_matrices(model, p)
     # K[i][j] = -sum over m of T[i][m] * inv[m][j], summed in m order.

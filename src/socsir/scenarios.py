@@ -339,12 +339,12 @@ def _other_threads_running() -> bool:
 def _fork_scan(
     p: Params, qs: Sequence[float], t1: float, dt: float
 ) -> tuple[int, BinaryIO] | None:
-    """Fork a child that scans qs and pipes back its pickled outcome.
+    """Fork a child that scans qs and pipes back its peaks as raw doubles.
 
-    The outcome is (True, peaks) or (False, exception).  Returns the
-    child's pid and the pipe's read end, or None when the fork fails.
+    The child exits 0 only after writing every peak.  Returns its pid and
+    the pipe's read end, or None when the fork fails.
     """
-    import pickle
+    from array import array
 
     r, w = os.pipe()
     try:
@@ -357,12 +357,8 @@ def _fork_scan(
         code = 1
         try:
             os.close(r)
-            try:
-                outcome = (True, _scan_peaks(p, qs, t1, dt))
-            except Exception as exc:
-                outcome = (False, exc)
             with os.fdopen(w, "wb") as fh:
-                fh.write(pickle.dumps(outcome))
+                fh.write(array("d", _scan_peaks(p, qs, t1, dt)).tobytes())
             code = 0
         finally:
             os._exit(code)
@@ -375,16 +371,17 @@ def _parallel_peaks(
 ) -> list[float]:
     """_scan_peaks over the grid, split into one contiguous chunk per usable CPU.
 
-    The parent scans chunk 0 and forked children the rest; outcomes are
-    taken in chunk order, so the first failing chunk's exception is the
-    one the serial scan raises.  A chunk whose fork fails or whose child
-    dies without an outcome is scanned in-process.
+    The parent scans chunk 0 and forked children the rest.  A chunk whose
+    child did not exit 0 (the fork failed, or the child raised or died) is
+    rescanned in-process.  The scan is deterministic, so a failing chunk
+    raises there exactly the serial scan's error, and taking the chunks in
+    grid order makes it the first failing grid point's.
     """
     n = min(_usable_cpus(), len(grid))
     if n < 2 or not hasattr(os, "fork") or _other_threads_running():
         return _scan_peaks(p, grid, t1, dt)
-    import pickle
     import signal
+    from array import array
 
     cuts = [len(grid) * k // n for k in range(n + 1)]
     chunks = [grid[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -398,21 +395,17 @@ def _parallel_peaks(
             children.append(child)
         peaks = _scan_peaks(p, chunks[0], t1, dt)
         for qs, child in zip(chunks[1:], children):
-            outcome = None
+            status = None
             if child is not None:
                 pid, reader = child
                 data = reader.read()
                 reader.close()
                 _, status = os.waitpid(pid, 0)
                 del live[pid]
-                if status == 0:  # a full outcome was written
-                    outcome = pickle.loads(data)
-            if outcome is None:
-                peaks += _scan_peaks(p, qs, t1, dt)
-            elif outcome[0]:
-                peaks += outcome[1]
+            if status == 0:
+                peaks += array("d", data)
             else:
-                raise outcome[1]
+                peaks += _scan_peaks(p, qs, t1, dt)
         return peaks
     finally:
         for pid, reader in live.items():
@@ -440,10 +433,11 @@ def participation_scan(
 
     The runs are independent.  On POSIX the grid is split into contiguous
     chunks, one per usable CPU: this process scans the first and forks up
-    to (usable CPUs - 1) workers for the rest.  The peaks are identical to
-    a serial scan, bit for bit, and a failing run raises the error of the
-    first failing grid point, as the serial scan would.  Every argument is
-    checked before any fork.
+    to (usable CPUs - 1) workers for the rest, which send back only their
+    peaks.  A chunk whose worker does not deliver them is rescanned in
+    this process.  The peaks are identical to a serial scan, bit for bit,
+    and a failing run raises the serial scan's error, that of the first
+    failing grid point.  Every argument is checked before any fork.
     """
     if not capacity > 0:
         raise RangeError(f"capacity must be positive, got {capacity}")

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from socsir import scenarios
 from socsir.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -216,6 +217,21 @@ def test_non_finite_time_exits_2(tmp_path, time_block):
     assert done.stderr.startswith("error: ") and "finite" in done.stderr
 
 
+@pytest.mark.parametrize("key", ["t0", "t1", "dt"])
+def test_time_past_the_float_range_exits_2_at_load(tmp_path, capsys, key):
+    # a JSON number past the float range parses to inf; the config loader
+    # rejects it, naming the key, before anything runs
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    doc["time"] = {"t0": 0.0, "t1": 10.0, "dt": 1.0}
+    doc["time"][key] = "PLACEHOLDER"
+    cfg = tmp_path / "times.json"
+    cfg.write_text(json.dumps(doc).replace('"PLACEHOLDER"', "1e400"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: time.{key} must be finite, got inf\n"
+
+
 def _socsir(*argv):
     return subprocess.run(
         [sys.executable, "-m", "socsir", *argv],
@@ -380,9 +396,9 @@ def test_run_summary_with_overflowing_r0_exits_3(tmp_path, command, config):
 
 
 def test_cli_import_loads_no_process_machinery():
-    # the scan imports pickle only when it forks, and the value types are
-    # NamedTuples, so neither dataclasses nor inspect loads; start-up stays
-    # lean
+    # the scan's workers send raw doubles, not pickles, and the value types
+    # are NamedTuples, so neither dataclasses nor inspect loads; start-up
+    # stays lean
     code = (
         "import sys, socsir.cli; "
         "print(sorted(m for m in ('pickle', 'multiprocessing', "
@@ -397,6 +413,35 @@ def test_cli_import_loads_no_process_machinery():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.skipif(
+    scenarios._usable_cpus() < 2, reason="one usable CPU: the scan does not fork"
+)
+def test_forked_scan_loads_no_pickle():
+    # a 2-point scan forks one worker, which sends its peaks as raw doubles
+    code = (
+        "import os, sys\n"
+        "from socsir import scenarios\n"
+        "forks = []\n"
+        "real_fork = os.fork\n"
+        "def fork():\n"
+        "    forks.append(1)\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "preset = scenarios.covid_mitigation_presets()[0]\n"
+        "scenarios.participation_scan(preset, 80.0, [0.25, 0.75], t1=20.0)\n"
+        "print(len(forks), 'pickle' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 False\n"
 
 
 def test_scan_participation(capsys):

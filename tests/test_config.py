@@ -154,6 +154,52 @@ def test_time_values_must_be_numbers(key, value):
         loads_config(json.dumps(_doc(time=time_block)))
 
 
+@pytest.mark.parametrize(
+    "block, key, literal",
+    [
+        ("time", "t1", "1e400"),
+        ("time", "dt", "1e400"),
+        ("time", "t0", "-1e400"),
+        ("time", "t1", "NaN"),
+        ("mixed", "t_switch", "1e400"),
+        ("mixed", "rho_split", "Infinity"),
+        ("init", "S1", "1e400"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_at_load(block, key, literal):
+    # a JSON number past the float range parses to inf; loading used to
+    # accept it and dumps_config then wrote the non-standard "Infinity"
+    doc = json.loads((DATA / "mixed_switch.json").read_text())
+    if block == "init":
+        doc["init"] = {"S1": 99.0, "S2": 0.0, "Is": 1.0, "Ia": 0.0, "R": 0.0}
+    doc[block][key] = "PLACEHOLDER"
+    text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+    with pytest.raises(RangeError, match=f"{block}\\.{key} must be finite"):
+        loads_config(text)
+
+
+def test_time_window_uses_the_run_definition():
+    # the window is checked at load with the same rule, and the same step
+    # cap, that every run applies
+    with pytest.raises(RangeError, match="1000000 steps"):
+        loads_config(json.dumps(_doc(time={"t1": 1e9, "dt": 1.0})))
+    with pytest.raises(RangeError, match="t1 must exceed t0"):
+        loads_config(json.dumps(_doc(time={"t0": 5.0, "t1": 5.0})))
+    with pytest.raises(RangeError, match="dt must be positive"):
+        loads_config(json.dumps(_doc(time={"t1": 10.0, "dt": -1.0})))
+    cfg = loads_config(json.dumps(_doc(time={"t1": 1e6, "dt": 1.0})))
+    assert (cfg.t1 - cfg.t0) / cfg.dt == 10**6
+
+
+def test_mixed_explicit_init_must_start_single_class():
+    doc = json.loads((DATA / "mixed_switch.json").read_text())
+    doc["init"] = {"S1": 74.25, "S2": 24.75, "Is": 1.0, "Ia": 0.0, "R": 0.0}
+    with pytest.raises(RangeError, match=r"init\.S2 = 0"):
+        loads_config(json.dumps(doc))
+    doc["init"] = {"S1": 99.0, "S2": 0.0, "Is": 1.0, "Ia": 0.0, "R": 0.0}
+    assert loads_config(json.dumps(doc)).init_state.S2 == 0.0
+
+
 def test_init_validation():
     with pytest.raises(MissingFieldError, match="init"):
         doc = _doc()

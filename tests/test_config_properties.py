@@ -106,7 +106,7 @@ def test_mutated_documents_fail_only_with_documented_errors(doc):
     try:
         cfg = loads_config(json.dumps(doc))
         limit = cfg.t0 + CAP_STEPS * cfg.dt
-        if limit < cfg.t1:  # false for NaN, so bad times still reach the run
+        if limit < cfg.t1:
             cfg = cfg._replace(t1=limit)
         run_scenario(cfg)
     except (ConfigError, ValidationError, NumericError):

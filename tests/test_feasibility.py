@@ -34,6 +34,30 @@ def test_thresholds_sit_on_the_critical_line():
     assert rho2 * 0.8 + (1 - rho2) * cut == pytest.approx(kappa2, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "threshold, args, match",
+    [
+        (threshold_P, (0.2, 0.8, 0.5), "beta2 < beta1"),
+        (threshold_P, (0.8, 0.2, 0.1), "no stable rho"),
+        (threshold_B2, (0.8, 1.0, 0.5), "rho must lie"),
+        (threshold_B2, (0.8, 0.25, 1.5), "kappa must lie"),
+        (threshold_B2, (0.8, 0.25, 0.1), "kappa/rho"),
+        (threshold_B1, (0.1, 0.0, 0.2), "rho must lie"),
+        (threshold_B1, (0.1, 0.5, 0.0), "kappa must lie"),
+        (threshold_B1, (0.3, 0.5, 0.2), "no stable beta1"),
+    ],
+)
+def test_thresholds_reject_inputs_outside_their_domain(threshold, args, match):
+    with pytest.raises(RangeError, match=match):
+        threshold(*args)
+
+
+def test_threshold_B2_is_beta1_when_beta1_is_stable_alone():
+    # beta1 <= kappa: every beta2 < beta1 is feasible, so the bound is beta1
+    assert threshold_B2(0.3, 0.25, 0.5) == 0.3
+    assert threshold_B2(0.5, 0.25, 0.5) == 0.5
+
+
 def test_rho_feasible_strictness():
     assert rho_feasible(0.3, 0.1, 0.5, 0.5)
     assert not rho_feasible(0.3, 0.1, 0.5, 0.2)  # B_rho = 0.2 is not < 0.2
@@ -140,6 +164,8 @@ def test_bifurcation_scan_validations():
         bifurcation_scan(ModelKind.MB, 0.3, [0.1, 0.55])  # rho out of range
     with pytest.raises(RangeError):
         bifurcation_scan(ModelKind.MA, 0.3, [0.5, 0.2])  # not increasing
+    with pytest.raises(RangeError, match="nonempty"):
+        bifurcation_scan(ModelKind.MA, 0.3, [])
 
 
 def test_bifurcation_scan_single_point_is_trivial():

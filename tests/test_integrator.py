@@ -85,7 +85,7 @@ def test_step_rk4_raises_on_nonfinite():
 
 def _generic_step(f, s, t, dt):
     # step_rk4 on a positional field, so all three kernels take one form
-    return step_rk4(lambda t, c: f(t, *c), s, t, dt)
+    return step_rk4(lambda t, c: f(*c), s, t, dt)
 
 
 # (kernel, state size): the generic step behind step_rk4 and the two
@@ -105,8 +105,8 @@ def test_step_rk4_raises_on_nonfinite_inner_stage(kernel, stage):
     step, n = KERNELS[kernel]
     calls = []
 
-    def f(t, *c):
-        calls.append(t)
+    def f(*c):
+        calls.append(c)
         return (math.inf,) + (0.0,) * (n - 1) if len(calls) == stage else (0.0,) * n
 
     with pytest.raises(NonFiniteError) as exc:
@@ -118,7 +118,7 @@ def test_step_rk4_raises_on_nonfinite_inner_stage(kernel, stage):
 def test_step_rk4_raises_on_negative_overshoot(kernel):
     step, n = KERNELS[kernel]
     with pytest.raises(NegativeStateError) as exc:
-        step(lambda t, *c: (-3.0,) * n, (1.0,) * n, 2.0, 1.0)
+        step(lambda *c: (-3.0,) * n, (1.0,) * n, 2.0, 1.0)
     assert exc.value.time == 2.0
 
 
@@ -153,7 +153,7 @@ def test_unrolled_steps_match_generic_step_bit_for_bit(model, unrolled):
         for t, s in states[:: rng.randint(5, 10)]:
             for h in (dt, dt * rng.random()):
                 assert _outcome(unrolled, f, s, t, h) == _outcome(
-                    _step, f, s, t, h
+                    _step, lambda t, c: f(*c), s, t, h
                 )
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.dynamics import rhs_ma, rhs_mb
-from socsir.errors import OrderError
+from socsir.errors import OrderError, SingularMatrixError
 from socsir.ngm import (
     StabilityVerdict,
     dfe_of,
@@ -160,6 +160,15 @@ def test_ngm_mb_lambda_one_boundary():
     assert res.dominant == pytest.approx(
         r0(p.beta1, p.beta2, p.rho, p.kappa), rel=1e-12
     )
+
+
+def test_ngm_raises_when_the_determinant_underflows():
+    # Sigma is invertible in exact arithmetic, but with rates near 1e-200
+    # its float determinant (a product of two or three of them) is zero
+    with pytest.raises(SingularMatrixError):
+        ngm(ModelKind.MA, _ma(kappa=1e-200, gamma=0.0))
+    with pytest.raises(SingularMatrixError):
+        ngm(ModelKind.MB, _mb(kappa=1e-200, gamma=0.0, alpha1=1e-200, alpha2=5e-201))
 
 
 def test_ngm_matrix_shapes_and_sign():

@@ -173,6 +173,33 @@ def test_svg_two_point_trajectory():
         float(x), float(y)  # well-formed pairs
 
 
+def _points(svg):
+    start = svg.index('points="') + len('points="')
+    return svg[start : svg.index('"', start)].split()
+
+
+def test_svg_single_record_trajectory():
+    # a zero-width time span is widened to one unit, so the lone point sits
+    # on the y axis instead of dividing by zero
+    traj = Trajectory(
+        model=ModelKind.MA, times=(3.0,), states=(MA_INIT,), params_used=MA_P, dt=1.0
+    )
+    svg = render_svg(traj, ["I"])
+    assert _points(svg) == ["72.00,40.00"]  # I = 1 tops the [0, 1] y range
+    assert "nan" not in svg and "inf" not in svg
+
+
+def test_svg_constant_zero_series():
+    # nobody infected: I stays 0, and the zero-height y span is widened to
+    # one unit, so the curve lies flat on the x axis
+    healthy = StateMA(S1=75.0, S2=25.0, Is=0.0, Ia=0.0, R=0.0)
+    traj = simulate(ModelKind.MA, MA_P, healthy, 0.0, 4.0, 1.0)
+    svg = render_svg(traj, ["I"])
+    ys = {pt.split(",")[1] for pt in _points(svg)}
+    assert ys == {"432.00"}
+    assert "nan" not in svg and "inf" not in svg
+
+
 def test_svg_coordinates_two_decimals():
     svg = render_svg(_traj_ma(t1=50.0), ["I"])
     start = svg.index('points="') + len('points="')

@@ -82,6 +82,18 @@ def test_beta_above_one_needs_flag():
     assert p.beta1 == 1.5
 
 
+def test_beta2_at_or_above_one_needs_flag():
+    # beta2 < beta1 <= 1, so beta2 >= 1 always fails the beta1 cap
+    for beta2 in (1.0, 1.2):
+        bad = dict(GOOD_MA, beta1=1.5, beta2=beta2)
+        with pytest.raises(RangeError, match="beta1 must lie in"):
+            validate_params(bad, ModelKind.MA)
+        p = validate_params(bad, ModelKind.MA, allow_beta_gt_one=True)
+        assert p.beta2 == beta2
+    with pytest.raises(OrderError):
+        validate_params(dict(GOOD_MA, beta1=1.0, beta2=1.0), ModelKind.MA)
+
+
 def test_missing_key_is_named():
     bad = dict(GOOD_MA)
     del bad["kappa"]

@@ -1,6 +1,6 @@
 """The participation scan split across forked workers: bit-identical peaks,
-the serial scan's errors, the in-process fallbacks, and no child left
-behind.
+the serial scan's errors, the in-process rescan of any chunk a worker did
+not deliver, and no child left behind.
 
 Every test runs at most one worker per usable CPU, as the scan itself
 decides; none raises the worker count.
@@ -85,9 +85,20 @@ def _serial_setups(monkeypatch, setup):
             return real(p, qs, t1, dt)
 
         monkeypatch.setattr(scenarios, "_scan_peaks", dies_in_child)
+    elif setup == "child-raises":
+        parent, real = os.getpid(), scenarios._scan_peaks
+
+        def raises_in_child(p, qs, t1, dt):
+            if os.getpid() != parent:
+                raise NegativeStateError("child only", time=1.0)
+            return real(p, qs, t1, dt)
+
+        monkeypatch.setattr(scenarios, "_scan_peaks", raises_in_child)
 
 
-@pytest.mark.parametrize("setup", ["fork-fails", "no-fork", "one-cpu", "child-dies"])
+@pytest.mark.parametrize(
+    "setup", ["fork-fails", "no-fork", "one-cpu", "child-dies", "child-raises"]
+)
 def test_in_process_fallbacks_give_the_same_peaks(monkeypatch, masks_peaks, setup):
     _serial_setups(monkeypatch, setup)
     assert _hexes(participation_scan(MASKS, 80.0, GRID99).peak_I) == masks_peaks
@@ -129,19 +140,25 @@ def test_first_failing_grid_point_sets_the_error(monkeypatch):
 
 @needs_two_cpus
 def test_an_error_raised_in_a_child_arrives_intact(monkeypatch):
-    parent, real = os.getpid(), scenarios._scan_peaks
+    # the first child's chunk starts right after the parent's; it fails in
+    # whichever process scans it, as a real error does, so the child exits
+    # non-zero and the parent's rescan raises the same error
+    first_child_q = GRID99[len(GRID99) // WORKERS]
+    scanned_by, real = [], scenarios._scan_peaks
 
-    def fails_in_child(p, qs, t1, dt):
-        if os.getpid() != parent:
+    def chunk_fails(p, qs, t1, dt):
+        scanned_by.append(os.getpid())
+        if qs[0] == first_child_q:
             raise NegativeStateError(f"failed from q = {qs[0]}", time=123.5)
         return real(p, qs, t1, dt)
 
-    monkeypatch.setattr(scenarios, "_scan_peaks", fails_in_child)
+    monkeypatch.setattr(scenarios, "_scan_peaks", chunk_fails)
     with pytest.raises(NegativeStateError) as err:
         participation_scan(MASKS, 80.0, GRID99)
-    # the first child's chunk starts right after the parent's
-    assert str(err.value) == f"failed from q = {GRID99[len(GRID99) // WORKERS]}"
+    assert str(err.value) == f"failed from q = {first_child_q}"
     assert err.value.time == 123.5
+    # chunk 0 and then the rescan ran here; no other chunk did
+    assert scanned_by == [os.getpid(), os.getpid()]
     _assert_no_child_left()
 
 

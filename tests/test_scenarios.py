@@ -93,6 +93,14 @@ def test_resolve_init_rejects_unknown_rule():
         resolve_init(ModelKind.MB, p, "everyone_infected")
 
 
+def test_resolve_init_needs_room_for_the_seeded_infective():
+    p = validate_params(dict(MB_RAW, N=0.5), ModelKind.MB)
+    with pytest.raises(RangeError, match="N must be at least 1"):
+        resolve_init(ModelKind.MB, p, INIT_RULE_DFE_PLUS_ONE)
+    one = validate_params(dict(MB_RAW, N=1.0), ModelKind.MB)
+    assert resolve_init(ModelKind.MB, one, INIT_RULE_DFE_PLUS_ONE).Is == 1.0
+
+
 # --- plain scenario runs -----------------------------------------------------
 
 
