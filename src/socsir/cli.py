@@ -3,7 +3,8 @@
 One subcommand per analysis: simulate, r0, stability, feasibility,
 bifurcation, sensitivity, mixed, scan-participation.  Reports print to
 standard output unless --out redirects them; CSV/SVG side files go where
---csv/--svg point.
+--csv/--svg point.  Each handler returns its report lines and main alone
+writes them, last: a command that fails prints no report.
 
 Exit codes: 0 success, 2 validation error (including an unwritable
 output path), 3 numerical error, 4 config parse error.
@@ -21,12 +22,7 @@ from .errors import ConfigError, NumericError, ValidationError
 from .feasibility import bifurcation_scan, classify_feasible_set
 from .ngm import stability
 from .output import render_svg, write_csv
-from .scenarios import (
-    RunResult,
-    covid_mitigation_presets,
-    participation_scan,
-    run_scenario,
-)
+from .scenarios import covid_mitigation_presets, participation_scan, run_scenario
 from .sensitivity import finite_diff_check, ordering_case, sensitivity_indices
 
 __all__ = ["main"]
@@ -43,14 +39,6 @@ MAX_GRID_STEPS = 10_000
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
-
-
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        _write(out_path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _write(path: str, text: str) -> None:
@@ -95,13 +83,21 @@ def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:
         if args.rho is None:
             raise ValidationError("--model ma requires --rho")
         raw["rho"] = args.rho
-    allow = getattr(args, "allow_beta_gt_one", False)
-    return model, validate_params(raw, model, allow_beta_gt_one=allow)
+    return model, validate_params(raw, model, allow_beta_gt_one=args.allow_beta_gt_one)
 
 
-def _run_report(result: RunResult) -> list[str]:
-    traj = result.trajectory
-    s = result.summary
+def _cmd_run(args: argparse.Namespace) -> list[str]:
+    cfg = load_config(args.config, allow_beta_gt_one=args.allow_beta_gt_one)
+    if args.command == "mixed" and cfg.mixed is None:
+        raise ValidationError(
+            'this command runs the composite scenario; the config needs a "mixed" block'
+        )
+    traj, s = run_scenario(cfg)
+    if args.csv:
+        _write(args.csv, write_csv(traj))
+    if args.svg:
+        observables = cfg.outputs or _DEFAULT_PLOT_OBSERVABLES
+        _write(args.svg, render_svg(traj, observables))
     lines = [
         f"model = {traj.model.value}",
         f"records = {len(traj)}",
@@ -116,130 +112,87 @@ def _run_report(result: RunResult) -> list[str]:
     return lines
 
 
-def _simulate_like(args: argparse.Namespace, *, require_mixed: bool) -> int:
-    cfg = load_config(args.config, allow_beta_gt_one=args.allow_beta_gt_one)
-    if require_mixed and cfg.mixed is None:
-        raise ValidationError(
-            'this command runs the composite scenario; the config needs a "mixed" block'
-        )
-    result = run_scenario(cfg)
-    if args.csv:
-        _write(args.csv, write_csv(result.trajectory))
-    if args.svg:
-        observables = cfg.outputs or _DEFAULT_PLOT_OBSERVABLES
-        _write(args.svg, render_svg(result.trajectory, observables))
-    _emit(_run_report(result), args.out)
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    return _simulate_like(args, require_mixed=False)
-
-
-def _cmd_mixed(args: argparse.Namespace) -> int:
-    return _simulate_like(args, require_mixed=True)
-
-
-def _cmd_r0(args: argparse.Namespace) -> int:
+def _cmd_r0(args: argparse.Namespace) -> list[str]:
     model, p = _params_from_flags(args)
     report = stability(model, p)
-    _emit(
-        [
-            f"model = {model.value}",
-            f"rho = {_fmt(p.rho)}",
-            f"B_rho = {_fmt(report.b_rho)}",
-            f"R0 = {_fmt(report.r0)}",
-        ],
-        args.out,
-    )
-    return 0
+    return [
+        f"model = {model.value}",
+        f"rho = {_fmt(p.rho)}",
+        f"B_rho = {_fmt(report.b_rho)}",
+        f"R0 = {_fmt(report.r0)}",
+    ]
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
+def _cmd_stability(args: argparse.Namespace) -> list[str]:
     model, p = _params_from_flags(args)
     report = stability(model, p)
     dfe = ", ".join(
         f"{name} = {_fmt(value)}"
         for name, value in zip(type(report.dfe)._fields, report.dfe)
     )
-    _emit(
-        [
-            f"model = {model.value}",
-            f"rho = {_fmt(p.rho)}",
-            f"B_rho = {_fmt(report.b_rho)}",
-            f"R0 = {_fmt(report.r0)}",
-            f"verdict = {report.verdict.value}",
-            f"DFE: {dfe}",
-        ],
-        args.out,
-    )
-    return 0
+    return [
+        f"model = {model.value}",
+        f"rho = {_fmt(p.rho)}",
+        f"B_rho = {_fmt(report.b_rho)}",
+        f"R0 = {_fmt(report.r0)}",
+        f"verdict = {report.verdict.value}",
+        f"DFE: {dfe}",
+    ]
 
 
-def _cmd_feasibility(args: argparse.Namespace) -> int:
+def _cmd_feasibility(args: argparse.Namespace) -> list[str]:
     model = ModelKind(args.model)
     report = classify_feasible_set(args.rho, args.kappa, model)
     vertices = ", ".join(
         f"({_fmt(b1)}, {_fmt(b2)})" for b1, b2 in report.vertices
     )
-    _emit(
-        [
-            f"model = {model.value}",
-            f"rho = {_fmt(report.rho)}",
-            f"kappa = {_fmt(report.kappa)}",
-            f"type = {report.type_label.value}",
-            f"vertices: {vertices}",
-        ],
-        args.out,
-    )
-    return 0
+    return [
+        f"model = {model.value}",
+        f"rho = {_fmt(report.rho)}",
+        f"kappa = {_fmt(report.kappa)}",
+        f"type = {report.type_label.value}",
+        f"vertices: {vertices}",
+    ]
 
 
-def _check_grid_steps(steps: int) -> None:
+def _grid(steps: int, upper: float = 1.0) -> list[float]:
+    """Evenly spaced interior grid of (0, upper); endpoints are excluded."""
     if steps > MAX_GRID_STEPS:
         raise ValidationError(
             f"--steps must be at most {MAX_GRID_STEPS}, got {steps}"
         )
-
-
-def _rho_grid(model: ModelKind, steps: int) -> list[float]:
-    """Evenly spaced interior grid of the admissible rho range.
-
-    MA admits rho in (0, 1); MB class splits live in (0, 1/2) because
-    alpha1 > alpha2.  Endpoints are excluded (open intervals).
-    """
-    if steps < 2:
-        raise ValidationError(f"--steps must be at least 2, got {steps}")
-    _check_grid_steps(steps)
-    upper = 1.0 if model is ModelKind.MA else 0.5
     return [upper * i / (steps + 1) for i in range(1, steps + 1)]
 
 
-def _cmd_bifurcation(args: argparse.Namespace) -> int:
+def _cmd_bifurcation(args: argparse.Namespace) -> list[str]:
     model = ModelKind(args.model)
-    grid = _rho_grid(model, args.steps)
+    if args.steps < 2:
+        raise ValidationError(f"--steps must be at least 2, got {args.steps}")
+    # MA admits rho in (0, 1); MB class splits live in (0, 1/2) because
+    # alpha1 > alpha2.
+    upper = 1.0 if model is ModelKind.MA else 0.5
+    grid = _grid(args.steps, upper)
     scan = bifurcation_scan(model, args.kappa, grid)
     lines = [
         f"model = {model.value}",
         f"kappa = {_fmt(args.kappa)}",
-        f"grid = {len(grid)} points in (0, {'1' if model is ModelKind.MA else '0.5'})",
+        f"grid = {len(grid)} points in (0, {upper:g})",
     ]
     if scan.breakpoints:
         for lo, hi in scan.breakpoints:
             lines.append(f"breakpoint between rho = {_fmt(lo)} and rho = {_fmt(hi)}")
     else:
         lines.append("no breakpoint")
-    _emit(lines, args.out)
     if args.csv:
         rows = ["rho,type"]
         rows.extend(
             f"{_fmt(r)},{label.value}" for r, label in zip(scan.grid, scan.labels)
         )
         _write(args.csv, "\n".join(rows) + "\n")
-    return 0
+    return lines
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
+def _cmd_sensitivity(args: argparse.Namespace) -> list[str]:
     model, p = _params_from_flags(args)
     indices = sensitivity_indices(model, p)
     case = ordering_case(model, p)
@@ -255,16 +208,13 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     lines.append(
         f"finite-diff max relative error = {fd_err:.3g} (h = {args.fd_step:g})"
     )
-    _emit(lines, args.out)
-    return 0
+    return lines
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> list[str]:
     presets = {preset.name: preset for preset in covid_mitigation_presets()}
     preset = presets[args.preset]
-    _check_grid_steps(args.steps)
-    grid = [i / (args.steps + 1) for i in range(1, args.steps + 1)]
-    result = participation_scan(preset, args.capacity, grid)
+    result = participation_scan(preset, args.capacity, _grid(args.steps))
     lines = [
         f"preset = {result.preset}",
         f"capacity = {_fmt(result.capacity)}",
@@ -278,8 +228,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         lines.append(f"minimal compliant fraction = {_fmt(q)}")
         lines.append(f"peak infected at that fraction = {_fmt(peak)}")
     lines.append(f"peaks non-increasing along grid = {'yes' if result.monotone else 'no'}")
-    _emit(lines, args.out)
-    return 0
+    return lines
 
 
 def _add_rate_flags(sub: argparse.ArgumentParser) -> None:
@@ -306,23 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sim = commands.add_parser("simulate", help="integrate a configured scenario")
-    sim.add_argument("--config", required=True, help="scenario JSON document")
-    sim.add_argument("--csv", help="write the trajectory table here")
-    sim.add_argument("--svg", help="write a line plot here")
-    sim.add_argument("--out", help="write the report here instead of stdout")
-    sim.add_argument("--allow-beta-gt-one", action="store_true")
-    sim.set_defaults(handler=_cmd_simulate)
-
-    mixed = commands.add_parser(
-        "mixed", help="run the single-then-two-class composite scenario"
-    )
-    mixed.add_argument("--config", required=True, help='JSON document with a "mixed" block')
-    mixed.add_argument("--csv", help="write the trajectory table here")
-    mixed.add_argument("--svg", help="write a line plot here")
-    mixed.add_argument("--out", help="write the report here instead of stdout")
-    mixed.add_argument("--allow-beta-gt-one", action="store_true")
-    mixed.set_defaults(handler=_cmd_mixed)
+    for name, help_text, config_help in (
+        ("simulate", "integrate a configured scenario", "scenario JSON document"),
+        (
+            "mixed",
+            "run the single-then-two-class composite scenario",
+            'JSON document with a "mixed" block',
+        ),
+    ):
+        run = commands.add_parser(name, help=help_text)
+        run.add_argument("--config", required=True, help=config_help)
+        run.add_argument("--csv", help="write the trajectory table here")
+        run.add_argument("--svg", help="write a line plot here")
+        run.add_argument("--out", help="write the report here instead of stdout")
+        run.add_argument("--allow-beta-gt-one", action="store_true")
+        run.set_defaults(handler=_cmd_run)
 
     r0_cmd = commands.add_parser("r0", help="basic reproduction number")
     _add_rate_flags(r0_cmd)
@@ -384,7 +331,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        text = "\n".join(args.handler(args)) + "\n"
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -395,6 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         where = "" if exc.time is None else f" at t = {exc.time:g}"
         print(f"error{where}: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -141,7 +141,10 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     record_every = time_block.get("record_every", 1)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise ConfigError('"time.record_every" must be an integer')
-    check_times(t0, t1, dt)
+    try:
+        check_times(t0, t1, dt)
+    except RangeError as exc:
+        raise RangeError(f"time: {exc}") from exc
     if record_every < 1:
         raise RangeError(f"time.record_every must be >= 1, got {record_every}")
 
@@ -253,5 +256,10 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
 
 
 def dumps_config(cfg: ScenarioConfig) -> str:
-    """JSON text form of a config."""
-    return json.dumps(dump_config(cfg), indent=2, sort_keys=True) + "\n"
+    """JSON text form of a config.
+
+    Raises ValueError for a non-finite number (possible only in a config
+    built in code), which standard JSON cannot hold.
+    """
+    doc = dump_config(cfg)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -302,10 +302,12 @@ def integrate(
     the initial total population within 1e-9 * N before it is yielded.
     Step failures propagate with the failing time attached.
 
-    Raises RangeError (see check_times, and record_every < 1) before the
-    first step.
+    Raises RangeError (see check_times, and a record_every that is not an
+    int >= 1) before the first step.
     """
     check_times(t0, t1, dt)
+    if isinstance(record_every, bool) or not isinstance(record_every, int):
+        raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
 

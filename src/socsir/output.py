@@ -112,8 +112,10 @@ def render_svg(
     One polyline per observable, linear axes with 1-2-5 ticks, and a
     legend naming each curve.  Deterministic for identical inputs.
     """
-    if width <= 0 or height <= 0:
-        raise RangeError(f"plot dimensions must be positive, got {width}x{height}")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise RangeError(
+            f"plot dimensions must be finite and positive, got {width}x{height}"
+        )
     if not observables:
         raise RangeError("need at least one observable to plot")
     if len(traj) == 0:

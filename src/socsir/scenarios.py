@@ -11,6 +11,7 @@ total, Is, R, N) is bit-identical across the switch.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from typing import BinaryIO, NamedTuple, Sequence
@@ -439,8 +440,8 @@ def participation_scan(
     and a failing run raises the serial scan's error, that of the first
     failing grid point.  Every argument is checked before any fork.
     """
-    if not capacity > 0:
-        raise RangeError(f"capacity must be positive, got {capacity}")
+    if not 0 < capacity < math.inf:
+        raise RangeError(f"capacity must be finite and positive, got {capacity}")
     if len(grid) == 0:
         raise RangeError("grid must be nonempty")
     if any(not 0.0 < q < 1.0 for q in grid):

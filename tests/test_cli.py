@@ -20,6 +20,17 @@ MA_CFG = str(DATA / "ma_basic.json")
 MB_CFG = str(DATA / "mb_switching.json")
 MIXED_CFG = str(DATA / "mixed_switch.json")
 
+SUBCOMMANDS = [
+    "simulate",
+    "mixed",
+    "r0",
+    "stability",
+    "feasibility",
+    "bifurcation",
+    "sensitivity",
+    "scan-participation",
+]
+
 
 def _r0_flags(**extra):
     argv = [
@@ -38,6 +49,18 @@ def _r0_flags(**extra):
     for key, value in extra.items():
         argv += [f"--{key}", str(value)]
     return argv
+
+
+def test_help_lists_every_subcommand_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+    for command in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: socsir {command} ")
 
 
 def test_r0_ma(capsys):
@@ -168,6 +191,22 @@ def test_config_errors_exit_4(tmp_path, capsys):
     assert main(["simulate", "--config", str(stray)]) == 4
     err_lines = capsys.readouterr().err.splitlines()
     assert sum(1 for l in err_lines if l.startswith("error")) == 3
+
+
+@pytest.mark.parametrize("key", ["params.beta1", "time.t1", "init"])
+def test_missing_keys_exit_2(tmp_path, capsys, key):
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    if key == "init":
+        del doc["init"]
+    else:
+        block, field = key.split(".")
+        del doc[block][field]
+    cfg = tmp_path / "missing.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: missing required key") and key in err
 
 
 def test_numeric_errors_exit_3(tmp_path, capsys):
@@ -310,6 +349,16 @@ def test_bifurcation_report_and_csv(tmp_path, capsys):
     assert len(rows) == 10
     # MB grid lives in (0, 0.5): steps 9 puts points at k/20
     assert rows[1].startswith("0.05,")
+
+
+def test_failing_command_prints_no_report(tmp_path, capsys):
+    # the report is written last, so a side file that cannot be written
+    # leaves stdout empty; bifurcation used to print its report first
+    argv = ["bifurcation", "--model", "ma", "--kappa", "0.5", "--steps", "3"]
+    assert main([*argv, "--csv", str(tmp_path / "no-such-dir" / "x.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write") and "no-such-dir" in err
 
 
 def test_bifurcation_no_breakpoint(capsys):
@@ -461,9 +510,12 @@ def test_scan_participation(capsys):
 
 
 def test_scan_participation_rejects_nan_capacity(capsys):
-    argv = ["scan-participation", "--preset", "masks", "--capacity", "nan", "--steps", "3"]
-    assert main(argv) == 2
-    assert "capacity" in capsys.readouterr().err
+    # inf too: it used to pass and print "capacity = inf"
+    for capacity in ("nan", "inf"):
+        argv = ["scan-participation", "--preset", "masks", "--capacity", capacity]
+        assert main([*argv, "--steps", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "capacity" in err
 
 
 def test_unknown_preset_rejected():

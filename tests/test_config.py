@@ -64,6 +64,14 @@ def test_round_trip_identity():
         assert dumps_config(again) == text
 
 
+def test_dumps_config_rejects_non_finite_numbers():
+    # a config built in code can hold inf; standard JSON has no literal for it
+    cfg = load_config(str(DATA / "ma_basic.json"))
+    for bad in (cfg._replace(t1=float("inf")), cfg._replace(dt=float("nan"))):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dumps_config(bad)
+
+
 def test_dump_omits_derived_rho():
     cfg = load_config(str(DATA / "mb_switching.json"))
     doc = dump_config(cfg)
@@ -180,12 +188,12 @@ def test_non_finite_numbers_are_rejected_at_load(block, key, literal):
 
 def test_time_window_uses_the_run_definition():
     # the window is checked at load with the same rule, and the same step
-    # cap, that every run applies
-    with pytest.raises(RangeError, match="1000000 steps"):
+    # cap, that every run applies; the message names the "time" block
+    with pytest.raises(RangeError, match="^time: .*1000000 steps"):
         loads_config(json.dumps(_doc(time={"t1": 1e9, "dt": 1.0})))
-    with pytest.raises(RangeError, match="t1 must exceed t0"):
+    with pytest.raises(RangeError, match="^time: t1 must exceed t0"):
         loads_config(json.dumps(_doc(time={"t0": 5.0, "t1": 5.0})))
-    with pytest.raises(RangeError, match="dt must be positive"):
+    with pytest.raises(RangeError, match="^time: dt must be positive"):
         loads_config(json.dumps(_doc(time={"t1": 10.0, "dt": -1.0})))
     cfg = loads_config(json.dumps(_doc(time={"t1": 1e6, "dt": 1.0})))
     assert (cfg.t1 - cfg.t0) / cfg.dt == 10**6

@@ -177,6 +177,10 @@ def test_simulate_validations():
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 5.0, 5.0, 1.0)
     with pytest.raises(RangeError):
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 5.0, 1.0, record_every=0)
+    # 1.5 used to record at t = 0, 3, 6, ... and True was taken as 1
+    for every in (1.5, True):
+        with pytest.raises(RangeError, match="record_every must be an int"):
+            simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 5.0, 1.0, record_every=every)
 
 
 @pytest.mark.parametrize(

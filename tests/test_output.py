@@ -215,6 +215,12 @@ def test_svg_validations():
         render_svg(traj, [])
     with pytest.raises(RangeError):
         render_svg(traj, ["I"], width=0.0)
+    # non-finite sizes used to reach the markup as width="nan"
+    for size in (float("nan"), float("inf")):
+        with pytest.raises(RangeError, match="finite"):
+            render_svg(traj, ["I"], width=size)
+        with pytest.raises(RangeError, match="finite"):
+            render_svg(traj, ["I"], height=size)
     with pytest.raises(RangeError):
         render_svg(traj, ["A1"])  # not an observable of this model
     empty = Trajectory(

@@ -311,6 +311,8 @@ def test_participation_scan_validations():
         participation_scan(masks, 0.0, [0.5])
     with pytest.raises(RangeError):
         participation_scan(masks, float("nan"), [0.5])
+    with pytest.raises(RangeError, match="finite"):
+        participation_scan(masks, float("inf"), [0.5])
     with pytest.raises(RangeError):
         participation_scan(masks, 80.0, [])
     with pytest.raises(RangeError):
