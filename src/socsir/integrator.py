@@ -11,6 +11,7 @@ conservation, while the error tells the caller to shrink dt.
 from __future__ import annotations
 
 import math
+from math import inf
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -144,7 +145,9 @@ class Trajectory:
     __delattr__ = __setattr__
 
 
-def _checked_step(new: list[float], s: Sequence[float], t: float) -> list[float]:
+def _checked_step(
+    new: Sequence[float], s: Sequence[float], t: float
+) -> Sequence[float]:
     """Check new, the result of one RK4 step from state s at time t.
 
     One check per step suffices: NaN and inf propagate through +, * and /,
@@ -186,13 +189,16 @@ def _step(f: VectorField, s: Sequence[float], t: float, dt: float) -> list[float
 
 
 # _step5 (MA and SINGLE) and _step6 (MB) unroll _step for the two state
-# sizes integrate runs, on the positional fields f(*components).  Each
-# expression keeps _step's operands and their order, so the results are
-# bit-identical; what they save is the per-stage list comprehensions and
-# argument unpacking, about half the cost of a step.  t only labels errors.
+# sizes integrate runs, on the positional fields f(*components), and return
+# a tuple.  Each expression keeps _step's operands and their order, so the
+# results are bit-identical; what they save is the per-stage list
+# comprehensions and argument unpacking, about half the cost of a step.
+# A result whose every component lies in [0, inf) passes _checked_step
+# untouched (NaN fails every comparison), so they test that first and call
+# _checked_step only otherwise.  t only labels errors.
 
 
-def _step5(f, s: Sequence[float], t: float, dt: float) -> list[float]:
+def _step5(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
     """_step for five components."""
     half = 0.5 * dt
     x1, x2, x3, x4, x5 = s
@@ -210,17 +216,21 @@ def _step5(f, s: Sequence[float], t: float, dt: float) -> list[float]:
         x4 + dt * c4, x5 + dt * c5,
     )
     sixth = dt / 6.0
-    new = [
-        x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
-        x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2),
-        x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
-        x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4),
-        x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5),
-    ]
+    n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
+    n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
+    n3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
+    n4 = x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
+    n5 = x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+    new = (n1, n2, n3, n4, n5)
+    if (
+        0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
+        and 0.0 <= n4 < inf and 0.0 <= n5 < inf
+    ):
+        return new
     return _checked_step(new, s, t)
 
 
-def _step6(f, s: Sequence[float], t: float, dt: float) -> list[float]:
+def _step6(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
     """_step for six components."""
     half = 0.5 * dt
     x1, x2, x3, x4, x5, x6 = s
@@ -238,14 +248,18 @@ def _step6(f, s: Sequence[float], t: float, dt: float) -> list[float]:
         x4 + dt * c4, x5 + dt * c5, x6 + dt * c6,
     )
     sixth = dt / 6.0
-    new = [
-        x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1),
-        x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2),
-        x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3),
-        x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4),
-        x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5),
-        x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6),
-    ]
+    n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
+    n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
+    n3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
+    n4 = x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
+    n5 = x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
+    n6 = x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
+    new = (n1, n2, n3, n4, n5, n6)
+    if (
+        0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
+        and 0.0 <= n4 < inf and 0.0 <= n5 < inf and 0.0 <= n6 < inf
+    ):
+        return new
     return _checked_step(new, s, t)
 
 
@@ -256,10 +270,12 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     Deterministic: identical inputs give bit-identical outputs.  The result
     has the same type as s (named state tuples stay named state tuples).
 
-    Raises RangeError if dt <= 0, NonFiniteError if the step produces
-    NaN/inf, NegativeStateError if any component falls below -1e-9 times
-    the state's magnitude.
+    Raises RangeError if dt is not finite or dt <= 0, NonFiniteError if the
+    step produces NaN/inf, NegativeStateError if any component falls below
+    -1e-9 times the state's magnitude.
     """
+    if not math.isfinite(dt):
+        raise RangeError(f"dt must be finite, got {dt}")
     if dt <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
     new = _step(f, s, t, dt)
@@ -285,6 +301,16 @@ def check_times(t0: float, t1: float, dt: float) -> None:
         )
 
 
+# total_population's grouping on the raw components: for MA and SINGLE
+# ((S1+S2)+Ia)+Is+R, where Ia is index 3, and for MB ((S1+S2)+(A1+A2))+Is+R.
+def _total5(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
+
+
+def _total6(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
+
+
 def integrate(
     model: ModelKind,
     p: Params,
@@ -293,28 +319,37 @@ def integrate(
     t1: float,
     dt: float = 1.0,
     record_every: int = 1,
-) -> Iterator[tuple[float, State]]:
-    """Integrate the model from t0 to t1, yielding (t, state) at each record.
+) -> Iterator[tuple[float, Sequence[float]]]:
+    """Integrate the model from t0 to t1, yielding (t, components) per record.
 
     The state is recorded at t0, then after every record_every-th step, and
     always at t1 (a final partial step covers any remainder of t1 - t0 that
-    is not a whole multiple of dt).  Each recorded state is checked to keep
-    the initial total population within 1e-9 * N before it is yielded.
-    Step failures propagate with the failing time attached.
+    is not a whole multiple of dt).  The first record is init itself; the
+    later ones are plain tuples of the components in init's field order,
+    which simulate turns into named states.  Each recorded state is checked
+    to keep the initial total population within 1e-9 * N before it is
+    yielded.  Step failures propagate with the failing time attached.
 
-    Raises RangeError (see check_times, and a record_every that is not an
-    int >= 1) before the first step.
+    Raises RangeError (see check_times, a record_every that is not an
+    int >= 1, and an init whose length is not the model's: 6 components for
+    MB, 5 for MA and SINGLE) before the first step.
     """
     check_times(t0, t1, dt)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
+    if model is ModelKind.MB:
+        size, step, total = 6, _step6, _total6
+    else:
+        size, step, total = 5, _step5, _total5
+    if len(init) != size:
+        raise RangeError(
+            f"{model.name} takes {size} state components, got {len(init)}"
+        )
 
     f = vector_field(model, p)
-    step = _step6 if len(init) == 6 else _step5  # MB has six components
-    make = type(init)._make
-    n_expected = total_population(init)
+    n_expected = total(init)
     tol = 1e-9 * abs(n_expected)
 
     t = float(t0)
@@ -333,13 +368,12 @@ def integrate(
         k += 1
         t = t_next
         if k % record_every == 0 or t >= t1:
-            state = make(s)
-            drift = abs(total_population(state) - n_expected)
+            drift = abs(total(s) - n_expected)
             if drift > tol:
                 raise NumericError(
                     f"population drifted by {drift} at t={t}", time=t
                 )
-            yield t, state
+            yield t, s
 
 
 def simulate(
@@ -353,13 +387,15 @@ def simulate(
 ) -> Trajectory:
     """Integrate the model from t0 to t1 and record the trajectory.
 
-    Records and raises exactly as integrate does.
+    Records and raises exactly as integrate does, and stores each record
+    as a state of init's type.
     """
+    make = type(init)._make
     times: list[float] = []
     states: list[State] = []
     for t, s in integrate(model, p, init, t0, t1, dt, record_every):
         times.append(t)
-        states.append(s)
+        states.append(make(s))
     return Trajectory(
         model=model,
         times=tuple(times),

@@ -123,7 +123,7 @@ def _embed_in_mb(s: StateMA) -> StateMB:
     The lone susceptible/asymptomatic class maps to class 1; class 2 is
     empty until the switch populates it.
     """
-    return StateMB(S1=s.S1, S2=s.S2, A1=s.Ia, A2=0.0, Is=s.Is, R=s.R)
+    return StateMB(s.S1, s.S2, s.Ia, 0.0, s.Is, s.R)
 
 
 def _split_state(pre: StateMA, rho_split: float) -> StateMB:
@@ -316,10 +316,11 @@ def _scan_peaks(p: Params, qs: Sequence[float], t1: float, dt: float) -> list[fl
     for q in qs:
         s2, s1 = split_share(pool, q)
         init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
-        # Only the running peak is kept.  max keeps the first of equal
-        # maxima, as peak_of's strict > does.
+        # Only the running peak is kept, of I = (A1 + A2) + Is as StateMB.I
+        # groups it, read off the raw components.  max keeps the first of
+        # equal maxima, as peak_of's strict > does.
         run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
-        peaks.append(max(state.I for _, state in run))
+        peaks.append(max((s[2] + s[3]) + s[4] for _, s in run))
     return peaks
 
 

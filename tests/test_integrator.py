@@ -12,7 +12,14 @@ import textwrap
 
 import pytest
 
-from socsir.core import ModelKind, StateMA, validate_params
+from socsir import integrator
+from socsir.core import (
+    ModelKind,
+    StateMA,
+    StateMB,
+    total_population,
+    validate_params,
+)
 from socsir.dynamics import vector_field
 from socsir.errors import (
     EmptyTrajectoryError,
@@ -28,6 +35,8 @@ from socsir.integrator import (
     _step,
     _step5,
     _step6,
+    _total5,
+    _total6,
     check_times,
     integrate,
     observables_for,
@@ -75,6 +84,13 @@ def test_step_rk4_preserves_state_type():
 def test_step_rk4_rejects_bad_dt():
     with pytest.raises(RangeError):
         step_rk4(lambda t, s: (0.0,), (1.0,), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_step_rk4_rejects_non_finite_dt(dt):
+    # nan passed the dt <= 0 test and both surfaced as a NonFiniteError
+    with pytest.raises(RangeError, match="dt must be finite"):
+        step_rk4(lambda t, s: (0.0,), (1.0,), 0.0, dt)
 
 
 def test_step_rk4_raises_on_nonfinite():
@@ -126,7 +142,43 @@ def _outcome(step, f, s, t, h):
     try:
         return [x.hex() for x in step(f, s, t, h)]
     except NumericError as exc:
-        return type(exc), exc.time
+        return type(exc), exc.time, str(exc)
+
+
+# Result components around the unrolled steps' fast check, each as
+# (start value, constant derivative, expected error class or None).  The
+# other components start at 1.0 with derivative 0, which puts the
+# negativity floor near -5e-9.
+_EDGE_RESULTS = {
+    "nan": (1.0, math.nan, NonFiniteError),
+    "+inf": (1.0, math.inf, NonFiniteError),
+    "-inf": (1.0, -math.inf, NonFiniteError),
+    "-0.0": (-0.0, -0.0, None),
+    "negative within the floor": (0.0, -1e-12, None),
+    "negative below the floor": (0.0, -1.0, NegativeStateError),
+    "largest finite": (sys.float_info.max, 0.0, None),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_EDGE_RESULTS))
+@pytest.mark.parametrize("unrolled, n", [(_step5, 5), (_step6, 6)])
+def test_fast_check_matches_generic_step_at_edges(unrolled, n, edge):
+    # the fast check in _step5/_step6 must pass exactly the results that
+    # _checked_step passes, and leave the others to raise as _step does
+    start, rate, error = _EDGE_RESULTS[edge]
+    for i in range(n):
+        s = tuple(start if j == i else 1.0 for j in range(n))
+        deriv = tuple(rate if j == i else 0.0 for j in range(n))
+
+        def f(*c):
+            return deriv
+
+        got = _outcome(unrolled, f, s, 7.0, 1.0)
+        assert got == _outcome(_step, lambda t, c: f(*c), s, 7.0, 1.0)
+        if error is None:
+            assert isinstance(got, list)
+        else:
+            assert got[:2] == (error, 7.0)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +207,68 @@ def test_unrolled_steps_match_generic_step_bit_for_bit(model, unrolled):
                 assert _outcome(unrolled, f, s, t, h) == _outcome(
                     _step, lambda t, c: f(*c), s, t, h
                 )
+
+
+@pytest.mark.parametrize(
+    "total, state_type", [(_total5, StateMA), (_total6, StateMB)]
+)
+def test_raw_totals_match_total_population_bit_for_bit(total, state_type):
+    rng = random.Random(14)
+    n = len(state_type._fields)
+    for _ in range(2000):
+        s = tuple(rng.uniform(0.0, 10.0 ** rng.randint(-3, 6)) for _ in range(n))
+        assert total(s).hex() == total_population(state_type._make(s)).hex()
+
+
+@pytest.mark.parametrize("record_every", [1, 5])
+@pytest.mark.parametrize(
+    "model, init",
+    [
+        (ModelKind.MA, FIG_A_INIT),
+        (ModelKind.MB, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
+    ],
+)
+def test_drift_check_stops_at_first_drifting_record(
+    monkeypatch, model, init, record_every
+):
+    # a field that creates population at 3e-8 per unit time crosses the
+    # 1e-9 * N = 1e-7 tolerance after the fourth step of dt = 1
+    n = len(init)
+    leak = tuple(3e-8 if j == 3 else 0.0 for j in range(n))
+    monkeypatch.setattr(
+        integrator, "vector_field", lambda model, p: lambda *c: leak
+    )
+
+    # reference: the generic step, named states and total_population
+    n0 = total_population(init)
+    s, k, first_bad = init, 0, None
+    while first_bad is None:
+        s = type(init)._make(_step(lambda t, c: leak, s, float(k), 1.0))
+        k += 1
+        if k % record_every == 0 and abs(total_population(s) - n0) > 1e-9 * n0:
+            first_bad = float(k)
+    assert first_bad == (4.0 if record_every == 1 else 5.0)
+
+    times = []
+    with pytest.raises(NumericError, match="population drifted") as exc:
+        for t, _ in integrate(model, FIG_A, init, 0.0, 20.0, 1.0, record_every):
+            times.append(t)
+    assert exc.value.time == first_bad
+    assert times == [float(k) for k in range(0, int(first_bad), record_every)]
+
+
+@pytest.mark.parametrize(
+    "model, init",
+    [
+        (ModelKind.MA, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
+        (ModelKind.SINGLE, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
+        (ModelKind.MB, FIG_A_INIT),
+    ],
+)
+def test_integrate_rejects_a_state_of_the_wrong_length(model, init):
+    # MA with an MB state used to escape as a raw TypeError from the field
+    with pytest.raises(RangeError, match="state components"):
+        simulate(model, FIG_A, init, 0.0, 5.0, 1.0)
 
 
 def test_simulate_grid_times_are_exact():
