@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .config import load_config
 from .core import ModelKind, Params, validate_params
 from .errors import ConfigError, NumericError, ValidationError
 from .feasibility import bifurcation_scan, classify_feasible_set
 from .ngm import stability
-from .output import render_svg, write_csv
+from .output import csv_pieces, svg_pieces
 from .scenarios import covid_mitigation_presets, participation_scan, run_scenario
 from .sensitivity import finite_diff_check, ordering_case, sensitivity_indices
 
@@ -41,10 +41,12 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces to path one at a time (a str would be written one
+    character at a time, so pass a one-element list)."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc}") from exc
 
@@ -94,10 +96,11 @@ def _cmd_run(args: argparse.Namespace) -> list[str]:
         )
     traj, s = run_scenario(cfg)
     if args.csv:
-        _write(args.csv, write_csv(traj))
+        _write(args.csv, csv_pieces(traj))
     if args.svg:
         observables = cfg.outputs or _DEFAULT_PLOT_OBSERVABLES
-        _write(args.svg, render_svg(traj, observables))
+        # svg_pieces checks the plot before _write opens the file.
+        _write(args.svg, svg_pieces(traj, observables))
     lines = [
         f"model = {traj.model.value}",
         f"records = {len(traj)}",
@@ -188,7 +191,7 @@ def _cmd_bifurcation(args: argparse.Namespace) -> list[str]:
         rows.extend(
             f"{_fmt(r)},{label.value}" for r, label in zip(scan.grid, scan.labels)
         )
-        _write(args.csv, "\n".join(rows) + "\n")
+        _write(args.csv, ["\n".join(rows) + "\n"])
     return lines
 
 
@@ -333,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         text = "\n".join(args.handler(args)) + "\n"
         if args.out:
-            _write(args.out, text)
+            _write(args.out, [text])
         else:
             sys.stdout.write(text)
     except ConfigError as exc:

@@ -253,8 +253,14 @@ def validate_params(
                 f"alpha1 must exceed alpha2; got alpha1={alpha1}, alpha2={alpha2}"
             )
         # rho is derived, never free: the class split at equilibrium is set
-        # by the switch rates alone.
+        # by the switch rates alone.  An overflowing sum or an underflowing
+        # quotient rounds it to 0.0, outside (0, 1/2).
         rho = alpha2 / (alpha1 + alpha2)
+        if rho == 0.0 and alpha2 > 0:
+            raise RangeError(
+                f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
+                f"alpha1={alpha1}, alpha2={alpha2}"
+            )
     else:  # pragma: no cover - enum is exhaustive
         raise RangeError(f"unknown model kind {model!r}")
 

@@ -16,7 +16,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .core import ModelKind, Params, State, StateMA, StateMB, split_share
-from .errors import NumericError, OrderError, SingularMatrixError
+from .errors import NumericError, OrderError, RangeError, SingularMatrixError
 
 __all__ = [
     "NgmResult",
@@ -71,13 +71,21 @@ def rho_from_alphas(alpha1: float, alpha2: float) -> float:
     """Equilibrium class-1 fraction alpha2 / (alpha1 + alpha2).
 
     Because alpha1 > alpha2 > 0 is required, the result lies in (0, 1/2).
-    Raises OrderError when the rates are not strictly ordered.
+    Raises OrderError when the rates are not strictly ordered, RangeError
+    when the result rounds to 0 (alpha1 + alpha2 overflows, alpha1 is
+    infinite, or the quotient underflows).
     """
     if not alpha1 > alpha2 > 0:
         raise OrderError(
             f"need alpha1 > alpha2 > 0, got alpha1={alpha1}, alpha2={alpha2}"
         )
-    return alpha2 / (alpha1 + alpha2)
+    rho = alpha2 / (alpha1 + alpha2)
+    if rho == 0.0:
+        raise RangeError(
+            f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
+            f"alpha1={alpha1}, alpha2={alpha2}"
+        )
+    return rho
 
 
 def dfe_of(model: ModelKind, p: Params) -> State:

@@ -7,13 +7,16 @@ leak into the bytes.
 
 The SVG stays inside a small element vocabulary (polyline, line, text)
 so the files diff cleanly and need no renderer support beyond SVG 1.1.
+
+csv_pieces and svg_pieces yield each document in bounded pieces, so a
+caller can stream it to a file; write_csv and render_svg join them.
 """
 
 from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import ModelKind, total_population
 from .errors import EmptyTrajectoryError, RangeError
@@ -22,6 +25,8 @@ from .integrator import Trajectory, observables_for
 __all__ = [
     "write_csv",
     "render_svg",
+    "csv_pieces",
+    "svg_pieces",
     "CSV_HEADER_MA",
     "CSV_HEADER_MB",
     "DEFAULT_SVG_WIDTH",
@@ -33,6 +38,12 @@ CSV_HEADER_MB = "t,S1,S2,A1,A2,Is,R,I,N"
 
 DEFAULT_SVG_WIDTH = 720.0
 DEFAULT_SVG_HEIGHT = 480.0
+
+# Records per piece of a streamed document: a CSV piece holds at most this
+# many rows and a polyline piece at most this many points.  A caller that
+# writes the pieces one at a time holds one piece's strings, not the whole
+# document's.
+_PIECE_RECORDS = 1024
 
 # Margins leave room for tick labels (left/bottom) and the legend (top).
 _MARGIN_LEFT = 72.0
@@ -52,6 +63,28 @@ _PALETTE = (
 )
 
 
+def csv_pieces(traj: Trajectory) -> Iterator[str]:
+    """The CSV text of a trajectory in pieces: the header line, then the
+    rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
+    are write_csv's text."""
+    header = CSV_HEADER_MB if traj.model is ModelKind.MB else CSV_HEADER_MA
+    names = header.split(",")
+    # Every column between t and N is a state field or the I property.
+    columns = attrgetter(*names[1:-1])
+    # "%.9g" % x is the same text as f"{x:.9g}".
+    row = ",".join(["%.9g"] * len(names)) + "\n"
+    yield header + "\n"
+    times, states = traj.times, traj.states
+    for lo in range(0, len(times), _PIECE_RECORDS):
+        hi = lo + _PIECE_RECORDS
+        yield "".join(
+            [
+                row % (t, *columns(s), total_population(s))
+                for t, s in zip(times[lo:hi], states[lo:hi])
+            ]
+        )
+
+
 def write_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV text (LF line endings, 9 sig. digits).
 
@@ -59,18 +92,7 @@ def write_csv(traj: Trajectory) -> str:
     runs (including mixed runs, whose pre-switch records embed Ia as A1)
     carry the A1/A2/Is split.
     """
-    header = CSV_HEADER_MB if traj.model is ModelKind.MB else CSV_HEADER_MA
-    names = header.split(",")
-    # Every column between t and N is a state field or the I property.
-    columns = attrgetter(*names[1:-1])
-    # "%.9g" % x is the same text as f"{x:.9g}".
-    row = ",".join(["%.9g"] * len(names))
-    lines = [header]
-    lines.extend(
-        row % (t, *columns(s), total_population(s))
-        for t, s in zip(traj.times, traj.states)
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(csv_pieces(traj))
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -100,17 +122,20 @@ def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_svg(
+def svg_pieces(
     traj: Trajectory,
     observables: Sequence[str],
     *,
     width: float = DEFAULT_SVG_WIDTH,
     height: float = DEFAULT_SVG_HEIGHT,
-) -> str:
-    """Render observables of a trajectory as a standalone SVG line plot.
+) -> Iterator[str]:
+    """The SVG text of render_svg in pieces.
 
-    One polyline per observable, linear axes with 1-2-5 ticks, and a
-    legend naming each curve.  Deterministic for identical inputs.
+    The checks, the series and the axis ranges (which need every value)
+    are done before this returns, so a rejected plot raises here, before
+    any caller has opened a file.  The returned iterator yields the axes,
+    then each polyline in pieces of at most _PIECE_RECORDS points, then
+    the legend.
     """
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise RangeError(
@@ -129,7 +154,7 @@ def render_svg(
                 f"known: {sorted(known)}"
             )
 
-    xs = list(traj.times)
+    xs = traj.times
     series = {
         name: [known[name].extract(s) for s in traj.states] for name in observables
     }
@@ -153,7 +178,7 @@ def render_svg(
     def sy(y: float) -> float:
         return py0 + (y - y_lo) / y_span * py_span
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.2f}" height="{height:.2f}" '
         f'viewBox="0 0 {width:.2f} {height:.2f}">',
@@ -166,61 +191,83 @@ def render_svg(
 
     for v in _ticks(x_lo, x_hi):
         x = sx(v)
-        parts.append(
+        head.append(
             f'<line x1="{x:.2f}" y1="{py0:.2f}" x2="{x:.2f}" y2="{py0 + 5:.2f}" '
             f'stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        head.append(
             f'<text x="{x:.2f}" y="{py0 + 18:.2f}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{_tick_label(v)}</text>'
         )
     for v in _ticks(y_lo, y_hi):
         y = sy(v)
-        parts.append(
+        head.append(
             f'<line x1="{px0 - 5:.2f}" y1="{y:.2f}" x2="{px0:.2f}" y2="{y:.2f}" '
             f'stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        head.append(
             f'<text x="{px0 - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
             f'font-size="11" text-anchor="end">{_tick_label(v)}</text>'
         )
-    parts.append(
+    head.append(
         f'<text x="{(px0 + px1) / 2:.2f}" y="{height - 12:.2f}" '
         f'font-family="sans-serif" font-size="12" text-anchor="middle">t</text>'
     )
 
-    for idx, name in enumerate(observables):
-        color = _PALETTE[idx % len(_PALETTE)]
-        # sx and sy written out, as this loop runs once per record.
-        pts = " ".join(
-            [
-                "%.2f,%.2f"
-                % (
-                    px0 + (x - x_lo) / x_span * px_span,
-                    py0 + (y - y_lo) / y_span * py_span,
-                )
-                for x, y in zip(xs, series[name])
-            ]
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
-
     # legend: swatch + label per curve, laid out along the top edge
+    tail = []
     lx = px0
     for idx, name in enumerate(observables):
         color = _PALETTE[idx % len(_PALETTE)]
-        parts.append(
+        tail.append(
             f'<line x1="{lx:.2f}" y1="{_MARGIN_TOP - 16:.2f}" '
             f'x2="{lx + 18:.2f}" y2="{_MARGIN_TOP - 16:.2f}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
+        tail.append(
             f'<text x="{lx + 22:.2f}" y="{_MARGIN_TOP - 12:.2f}" '
             f'font-family="sans-serif" font-size="12">{name}</text>'
         )
         lx += 22 + 8 * max(len(name), 2) + 16
+    tail.append("</svg>")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    def pieces() -> Iterator[str]:
+        yield "\n".join(head) + "\n"
+        for idx, name in enumerate(observables):
+            color = _PALETTE[idx % len(_PALETTE)]
+            yield f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+            ys = series[name]
+            sep = ""
+            for lo in range(0, len(xs), _PIECE_RECORDS):
+                hi = lo + _PIECE_RECORDS
+                # sx and sy written out, as this runs once per record.
+                yield sep + " ".join(
+                    [
+                        "%.2f,%.2f"
+                        % (
+                            px0 + (x - x_lo) / x_span * px_span,
+                            py0 + (y - y_lo) / y_span * py_span,
+                        )
+                        for x, y in zip(xs[lo:hi], ys[lo:hi])
+                    ]
+                )
+                sep = " "
+            yield '"/>\n'
+        yield "\n".join(tail) + "\n"
+
+    return pieces()
+
+
+def render_svg(
+    traj: Trajectory,
+    observables: Sequence[str],
+    *,
+    width: float = DEFAULT_SVG_WIDTH,
+    height: float = DEFAULT_SVG_HEIGHT,
+) -> str:
+    """Render observables of a trajectory as a standalone SVG line plot.
+
+    One polyline per observable, linear axes with 1-2-5 ticks, and a
+    legend naming each curve.  Deterministic for identical inputs.
+    """
+    return "".join(svg_pieces(traj, observables, width=width, height=height))

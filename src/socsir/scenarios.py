@@ -451,6 +451,9 @@ def participation_scan(
         raise RangeError("grid must be strictly increasing")
 
     p = preset_params(preset, n_total)
+    # resolve_init's rule: the run seeds one infective out of N.
+    if p.N < 1:
+        raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
     check_times(0.0, t1, dt)
     peaks = _parallel_peaks(p, grid, t1, dt)
 

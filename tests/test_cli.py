@@ -5,13 +5,19 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from socsir import scenarios
+from socsir import cli, scenarios
 from socsir.cli import main
+from socsir.config import load_config
+from socsir.integrator import observables_for
+from socsir.output import render_svg, write_csv
+from socsir.scenarios import run_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -531,3 +537,132 @@ def test_unknown_preset_rejected():
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# --- side files written in pieces --------------------------------------------
+
+
+def _config_with_records(tmp_path, source, n):
+    # dt 1 from t0 0 records every step, so t1 = n - 1 gives n records;
+    # a mixed run records its switch once
+    doc = json.loads((DATA / source).read_text())
+    doc["time"] = {"t0": 0.0, "t1": float(n - 1), "dt": 1.0}
+    if "mixed" in doc:
+        doc["mixed"]["t_switch"] = float((n - 1) // 2)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    ("command", "source", "n"),
+    [
+        (command, source, n)
+        for command, source in [
+            ("simulate", "ma_basic.json"),
+            ("simulate", "mb_switching.json"),
+            ("mixed", "mixed_switch.json"),
+        ]
+        # a mixed run records t0, its switch and t1, so at least 3
+        for n in (3 if command == "mixed" else 2, 1023, 1024, 1025, 2048)
+    ],
+)
+def test_cli_files_equal_the_in_process_writers(tmp_path, command, source, n):
+    # the files are written in pieces of at most 1024 records; the counts
+    # sit on both sides of each piece boundary
+    cfg_path = _config_with_records(tmp_path, source, n)
+    csv_path, svg_path = tmp_path / "run.csv", tmp_path / "run.svg"
+    argv = [command, "--config", cfg_path, "--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main([*argv, "--out", str(tmp_path / "report.txt")]) == 0
+    cfg = load_config(cfg_path)
+    traj = run_scenario(cfg).trajectory
+    assert len(traj) == n
+    assert csv_path.read_bytes() == write_csv(traj).encode()
+    observables = cfg.outputs or ("S1", "S2", "I", "R")
+    assert svg_path.read_bytes() == render_svg(traj, observables).encode()
+    # both sides join the same pieces, so check the joins on their own:
+    # one full row per record, one "x,y" per record in each curve
+    header, *rows = csv_path.read_text().split("\n")[:-1]
+    assert len(rows) == n
+    assert {row.count(",") for row in rows} == {header.count(",")}
+    curves = re.findall(r'points="([^"]*)"', svg_path.read_text())
+    assert len(curves) == len(observables)
+    for points in curves:
+        assert all(re.fullmatch(r"-?\d+\.\d\d,-?\d+\.\d\d", xy) for xy in points.split(" "))
+        assert len(points.split(" ")) == n
+
+
+def _long_run(monkeypatch, tmp_path, outputs):
+    """Point the CLI's run_scenario at a precomputed 40,001-record MA run."""
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    doc["time"] = {"t0": 0.0, "t1": 80000.0, "dt": 2.0}
+    doc["outputs"] = outputs
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(doc))
+    result = run_scenario(load_config(str(cfg)))
+    assert len(result.trajectory) == 40_001
+    monkeypatch.setattr(cli, "run_scenario", lambda _cfg: result)
+    return str(cfg), result.trajectory
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _series_bytes(traj, observables):
+    """What the plot's series lists take: each list, and a float object for
+    every value that is computed (I) rather than a stored component."""
+    known = observables_for(traj.model)
+    total = 0
+    for name in observables:
+        values = [known[name].extract(s) for s in traj.states]
+        total += sys.getsizeof(values)
+        total += sum(
+            sys.getsizeof(v)
+            for v, s in zip(values, traj.states)
+            if not any(v is c for c in s)
+        )
+    return total
+
+
+# Allowance for the strings of one 1024-record piece: its 1024 row or
+# point strings (under 150 bytes each), their list, the joined piece and
+# the encoded copy the file write makes, with room for argparse and the
+# report.
+_ONE_PIECE_BYTES = 256 * 1024
+
+
+def test_cli_csv_write_holds_one_piece(monkeypatch, tmp_path, capsys):
+    # the table is about 3.4 MB; it used to be held as one string next to
+    # its row strings
+    cfg, _ = _long_run(monkeypatch, tmp_path, ["I", "Is", "R"])
+    csv_path = tmp_path / "long.csv"
+    peak = _traced_peak(["simulate", "--config", cfg, "--csv", str(csv_path)])
+    assert csv_path.stat().st_size > 3_000_000
+    assert peak < 1_000_000
+
+
+def test_cli_svg_write_holds_its_series_and_one_piece(monkeypatch, tmp_path, capsys):
+    # render_svg held every point string of a curve and their join
+    observables = ["I", "Is", "R"]
+    cfg, traj = _long_run(monkeypatch, tmp_path, observables)
+    svg_path = tmp_path / "long.svg"
+    peak = _traced_peak(["simulate", "--config", cfg, "--svg", str(svg_path)])
+    assert svg_path.stat().st_size > 1_500_000
+    assert peak < _series_bytes(traj, observables) + _ONE_PIECE_BYTES
+
+
+def test_rejected_plot_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # svg_pieces checks the plot when called, so _write never opens the
+    # file; a lazy check would leave an empty one behind
+    cfg = load_config(MA_CFG)._replace(outputs=("Ia", "A1"))
+    monkeypatch.setattr(cli, "load_config", lambda *_a, **_k: cfg)
+    svg_path = tmp_path / "run.svg"
+    assert main(["simulate", "--config", MA_CFG, "--svg", str(svg_path)]) == 2
+    assert "unknown observable 'A1'" in capsys.readouterr().err
+    assert not svg_path.exists()

@@ -93,6 +93,19 @@ def test_step_rk4_rejects_non_finite_dt(dt):
         step_rk4(lambda t, s: (0.0,), (1.0,), 0.0, dt)
 
 
+@pytest.mark.parametrize(
+    "state",
+    [(1.0, 2.0, 3.0), FIG_A_INIT, (1.0,)],
+    ids=["plain-short", "named-short", "plain-long"],
+)
+def test_step_rk4_rejects_a_field_of_another_length(state):
+    # a short field truncated a plain state silently, and a named state
+    # failed in _make with a raw TypeError; a long one lost its extra parts
+    k1 = (0.0,) if len(state) > 1 else (0.0, 0.0)
+    with pytest.raises(RangeError, match="components for a state of"):
+        step_rk4(lambda t, s: k1, state, 0.0, 1.0)
+
+
 def test_step_rk4_raises_on_nonfinite():
     with pytest.raises(NonFiniteError) as exc:
         step_rk4(lambda t, s: (float("inf"),), (1.0,), 3.0, 1.0)

@@ -7,6 +7,7 @@ K = -T Sigma^{-1}) so a regression in either one trips the comparison.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 
@@ -14,7 +15,7 @@ import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.dynamics import rhs_ma, rhs_mb
-from socsir.errors import OrderError, SingularMatrixError
+from socsir.errors import OrderError, RangeError, SingularMatrixError
 from socsir.ngm import (
     StabilityVerdict,
     dfe_of,
@@ -74,6 +75,17 @@ def test_rho_from_alphas():
     assert rho_from_alphas(0.10, 0.010) == pytest.approx(1 / 11, rel=1e-15)
     with pytest.raises(OrderError):
         rho_from_alphas(0.0001, 0.0001)
+
+
+@pytest.mark.parametrize(
+    ("alpha1", "alpha2"),
+    [(math.inf, 0.1), (1.7e308, 1e308), (1e300, 1e-300)],
+    ids=["infinite-alpha1", "sum-overflows", "quotient-underflows"],
+)
+def test_rho_from_alphas_that_rounds_to_zero_raises(alpha1, alpha2):
+    # each pair used to return 0.0, outside the documented (0, 1/2)
+    with pytest.raises(RangeError, match="rounds to 0"):
+        rho_from_alphas(alpha1, alpha2)
 
 
 def test_rho_from_alphas_below_half():

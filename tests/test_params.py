@@ -127,6 +127,22 @@ def test_mb_alpha_positivity():
     assert p.rho == 0.0
 
 
+@pytest.mark.parametrize(
+    ("alpha1", "alpha2"),
+    [(1.7e308, 1e308), (1e300, 1e-300)],
+    ids=["sum-overflows", "quotient-underflows"],
+)
+def test_mb_rho_that_rounds_to_zero_is_rejected(alpha1, alpha2):
+    # both pairs used to give rho == 0.0, outside the documented (0, 1/2)
+    for allow_zero_alpha2 in (False, True):
+        with pytest.raises(RangeError, match="rounds to 0"):
+            validate_params(
+                dict(GOOD_MB, alpha1=alpha1, alpha2=alpha2),
+                ModelKind.MB,
+                allow_zero_alpha2=allow_zero_alpha2,
+            )
+
+
 def test_lambda_unit_interval():
     with pytest.raises(RangeError):
         validate_params(dict(GOOD_MA, **{"lambda": 0.0}), ModelKind.MA)

@@ -203,6 +203,10 @@ def test_bad_arguments_raise_before_any_fork(monkeypatch):
             participation_scan(MASKS, 80.0, GRID99, **kwargs)
     with pytest.raises(RangeError):
         participation_scan(MASKS, 80.0, GRID99, n_total=-5.0)
+    # N in (0, 1) passed validation and failed in the run, asking for a
+    # smaller dt
+    with pytest.raises(RangeError, match="at least 1"):
+        participation_scan(MASKS, 80.0, GRID99, n_total=0.5)
     with pytest.raises(RangeError):
         participation_scan(MASKS, 80.0, GRID99[::-1])
     assert forks == []
