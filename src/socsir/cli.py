@@ -43,9 +43,16 @@ def _fmt(x: float) -> str:
 
 def _write(path: str, pieces: Iterable[str]) -> None:
     """Write the pieces to path one at a time (a str would be written one
-    character at a time, so pass a one-element list)."""
+    character at a time, so pass a one-element list).
+
+    The first piece is taken before the file is opened, so a generator
+    that rejects its document before its first piece leaves no file.
+    """
+    pieces = iter(pieces)
+    first = next(pieces, "")
     try:
         with open(path, "w", encoding="utf-8") as fh:
+            fh.write(first)
             fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc}") from exc
@@ -99,7 +106,6 @@ def _cmd_run(args: argparse.Namespace) -> list[str]:
         _write(args.csv, csv_pieces(traj))
     if args.svg:
         observables = cfg.outputs or _DEFAULT_PLOT_OBSERVABLES
-        # svg_pieces checks the plot before _write opens the file.
         _write(args.svg, svg_pieces(traj, observables))
     lines = [
         f"model = {traj.model.value}",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import MissingFieldError, NumericError, OrderError, RangeError
 
@@ -192,12 +192,19 @@ def validate_params(
     (one-way class switching), needed by the mitigation presets; rho then
     degenerates to 0 and the MB value is only suitable for simulation.
 
-    Raises OrderError / RangeError / MissingFieldError.
+    Raises OrderError / RangeError / MissingFieldError, and RangeError
+    for anything that is neither a mapping nor a Params.
     """
-    if isinstance(raw, Params):
-        mapping: Mapping[str, object] = raw.as_dict()
-    else:
+    if type(raw) is dict:
+        mapping: Mapping[str, object] = raw
+    elif isinstance(raw, Params):
+        mapping = raw.as_dict()
+    elif isinstance(raw, Mapping):
         mapping = raw
+    else:
+        raise RangeError(
+            f"parameters must be a mapping or Params, got {type(raw).__name__}"
+        )
 
     beta1 = _require(mapping, "beta1")
     beta2 = _require(mapping, "beta2")
@@ -270,17 +277,29 @@ def validate_params(
     )
 
 
-def total_population(state: State) -> float:
-    """Sum of all compartments.
+# The population's grouping on positional components, for named states and
+# raw tuples alike: five components (MA and SINGLE, Ia at index 3) sum as
+# ((S1+S2)+Ia)+Is+R, six (MB) as ((S1+S2)+(A1+A2))+Is+R.  Combining each
+# pair of classes first keeps the total of a split_share split bit-identical.
+def total5(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
 
-    The additions are grouped so that a class split performed with
-    split_share leaves the computed total bit-identical: for MA the
-    susceptible classes and then the infective classes are combined before
-    anything else, and MB mirrors that grouping with (A1+A2) in place of Ia.
+
+def total6(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
+
+
+def total_population(state: State | Sequence[float]) -> float:
+    """Sum of all compartments, grouped as total5 or total6 by length.
+
+    Raises RangeError for a state of any other length.
     """
-    if isinstance(state, StateMA):
-        return ((state.S1 + state.S2) + state.Ia) + state.Is + state.R
-    return ((state.S1 + state.S2) + (state.A1 + state.A2)) + state.Is + state.R
+    n = len(state)
+    if n == 6:
+        return total6(state)
+    if n == 5:
+        return total5(state)
+    raise RangeError(f"a state has 5 or 6 components, got {n}")
 
 
 def exact_complement(total: float, part: float) -> float:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, indexOf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, total_population
+from .core import ModelKind, Params, State, StateMA, StateMB
+from .core import total5, total6, total_population
 from .dynamics import vector_field
 from .errors import (
     EmptyTrajectoryError,
@@ -311,16 +312,6 @@ def check_times(t0: float, t1: float, dt: float) -> None:
         )
 
 
-# total_population's grouping on the raw components: for MA and SINGLE
-# ((S1+S2)+Ia)+Is+R, where Ia is index 3, and for MB ((S1+S2)+(A1+A2))+Is+R.
-def _total5(s: Sequence[float]) -> float:
-    return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
-
-
-def _total6(s: Sequence[float]) -> float:
-    return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
-
-
 def integrate(
     model: ModelKind,
     p: Params,
@@ -350,9 +341,9 @@ def integrate(
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
     if model is ModelKind.MB:
-        size, step, total = 6, _step6, _total6
+        size, step, total = 6, _step6, total6
     else:
-        size, step, total = 5, _step5, _total5
+        size, step, total = 5, _step5, total5
     if len(init) != size:
         raise RangeError(
             f"{model.name} takes {size} state components, got {len(init)}"
@@ -398,9 +389,10 @@ def simulate(
     """Integrate the model from t0 to t1 and record the trajectory.
 
     Records and raises exactly as integrate does, and stores each record
-    as a state of init's type.
+    as the model's state type: StateMB for MB, StateMA for MA and SINGLE.
+    So init may be a plain tuple of the components.
     """
-    make = type(init)._make
+    make = StateMB._make if model is ModelKind.MB else StateMA._make
     times: list[float] = []
     states: list[State] = []
     for t, s in integrate(model, p, init, t0, t1, dt, record_every):
@@ -419,10 +411,10 @@ def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
     """Time and value of the first recorded maximum of an observable."""
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
-    best_t = traj.times[0]
-    best_v = obs.extract(traj.states[0])
-    for t, s in zip(traj.times, traj.states):
-        v = obs.extract(s)
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_t, best_v
+    extract, states = obs.extract, traj.states
+    # max keeps the first of equal maxima (-0.0 before 0.0).  It returns
+    # NaN only for a NaN first value, which indexOf cannot find.
+    best = max(map(extract, states))
+    if best != best:
+        return traj.times[0], best
+    return traj.times[indexOf(map(extract, states), best)], best

@@ -33,8 +33,9 @@ __all__ = [
     "DEFAULT_SVG_HEIGHT",
 ]
 
-CSV_HEADER_MA = "t,S1,S2,Ia,Is,R,I,N"
-CSV_HEADER_MB = "t,S1,S2,A1,A2,Is,R,I,N"
+# t, then the model's observables in observables_for's order.
+CSV_HEADER_MA = ",".join(("t", *observables_for(ModelKind.MA)))
+CSV_HEADER_MB = ",".join(("t", *observables_for(ModelKind.MB)))
 
 DEFAULT_SVG_WIDTH = 720.0
 DEFAULT_SVG_HEIGHT = 480.0
@@ -131,11 +132,10 @@ def svg_pieces(
 ) -> Iterator[str]:
     """The SVG text of render_svg in pieces.
 
-    The checks, the series and the axis ranges (which need every value)
-    are done before this returns, so a rejected plot raises here, before
-    any caller has opened a file.  The returned iterator yields the axes,
-    then each polyline in pieces of at most _PIECE_RECORDS points, then
-    the legend.
+    A generator whose checks, series and axis ranges (which need every
+    value) come before its first piece, so a rejected plot raises there.
+    It yields the axes, then each polyline in pieces of at most
+    _PIECE_RECORDS points, then the legend.
     """
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise RangeError(
@@ -172,90 +172,70 @@ def svg_pieces(
     x_span, px_span = x_hi - x_lo, px1 - px0
     y_span, py_span = y_hi - y_lo, py1 - py0
 
-    def sx(x: float) -> float:
-        return px0 + (x - x_lo) / x_span * px_span
-
-    def sy(y: float) -> float:
-        return py0 + (y - y_lo) / y_span * py_span
-
-    head = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.2f}" height="{height:.2f}" '
-        f'viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'viewBox="0 0 {width:.2f} {height:.2f}">\n'
         # axes
         f'<line x1="{px0:.2f}" y1="{py0:.2f}" x2="{px1:.2f}" y2="{py0:.2f}" '
-        f'stroke="#000000" stroke-width="1"/>',
+        f'stroke="#000000" stroke-width="1"/>\n'
         f'<line x1="{px0:.2f}" y1="{py0:.2f}" x2="{px0:.2f}" y2="{py1:.2f}" '
-        f'stroke="#000000" stroke-width="1"/>',
-    ]
-
+        f'stroke="#000000" stroke-width="1"/>\n'
+    )
     for v in _ticks(x_lo, x_hi):
-        x = sx(v)
-        head.append(
+        x = px0 + (v - x_lo) / x_span * px_span
+        yield (
             f'<line x1="{x:.2f}" y1="{py0:.2f}" x2="{x:.2f}" y2="{py0 + 5:.2f}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        head.append(
+            f'stroke="#000000" stroke-width="1"/>\n'
             f'<text x="{x:.2f}" y="{py0 + 18:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_tick_label(v)}</text>'
+            f'font-size="11" text-anchor="middle">{_tick_label(v)}</text>\n'
         )
     for v in _ticks(y_lo, y_hi):
-        y = sy(v)
-        head.append(
+        y = py0 + (v - y_lo) / y_span * py_span
+        yield (
             f'<line x1="{px0 - 5:.2f}" y1="{y:.2f}" x2="{px0:.2f}" y2="{y:.2f}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        head.append(
+            f'stroke="#000000" stroke-width="1"/>\n'
             f'<text x="{px0 - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_tick_label(v)}</text>'
+            f'font-size="11" text-anchor="end">{_tick_label(v)}</text>\n'
         )
-    head.append(
+    yield (
         f'<text x="{(px0 + px1) / 2:.2f}" y="{height - 12:.2f}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">t</text>'
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">t</text>\n'
     )
 
+    for idx, name in enumerate(observables):
+        color = _PALETTE[idx % len(_PALETTE)]
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+        ys = series[name]
+        sep = ""
+        for lo in range(0, len(xs), _PIECE_RECORDS):
+            hi = lo + _PIECE_RECORDS
+            yield sep + " ".join(
+                [
+                    "%.2f,%.2f"
+                    % (
+                        px0 + (x - x_lo) / x_span * px_span,
+                        py0 + (y - y_lo) / y_span * py_span,
+                    )
+                    for x, y in zip(xs[lo:hi], ys[lo:hi])
+                ]
+            )
+            sep = " "
+        yield '"/>\n'
+
     # legend: swatch + label per curve, laid out along the top edge
-    tail = []
     lx = px0
     for idx, name in enumerate(observables):
         color = _PALETTE[idx % len(_PALETTE)]
-        tail.append(
+        yield (
             f'<line x1="{lx:.2f}" y1="{_MARGIN_TOP - 16:.2f}" '
             f'x2="{lx + 18:.2f}" y2="{_MARGIN_TOP - 16:.2f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        tail.append(
+            f'stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{lx + 22:.2f}" y="{_MARGIN_TOP - 12:.2f}" '
-            f'font-family="sans-serif" font-size="12">{name}</text>'
+            f'font-family="sans-serif" font-size="12">{name}</text>\n'
         )
         lx += 22 + 8 * max(len(name), 2) + 16
-    tail.append("</svg>")
-
-    def pieces() -> Iterator[str]:
-        yield "\n".join(head) + "\n"
-        for idx, name in enumerate(observables):
-            color = _PALETTE[idx % len(_PALETTE)]
-            yield f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-            ys = series[name]
-            sep = ""
-            for lo in range(0, len(xs), _PIECE_RECORDS):
-                hi = lo + _PIECE_RECORDS
-                # sx and sy written out, as this runs once per record.
-                yield sep + " ".join(
-                    [
-                        "%.2f,%.2f"
-                        % (
-                            px0 + (x - x_lo) / x_span * px_span,
-                            py0 + (y - y_lo) / y_span * py_span,
-                        )
-                        for x, y in zip(xs[lo:hi], ys[lo:hi])
-                    ]
-                )
-                sep = " "
-            yield '"/>\n'
-        yield "\n".join(tail) + "\n"
-
-    return pieces()
+    yield "</svg>\n"
 
 
 def render_svg(

@@ -24,7 +24,6 @@ from .core import (
     StateMB,
     split_share,
     validate_params,
-    with_rho_one,
 )
 from .errors import RangeError, ValidationError
 from .integrator import (
@@ -117,17 +116,9 @@ def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     return StateMA(S1=s1, S2=s2, Is=1.0, Ia=0.0, R=0.0)
 
 
-def _embed_in_mb(s: StateMA) -> StateMB:
-    """Represent a single-class state in two-class coordinates.
-
-    The lone susceptible/asymptomatic class maps to class 1; class 2 is
-    empty until the switch populates it.
-    """
-    return StateMB(s.S1, s.S2, s.Ia, 0.0, s.Is, s.R)
-
-
-def _split_state(pre: StateMA, rho_split: float) -> StateMB:
-    """Proportional class split of a single-class state.
+def _split_state(pre: StateMB, rho_split: float) -> StateMB:
+    """Proportional class split of a single-class state in two-class
+    coordinates (its asymptomatics all in A1).
 
     Susceptibles and asymptomatics each split rho_split : (1 - rho_split);
     symptomatics and recovered carry over unchanged.  Complements are exact,
@@ -135,7 +126,7 @@ def _split_state(pre: StateMA, rho_split: float) -> StateMB:
     likewise A1 + A2 the asymptomatic total).
     """
     s1, s2 = split_share(pre.S1 + pre.S2, rho_split)
-    a1, a2 = split_share(pre.Ia, rho_split)
+    a1, a2 = split_share(pre.A1, rho_split)
     return StateMB(S1=s1, S2=s2, A1=a1, A2=a2, Is=pre.Is, R=pre.R)
 
 
@@ -176,8 +167,8 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     """Run the single-class phase, split at t_switch, continue two-class.
 
     The returned trajectory is uniformly in two-class coordinates (the
-    opening phase embeds with class 2 empty), has model MB, and carries a
-    SwitchRecord with the embedded pre-switch and post-split states.  The
+    opening phase is recorded with class 2 empty), has model MB, and
+    carries a SwitchRecord with the pre-switch and post-split states.  The
     record at t_switch itself is the post-split state.
     """
     if cfg.mixed is None:
@@ -201,39 +192,34 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
             "five-compartment state with S2 = 0"
         )
 
-    single = simulate(
-        ModelKind.SINGLE,
-        with_rho_one(p),
-        init,
-        cfg.t0,
-        spec.t_switch,
-        cfg.dt,
-        cfg.record_every,
-    )
-    pre = single.states[-1]
+    # The opening phase is recorded in two-class coordinates: its lone
+    # susceptible and asymptomatic classes are class 1, class 2 stays
+    # empty.  The single-class field never reads rho.  Its last record, at
+    # t_switch, is the pre-switch state, which the split replaces.
+    times: list[float] = []
+    states: list[StateMB] = []
+    for t, (s1, s2, i_s, i_a, r) in integrate(
+        ModelKind.SINGLE, p, init, cfg.t0, spec.t_switch, cfg.dt, cfg.record_every
+    ):
+        times.append(t)
+        states.append(StateMB(s1, s2, i_a, 0.0, i_s, r))
+    times.pop()
+    pre = states.pop()
     post = _split_state(pre, spec.rho_split)
-    second = simulate(
-        ModelKind.MB,
-        p,
-        post,
-        spec.t_switch,
-        cfg.t1,
-        cfg.dt,
-        cfg.record_every,
-    )
+    for t, s in integrate(
+        ModelKind.MB, p, post, spec.t_switch, cfg.t1, cfg.dt, cfg.record_every
+    ):
+        times.append(t)
+        states.append(StateMB._make(s))
 
-    times = single.times[:-1] + second.times
-    states = tuple(_embed_in_mb(s) for s in single.states[:-1]) + second.states
     traj = Trajectory(
         model=ModelKind.MB,
-        times=times,
-        states=states,
+        times=tuple(times),
+        states=tuple(states),
         params_used=p,
         dt=cfg.dt,
         switch_record=SwitchRecord(
-            t_switch=spec.t_switch,
-            pre_state=_embed_in_mb(pre),
-            post_state=post,
+            t_switch=spec.t_switch, pre_state=pre, post_state=post
         ),
     )
     return RunResult(trajectory=traj, summary=_summarize(traj, p))
@@ -318,7 +304,7 @@ def _scan_peaks(p: Params, qs: Sequence[float], t1: float, dt: float) -> list[fl
         init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
         # Only the running peak is kept, of I = (A1 + A2) + Is as StateMB.I
         # groups it, read off the raw components.  max keeps the first of
-        # equal maxima, as peak_of's strict > does.
+        # equal maxima, as in peak_of.
         run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
         peaks.append(max((s[2] + s[3]) + s[4] for _, s in run))
     return peaks

@@ -658,8 +658,9 @@ def test_cli_svg_write_holds_its_series_and_one_piece(monkeypatch, tmp_path, cap
 
 
 def test_rejected_plot_leaves_no_file(monkeypatch, tmp_path, capsys):
-    # svg_pieces checks the plot when called, so _write never opens the
-    # file; a lazy check would leave an empty one behind
+    # svg_pieces checks the plot before its first piece, and _write takes
+    # the first piece before it opens the file; opening first would leave
+    # an empty file behind
     cfg = load_config(MA_CFG)._replace(outputs=("Ia", "A1"))
     monkeypatch.setattr(cli, "load_config", lambda *_a, **_k: cfg)
     svg_path = tmp_path / "run.svg"

@@ -17,6 +17,8 @@ from socsir.core import (
     ModelKind,
     StateMA,
     StateMB,
+    total5,
+    total6,
     total_population,
     validate_params,
 )
@@ -35,8 +37,6 @@ from socsir.integrator import (
     _step,
     _step5,
     _step6,
-    _total5,
-    _total6,
     check_times,
     integrate,
     observables_for,
@@ -223,14 +223,25 @@ def test_unrolled_steps_match_generic_step_bit_for_bit(model, unrolled):
 
 
 @pytest.mark.parametrize(
-    "total, state_type", [(_total5, StateMA), (_total6, StateMB)]
+    "total, state_type, named",
+    [
+        (total5, StateMA, lambda s: ((s.S1 + s.S2) + s.Ia) + s.Is + s.R),
+        (total6, StateMB, lambda s: ((s.S1 + s.S2) + (s.A1 + s.A2)) + s.Is + s.R),
+    ],
+    ids=["total5-StateMA", "total6-StateMB"],
 )
-def test_raw_totals_match_total_population_bit_for_bit(total, state_type):
+def test_raw_totals_match_total_population_bit_for_bit(total, state_type, named):
+    # the positional groupings, and total_population on raw and named
+    # states, against the grouping written with field names
     rng = random.Random(14)
     n = len(state_type._fields)
     for _ in range(2000):
         s = tuple(rng.uniform(0.0, 10.0 ** rng.randint(-3, 6)) for _ in range(n))
-        assert total(s).hex() == total_population(state_type._make(s)).hex()
+        state = state_type._make(s)
+        want = named(state).hex()
+        assert total(s).hex() == want
+        assert total_population(s).hex() == want
+        assert total_population(state).hex() == want
 
 
 @pytest.mark.parametrize("record_every", [1, 5])
@@ -400,6 +411,18 @@ def test_simulate_states_stay_named():
     assert all(isinstance(s, StateMA) for s in traj.states)
 
 
+@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])
+def test_simulate_takes_its_record_type_from_the_model(model):
+    # a plain tuple as init used to fail with a raw AttributeError, as
+    # the record type was read off init
+    p = validate_params(draw_raw_params(random.Random(19), model), model)
+    named = resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE)
+    traj = simulate(model, p, tuple(named), 0.0, 10.0)
+    assert traj == simulate(model, p, named, 0.0, 10.0)
+    state_type = StateMB if model is ModelKind.MB else StateMA
+    assert all(type(s) is state_type for s in traj.states)
+
+
 def test_observables_cover_model_fields():
     ma = observables_for(ModelKind.MA)
     assert set(ma) == {"S1", "S2", "Ia", "Is", "R", "I", "N"}
@@ -412,18 +435,41 @@ def test_observables_cover_model_fields():
 
 
 def test_peak_of_returns_first_maximum():
-    states = [
-        StateMA(S1=0.0, S2=0.0, Is=v, Ia=0.0, R=0.0) for v in (0.0, 5.0, 5.0, 3.0)
+    obs = observables_for(ModelKind.MA)
+    cases = [
+        ((0.0, 5.0, 5.0, 3.0), (1.0, 5.0)),
+        ((1.0, 5.0, 3.0, 5.0), (1.0, 5.0)),  # a later equal maximum
+        ((-1.0, -0.0, 0.0), (1.0, -0.0)),  # -0.0 == 0.0, and comes first
+        ((7.0,), (0.0, 7.0)),
     ]
-    traj = Trajectory(
+    for values, want in cases:
+        # Ia = -0.0 makes I = Ia + Is the same bits as Is, -0.0 included
+        states = [StateMA(S1=0.0, S2=0.0, Is=v, Ia=-0.0, R=0.0) for v in values]
+        traj = Trajectory(
+            model=ModelKind.MA,
+            times=tuple(map(float, range(len(values)))),
+            states=tuple(states),
+            params_used=FIG_A,
+            dt=1.0,
+        )
+        for ob in (Observable("Is", lambda s: s.Is), obs["Is"], obs["I"]):
+            t, v = peak_of(traj, ob)
+            assert (t, v) == want
+            assert math.copysign(1.0, v) == math.copysign(1.0, want[1])
+    # a NaN first value compares below nothing, so it stays the pick
+    nan_first = Trajectory(
         model=ModelKind.MA,
-        times=(0.0, 1.0, 2.0, 3.0),
-        states=tuple(states),
+        times=(0.0, 1.0),
+        states=(
+            StateMA(S1=0.0, S2=0.0, Is=math.nan, Ia=0.0, R=0.0),
+            StateMA(S1=0.0, S2=0.0, Is=1.0, Ia=0.0, R=0.0),
+        ),
         params_used=FIG_A,
         dt=1.0,
     )
-    t, v = peak_of(traj, Observable("Is", lambda s: s.Is))
-    assert (t, v) == (1.0, 5.0)
+    for ob in (obs["Is"], obs["I"]):
+        t, v = peak_of(nan_first, ob)
+        assert t == 0.0 and math.isnan(v)
 
 
 def test_peak_of_empty_trajectory():

@@ -68,6 +68,24 @@ def test_params_passthrough_revalidates():
     assert validate_params(p, ModelKind.MA) == p
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [list(GOOD_MA.items()), None, "beta1", tuple(GOOD_MA.values())],
+    ids=["list", "none", "str", "tuple"],
+)
+def test_non_mapping_is_rejected(raw):
+    # these used to escape as a raw AttributeError from .get
+    with pytest.raises(RangeError, match="mapping or Params"):
+        validate_params(raw, ModelKind.MA)
+
+
+def test_mapping_that_is_not_a_dict_is_accepted():
+    from types import MappingProxyType
+
+    want = validate_params(GOOD_MA, ModelKind.MA)
+    assert validate_params(MappingProxyType(GOOD_MA), ModelKind.MA) == want
+
+
 def test_beta_order_strict():
     bad = dict(GOOD_MA, beta2=0.0042)
     with pytest.raises(OrderError):
@@ -204,6 +222,13 @@ def test_total_population_exact_at_dfe():
     assert total_population(ma) == n
     mb = StateMB(S1=s1, S2=exact_complement(n, s1), A1=0.0, A2=0.0, Is=0.0, R=0.0)
     assert total_population(mb) == n
+
+
+@pytest.mark.parametrize("n", [0, 4, 7])
+def test_total_population_rejects_other_lengths(n):
+    # a 7-tuple would otherwise be summed as its first five components
+    with pytest.raises(RangeError, match="5 or 6 components"):
+        total_population((1.0,) * n)
 
 
 def test_exact_complement_identity():

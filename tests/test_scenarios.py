@@ -14,9 +14,16 @@ from socsir.core import (
     split_share,
     total_population,
     validate_params,
+    with_rho_one,
 )
 from socsir.errors import RangeError, ValidationError
-from socsir.integrator import observables_for, peak_of, simulate
+from socsir.integrator import (
+    SwitchRecord,
+    Trajectory,
+    observables_for,
+    peak_of,
+    simulate,
+)
 from socsir.scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
     SCAN_DT,
@@ -43,7 +50,7 @@ MB_RAW = {
 }
 
 
-def _mixed_cfg(t_switch=1000.0, rho_split=0.25, t1=3000.0):
+def _mixed_cfg(t_switch=1000.0, rho_split=0.25, t1=3000.0, record_every=1):
     p = validate_params(MB_RAW, ModelKind.MB)
     init = StateMA(S1=99.0, S2=0.0, Is=1.0, Ia=0.0, R=0.0)
     return ScenarioConfig(
@@ -53,6 +60,7 @@ def _mixed_cfg(t_switch=1000.0, rho_split=0.25, t1=3000.0):
         t0=0.0,
         t1=t1,
         dt=2.0,
+        record_every=record_every,
         mixed=MixedSpec(t_switch=t_switch, rho_split=rho_split),
     )
 
@@ -166,6 +174,47 @@ def test_mixed_trajectory_shape():
         if t >= 1000.0:
             break
         assert s.S2 == 0.0 and s.A2 == 0.0
+
+
+def _mixed_by_two_simulations(cfg):
+    """run_mixed's trajectory built from two simulate runs: the opening
+    phase embedded in two-class coordinates, then joined to the second
+    phase at the switch."""
+    spec, p = cfg.mixed, cfg.params
+
+    def embed(s):
+        return StateMB(s.S1, s.S2, s.Ia, 0.0, s.Is, s.R)
+
+    single = simulate(
+        ModelKind.SINGLE, with_rho_one(p), cfg.init_state,
+        cfg.t0, spec.t_switch, cfg.dt, cfg.record_every,
+    )
+    pre = single.states[-1]
+    s1, s2 = split_share(pre.S1 + pre.S2, spec.rho_split)
+    a1, a2 = split_share(pre.Ia, spec.rho_split)
+    post = StateMB(s1, s2, a1, a2, pre.Is, pre.R)
+    second = simulate(
+        ModelKind.MB, p, post, spec.t_switch, cfg.t1, cfg.dt, cfg.record_every
+    )
+    return Trajectory(
+        model=ModelKind.MB,
+        times=single.times[:-1] + second.times,
+        states=tuple(map(embed, single.states[:-1])) + second.states,
+        params_used=p,
+        dt=cfg.dt,
+        switch_record=SwitchRecord(spec.t_switch, embed(pre), post),
+    )
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("t_switch", [120.0, 121.5], ids=["on-grid", "off-grid"])
+def test_mixed_equals_two_simulations(t_switch, record_every):
+    cfg = _mixed_cfg(t_switch=t_switch, t1=400.0, record_every=record_every)
+    traj = run_mixed(cfg).trajectory
+    want = _mixed_by_two_simulations(cfg)
+    assert traj.switch_record.pre_state.A1 > 0  # the asymptomatics split
+    assert traj == want
+    assert repr(traj) == repr(want)  # float reprs round-trip: same bits
 
 
 def test_mixed_validations():
