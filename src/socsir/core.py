@@ -271,10 +271,12 @@ def validate_params(
     else:  # pragma: no cover - enum is exhaustive
         raise RangeError(f"unknown model kind {model!r}")
 
-    # Positional: a NamedTuple built from keywords costs about twice as much.
-    return Params(
+    # A NamedTuple's generated __new__ is Python code; tuple.__new__ fills
+    # the fields in C.  It takes every field in order and fills no defaults,
+    # so the analysis path builds its results this way too.
+    return tuple.__new__(Params, (
         beta1, beta2, lam, gamma, kappa, rho, n_total, alpha1, alpha2, str(norm)
-    )
+    ))
 
 
 # The population's grouping on positional components, for named states and

@@ -167,7 +167,7 @@ def classify_feasible_set(
     else:
         label = SetType.TYPE_MINUS_1
         vertices = ((0.0, 0.0), (kappa, kappa), (kappa / rho, 0.0))
-    return FeasibleSetReport(label, vertices, kappa, rho)
+    return tuple.__new__(FeasibleSetReport, (label, vertices, kappa, rho))
 
 
 def bifurcation_scan(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import mul
 from typing import NamedTuple
 
 from .core import ModelKind, Params, State, StateMA, StateMB, split_share
@@ -40,8 +39,10 @@ MARGINAL_TOL = 1e-12
 def r0(beta1: float, beta2: float, rho: float, kappa: float) -> float:
     """Basic reproduction number (rho*beta1 + (1-rho)*beta2) / kappa.
 
-    Pure formula; argument validation is the caller's job.  For model MB
-    pass rho = rho_from_alphas(alpha1, alpha2).
+    Pure formula; argument validation is the caller's job: kappa = 0
+    raises ZeroDivisionError, and an overflow returns inf.  checked_r0 is
+    the checked path for a Params value.  For model MB pass
+    rho = rho_from_alphas(alpha1, alpha2).
     """
     return (rho * beta1 + (1.0 - rho) * beta2) / kappa
 
@@ -98,59 +99,8 @@ def dfe_of(model: ModelKind, p: Params) -> State:
     """
     s1, s2 = split_share(p.N, p.rho)
     if model is ModelKind.MB:
-        return StateMB(s1, s2, 0.0, 0.0, 0.0, 0.0)
-    return StateMA(s1, s2, 0.0, 0.0, 0.0)
-
-
-def _build_matrices(model: ModelKind, p: Params) -> tuple[Matrix, Matrix]:
-    """New-infection matrix T and transition matrix Sigma.
-
-    MA orders the infected compartments (Is, Ia); MB orders them
-    (A1, A2, Is).
-    """
-    beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
-    gamma, kappa = p.gamma, p.kappa
-    b = b_rho(beta1, beta2, rho)
-    if model is ModelKind.MB:
-        t1 = (1.0 - lam) * beta1 * rho
-        t2 = (1.0 - lam) * beta2 * (1.0 - rho)
-        t3 = lam * b
-        T: Matrix = ((t1, t1, t1), (t2, t2, t2), (t3, t3, t3))
-        a1, a2 = p.alpha1, p.alpha2
-        Sigma: Matrix = (
-            (-(a1 + gamma + kappa), a2, 0.0),
-            (a1, -(a2 + gamma + kappa), 0.0),
-            (gamma, gamma, -kappa),
-        )
-    else:
-        lam_b = lam * b
-        rest_b = (1.0 - lam) * b
-        T = ((lam_b, lam_b), (rest_b, rest_b))
-        Sigma = ((-kappa, gamma), (0.0, -(gamma + kappa)))
-    return T, Sigma
-
-
-def _inverse(m: Matrix) -> Matrix:
-    """Adjugate inverse of a 2x2 or 3x3 matrix."""
-    n = len(m)
-    if n == 2:
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if det == 0:
-            raise SingularMatrixError("transition matrix is singular")
-        return (
-            (m[1][1] / det, -m[0][1] / det),
-            (-m[1][0] / det, m[0][0] / det),
-        )
-    (a, b, c), (d, e, f), (g, h, i) = m
-    ca, cb, cc = e * i - f * h, f * g - d * i, d * h - e * g
-    det = a * ca + b * cb + c * cc
-    if det == 0:
-        raise SingularMatrixError("transition matrix is singular")
-    return (
-        (ca / det, (c * h - b * i) / det, (b * f - c * e) / det),
-        (cb / det, (a * i - c * g) / det, (c * d - a * f) / det),
-        (cc / det, (b * g - a * h) / det, (a * e - b * d) / det),
-    )
+        return tuple.__new__(StateMB, (s1, s2, 0.0, 0.0, 0.0, 0.0))
+    return tuple.__new__(StateMA, (s1, s2, 0.0, 0.0, 0.0))
 
 
 class NgmResult(NamedTuple):
@@ -167,25 +117,69 @@ class NgmResult(NamedTuple):
 def ngm(model: ModelKind, p: Params) -> NgmResult:
     """Build T and Sigma, form K = -T * Sigma^{-1}, and take its spectrum.
 
-    K has rank one, so its spectrum is (0, ..., 0, trace(K)): the
-    non-dominant eigenvalues are reported as exact zeros and the dominant
-    one is the float trace of K.
+    MA and SINGLE order the infected compartments (Is, Ia); MB orders them
+    (A1, A2, Is).  K has rank one (Diekmann, Heesterbeek & Roberts, J. R.
+    Soc. Interface 7:873, 2010), so its spectrum is (0, ..., 0, trace(K)):
+    the non-dominant eigenvalues are reported as exact zeros and the
+    dominant one is the float trace of K.
 
     Raises SingularMatrixError if Sigma's float determinant is zero.  Its
     exact value is nonzero for validated parameters (kappa > 0), but it
     underflows when the rates on its diagonal are tiny: kappa = 1e-200
     with gamma = 0 (and, for MB, alphas as small) does it.
     """
-    T, Sigma = _build_matrices(model, p)
-    # K[i][j] = -sum over m of T[i][m] * inv[m][j], summed in m order.
-    cols = tuple(zip(*_inverse(Sigma)))
-    K: Matrix = tuple([tuple([-sum(map(mul, row, col)) for col in cols]) for row in T])
-    # T's rows are constant vectors, so K = -T Sigma^{-1} is an outer
-    # product of rank one and its only nonzero eigenvalue is its trace
-    # (Diekmann, Heesterbeek & Roberts, J. R. Soc. Interface 7:873, 2010).
-    n = len(T)
-    dominant = sum([row[i] for i, row in enumerate(K)])
-    return NgmResult(T, Sigma, K, (0.0,) * (n - 1) + (dominant,), dominant, n)
+    beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
+    gamma, kappa = p.gamma, p.kappa
+    mixed = b_rho(beta1, beta2, rho)
+    # Row i of T is all t_i; Sigma^{-1} is the adjugate over det, zeros kept.
+    # K's entries and trace add left to right from 0.0, as sum() does on
+    # Python 3.11, so each bit (signed zeros too) is the general product's.
+    if model is ModelKind.MB:
+        t1 = (1.0 - lam) * beta1 * rho
+        t2 = (1.0 - lam) * beta2 * (1.0 - rho)
+        t3 = lam * mixed
+        alpha1, alpha2 = p.alpha1, p.alpha2
+        a, b, c = -(alpha1 + gamma + kappa), alpha2, 0.0
+        d, e, f = alpha1, -(alpha2 + gamma + kappa), 0.0
+        g, h, i = gamma, gamma, -kappa
+        ca, cb, cc = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * ca + b * cb + c * cc
+        if det == 0:
+            raise SingularMatrixError("transition matrix is singular")
+        i00, i01, i02 = ca / det, (c * h - b * i) / det, (b * f - c * e) / det
+        i10, i11, i12 = cb / det, (a * i - c * g) / det, (c * d - a * f) / det
+        i20, i21, i22 = cc / det, (b * g - a * h) / det, (a * e - b * d) / det
+        K = (
+            (-(0.0 + t1 * i00 + t1 * i10 + t1 * i20),
+             -(0.0 + t1 * i01 + t1 * i11 + t1 * i21),
+             -(0.0 + t1 * i02 + t1 * i12 + t1 * i22)),
+            (-(0.0 + t2 * i00 + t2 * i10 + t2 * i20),
+             -(0.0 + t2 * i01 + t2 * i11 + t2 * i21),
+             -(0.0 + t2 * i02 + t2 * i12 + t2 * i22)),
+            (-(0.0 + t3 * i00 + t3 * i10 + t3 * i20),
+             -(0.0 + t3 * i01 + t3 * i11 + t3 * i21),
+             -(0.0 + t3 * i02 + t3 * i12 + t3 * i22)),
+        )
+        dominant = 0.0 + K[0][0] + K[1][1] + K[2][2]
+        return tuple.__new__(NgmResult, (
+            ((t1, t1, t1), (t2, t2, t2), (t3, t3, t3)),
+            ((a, b, c), (d, e, f), (g, h, i)),
+            K, (0.0, 0.0, dominant), dominant, 3,
+        ))
+    t1, t2 = lam * mixed, (1.0 - lam) * mixed
+    a, b, c, d = -kappa, gamma, 0.0, -(gamma + kappa)
+    det = a * d - b * c
+    if det == 0:
+        raise SingularMatrixError("transition matrix is singular")
+    i00, i01, i10, i11 = d / det, -b / det, -c / det, a / det
+    K = (
+        (-(0.0 + t1 * i00 + t1 * i10), -(0.0 + t1 * i01 + t1 * i11)),
+        (-(0.0 + t2 * i00 + t2 * i10), -(0.0 + t2 * i01 + t2 * i11)),
+    )
+    dominant = 0.0 + K[0][0] + K[1][1]
+    return tuple.__new__(NgmResult, (
+        ((t1, t1), (t2, t2)), ((a, b), (c, d)), K, (0.0, dominant), dominant, 2,
+    ))
 
 
 class StabilityVerdict(enum.Enum):
@@ -219,4 +213,4 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
         verdict = StabilityVerdict.STABLE
     else:
         verdict = StabilityVerdict.UNSTABLE
-    return StabilityReport(value, verdict, dfe_of(model, p), mixed)
+    return tuple.__new__(StabilityReport, (value, verdict, dfe_of(model, p), mixed))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .core import ModelKind, Params
 from .errors import NumericError, RangeError
-from .ngm import b_rho, r0
+from .ngm import b_rho
 
 __all__ = [
     "SensitivityIndices",
@@ -67,31 +67,42 @@ class OrderingCase(NamedTuple):
     """Which ordering chain the indices follow.
 
     label is "A".."D" or "BOUNDARY"; chain lists the parameter names in
-    increasing order of their index (empty for BOUNDARY); thresholds maps
-    each breakpoint expression to its value.
+    increasing order of their index (empty for BOUNDARY); thresholds pairs
+    each breakpoint expression with its value, in the order
+    beta2/(beta1+beta2), beta2/beta1, beta2/(beta1-beta2).
     """
 
     label: str
     chain: tuple[str, ...]
-    thresholds: dict[str, float]
+    thresholds: tuple[tuple[str, float], ...]
 
 
-def _closed_forms(model: ModelKind, p: Params) -> tuple[float, ...]:
-    """The indices in the order rho, beta1, beta2 (then alpha1, alpha2 for MB)."""
+# Each label's chain: three indices (MA, SINGLE; never D), then five (MB).
+_CHAINS = {
+    "A": (("rho", "beta1", "beta2"), ("alpha1", "alpha2", "rho", "beta1", "beta2")),
+    "B": (("rho", "beta2", "beta1"), ("alpha1", "alpha2", "rho", "beta2", "beta1")),
+    "C": (("beta2", "rho", "beta1"), ("alpha1", "alpha2", "beta2", "rho", "beta1")),
+    "D": ((), ("alpha1", "beta2", "alpha2", "rho", "beta1")),
+    "BOUNDARY": ((), ()),
+}
+
+
+def _closed_forms(model: ModelKind, p: Params) -> tuple[float | None, ...]:
+    """The indices rho, beta1, beta2, alpha1, alpha2; None alphas but for MB."""
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     mixed = b_rho(beta1, beta2, rho)
     u_rho = rho * (beta1 - beta2) / mixed
     u_beta1 = rho * beta1 / mixed
     u_beta2 = (1.0 - rho) * beta2 / mixed
     if model is not ModelKind.MB:
-        return u_rho, u_beta1, u_beta2
+        return u_rho, u_beta1, u_beta2, None, None
     swing = rho * (1.0 - rho) * (beta1 - beta2) / mixed
     return u_rho, u_beta1, u_beta2, -swing, swing
 
 
 def sensitivity_indices(model: ModelKind, p: Params) -> SensitivityIndices:
     """Closed-form indices for the model's parameters."""
-    return SensitivityIndices(model, *_closed_forms(model, p))
+    return tuple.__new__(SensitivityIndices, (model, *_closed_forms(model, p)))
 
 
 def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
@@ -114,38 +125,27 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
     t_sum = beta2 / (beta1 + beta2)
     t_ratio = beta2 / beta1
     t_diff = beta2 / (beta1 - beta2)
-    thresholds = {
-        "beta2/(beta1+beta2)": t_sum,
-        "beta2/beta1": t_ratio,
-        "beta2/(beta1-beta2)": t_diff,
-    }
-
+    mb = model is ModelKind.MB
     if (
         abs(rho - t_sum) <= BOUNDARY_TOL
         or abs(rho - t_ratio) <= BOUNDARY_TOL
-        or (model is ModelKind.MB and abs(rho - t_diff) <= BOUNDARY_TOL)
+        or (mb and abs(rho - t_diff) <= BOUNDARY_TOL)
     ):
-        return OrderingCase("BOUNDARY", (), thresholds)
-
-    if rho < t_sum:
-        label, tail = "A", ("rho", "beta1", "beta2")
+        label = "BOUNDARY"
+    elif rho < t_sum:
+        label = "A"
     elif rho < t_ratio:
-        label, tail = "B", ("rho", "beta2", "beta1")
-    elif model is not ModelKind.MB or rho < t_diff:
-        label, tail = "C", ("beta2", "rho", "beta1")
+        label = "B"
+    elif not mb or rho < t_diff:
+        label = "C"
     else:
-        label, tail = "D", ("beta2", "rho", "beta1")
-
-    if model is not ModelKind.MB:
-        return OrderingCase(label, tail, thresholds)
-
-    if label == "C":
-        chain = ("alpha1", "alpha2", "beta2", "rho", "beta1")
-    elif label == "D":
-        chain = ("alpha1", "beta2", "alpha2", "rho", "beta1")
-    else:
-        chain = ("alpha1", "alpha2") + tail
-    return OrderingCase(label, chain, thresholds)
+        label = "D"
+    thresholds = (
+        ("beta2/(beta1+beta2)", t_sum),
+        ("beta2/beta1", t_ratio),
+        ("beta2/(beta1-beta2)", t_diff),
+    )
+    return tuple.__new__(OrderingCase, (label, _CHAINS[label][mb], thresholds))
 
 
 def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
@@ -165,12 +165,17 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
 
     beta1, beta2, rho, kappa = p.beta1, p.beta2, p.rho, p.kappa
     up, down = 1.0 + h, 1.0 - h
-    # (param/r0) * (f(+) - f(-)) / (2*h*param) with the param cancelled.
-    scale = 2.0 * h * r0(beta1, beta2, rho, kappa)
+    # (param/r0) * (f(+) - f(-)) / (2*h*param) with the param cancelled; r0
+    # is written out per step, with its operands in r0's order.
+    head, comp = rho * beta1, 1.0 - rho
+    rest = comp * beta2
+    scale = 2.0 * h * ((head + rest) / kappa)
+    r_up, r_down = rho * up, rho * down
     diffs = [
-        r0(beta1, beta2, rho * up, kappa) - r0(beta1, beta2, rho * down, kappa),
-        r0(beta1 * up, beta2, rho, kappa) - r0(beta1 * down, beta2, rho, kappa),
-        r0(beta1, beta2 * up, rho, kappa) - r0(beta1, beta2 * down, rho, kappa),
+        (r_up * beta1 + (1.0 - r_up) * beta2) / kappa
+        - (r_down * beta1 + (1.0 - r_down) * beta2) / kappa,
+        (rho * (beta1 * up) + rest) / kappa - (rho * (beta1 * down) + rest) / kappa,
+        (head + comp * (beta2 * up)) / kappa - (head + comp * (beta2 * down)) / kappa,
     ]
     if model is ModelKind.MB:
         # rho_from_alphas's formula without its order check: a step can
@@ -178,15 +183,16 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
         # (1+h)/(1-h), and the derivative is still defined there.
         a1, a2 = p.alpha1, p.alpha2
         a2_up, a2_down = a2 * up, a2 * down
-        diffs.append(
-            r0(beta1, beta2, a2 / (a1 * up + a2), kappa)
-            - r0(beta1, beta2, a2 / (a1 * down + a2), kappa)
-        )
-        diffs.append(
-            r0(beta1, beta2, a2_up / (a1 + a2_up), kappa)
-            - r0(beta1, beta2, a2_down / (a1 + a2_down), kappa)
-        )
+        for r_up, r_down in (
+            (a2 / (a1 * up + a2), a2 / (a1 * down + a2)),
+            (a2_up / (a1 + a2_up), a2_down / (a1 + a2_down)),
+        ):
+            diffs.append(
+                (r_up * beta1 + (1.0 - r_up) * beta2) / kappa
+                - (r_down * beta1 + (1.0 - r_down) * beta2) / kappa
+            )
     try:
+        # zip stops at the last diff, so an MA's None alphas are never read.
         return max(
             [
                 abs(diff / scale - closed) / abs(closed)

@@ -1,12 +1,16 @@
 """Bit-identity of the analysis path against plain reference versions.
 
-validate_params, ngm, stability, sensitivity_indices, ordering_case and
-finite_diff_check are written for speed.  The references below are the
-straightforward forms of the same arithmetic: a field check with separate
-membership, type and finiteness tests, K built with one generator sum per
-entry, and the finite differences collected in a dict keyed by parameter.
-Every float the fast versions return must carry the same bits, and every
-rejected input must raise the same exception class with the same message.
+validate_params, ngm, stability, sensitivity_indices, ordering_case,
+finite_diff_check and classify_feasible_set are written for speed.  The
+references below are the straightforward forms of the same arithmetic: a
+field check with separate membership, type and finiteness tests, K built
+from a cofactor inverse of Sigma with one generator sum per entry, the
+finite differences collected in a dict keyed by parameter, and the
+feasible-set hull written out case by case.  Every float the fast
+versions return must carry the same bits, and every rejected input must
+raise the same exception class with the same message.  The fast versions
+build their results with tuple.__new__, which fills no defaults and checks
+no length, so every result's type and length is pinned as well.
 """
 
 from __future__ import annotations
@@ -18,10 +22,18 @@ import pytest
 
 from socsir import core
 from socsir.core import ModelKind, Params, StateMA, StateMB, to_float, validate_params
-from socsir.errors import MissingFieldError, RangeError
-from socsir.ngm import _inverse, dfe_of, ngm, stability
+from socsir.errors import MissingFieldError, RangeError, SingularMatrixError
+from socsir.feasibility import (
+    TYPE0_TOL,
+    FeasibleSetReport,
+    SetType,
+    classify_feasible_set,
+)
+from socsir.ngm import NgmResult, StabilityReport, dfe_of, ngm, stability
 from socsir.sensitivity import (
     BOUNDARY_TOL,
+    OrderingCase,
+    SensitivityIndices,
     finite_diff_check,
     ordering_case,
     sensitivity_indices,
@@ -52,6 +64,31 @@ def _r0_ref(beta1, beta2, rho, kappa):
     return (rho * beta1 + (1.0 - rho) * beta2) / kappa
 
 
+def _inverse_ref(m):
+    """Sigma^{-1} as the transposed cofactor matrix over the determinant.
+
+    A 2x2 cofactor is the opposite entry, negated off the diagonal.  A 3x3
+    cofactor is the 2x2 minor p*v - q*u of the other rows and columns, its
+    two products swapped where the checkerboard sign is minus.  The
+    determinant is the cofactor expansion along the first row.
+    """
+    n = len(m)
+
+    def cofactor(r, c):
+        if n == 2:
+            entry = m[1 - r][1 - c]
+            return entry if r == c else -entry
+        (p, q), (u, v) = (
+            [x for j, x in enumerate(row) if j != c] for k, row in enumerate(m) if k != r
+        )
+        return p * v - q * u if (r + c) % 2 == 0 else q * u - p * v
+
+    det = sum(m[0][c] * cofactor(0, c) for c in range(n))
+    if det == 0:
+        raise SingularMatrixError("transition matrix is singular")
+    return tuple(tuple(cofactor(c, r) / det for c in range(n)) for r in range(n))
+
+
 def _ngm_ref(model, p):
     """(T, Sigma, K, dominant) with one generator sum per entry of K."""
     b = _b_rho_ref(p)
@@ -69,7 +106,7 @@ def _ngm_ref(model, p):
     else:
         T = ((p.lam * b, p.lam * b), ((1.0 - p.lam) * b, (1.0 - p.lam) * b))
         Sigma = ((-p.kappa, p.gamma), (0.0, -(p.gamma + p.kappa)))
-    inv = _inverse(Sigma)
+    inv = _inverse_ref(Sigma)
     n = len(T)
     K = tuple(
         tuple(-sum(T[i][m] * inv[m][j] for m in range(n)) for j in range(n))
@@ -162,6 +199,18 @@ def _fd_ref(model, p, h):
     )
 
 
+def _feasible_ref(rho, kappa):
+    """(type, vertices) of the rho-feasible set, from the sign of kappa - rho."""
+    if abs(rho - kappa) <= TYPE0_TOL:
+        return SetType.TYPE_0, ((0.0, 0.0), (kappa, kappa), (1.0, 0.0))
+    if rho > kappa:
+        return SetType.TYPE_MINUS_1, ((0.0, 0.0), (kappa, kappa), (kappa / rho, 0.0))
+    if kappa == 1.0:
+        return SetType.TYPE_1, ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0))
+    exit_height = (kappa - rho) / (1.0 - rho)
+    return SetType.TYPE_1, ((0.0, 0.0), (kappa, kappa), (1.0, exit_height), (1.0, 0.0))
+
+
 def _hex(value):
     """Nested floats as float.hex; other leaves unchanged."""
     if isinstance(value, float):
@@ -182,10 +231,13 @@ def _params_hex(p: Params):
 
 def _draws(model):
     """Seeded sampler draws; every fourth has gamma = 0, lambda = 1 or both,
-    which put exact (signed) zeros into T, Sigma and K."""
+    which put exact (signed) zeros into T, Sigma and K.  SINGLE draws carry
+    no rho, so it defaults to 1."""
     rng = random.Random(20221019)
     for i in range(DRAWS):
         raw = draw_raw_params(rng, model)
+        if model is ModelKind.SINGLE:
+            del raw["rho"]
         if i % 4 in (1, 3):
             raw["gamma"] = 0.0
         if i % 4 in (2, 3):
@@ -193,24 +245,34 @@ def _draws(model):
         yield raw
 
 
-@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])
+def _is_value(value, cls, length):
+    """True when value is exactly a cls of the given length."""
+    return type(value) is cls and len(value) == length
+
+
+@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB, ModelKind.SINGLE])
 def test_analysis_path_matches_references_bit_for_bit(model, monkeypatch):
+    mb = model is ModelKind.MB
     raws = list(_draws(model))
     with monkeypatch.context() as patched:
         patched.setattr(core, "_require", _require_ref)
         expected_params = [validate_params(raw, model) for raw in raws]
     for raw, p_ref in zip(raws, expected_params):
         p = validate_params(raw, model)
+        assert _is_value(p, Params, 10) and _is_value(p_ref, Params, 10)
         assert _params_hex(p) == _params_hex(p_ref)
+        assert (p.alpha1 is None) is (p.alpha2 is None) is (not mb)
 
         g = ngm(model, p)
         T, Sigma, K, dominant = _ngm_ref(model, p)
         n = len(T)
+        assert _is_value(g, NgmResult, 6)
         assert _hex((g.T, g.Sigma, g.K, g.dominant)) == _hex((T, Sigma, K, dominant))
         assert _hex(g.eigenvalues) == _hex((0.0,) * (n - 1) + (dominant,))
         assert g.dimension == n
 
         st = stability(model, p)
+        assert _is_value(st, StabilityReport, 4)
         r0 = _r0_ref(p.beta1, p.beta2, p.rho, p.kappa)
         assert _hex((st.r0, st.b_rho)) == _hex((r0, _b_rho_ref(p)))
         s1, s2 = core.split_share(p.N, p.rho)
@@ -220,20 +282,69 @@ def test_analysis_path_matches_references_bit_for_bit(model, monkeypatch):
             else StateMA(s1, s2, 0.0, 0.0, 0.0)
         )
         assert type(st.dfe) is type(dfe) is type(dfe_of(model, p))
+        assert len(st.dfe) == len(dfe) == (6 if mb else 5)
         assert _hex(tuple(st.dfe)) == _hex(tuple(dfe))
 
-        assert {k: v.hex() for k, v in sensitivity_indices(model, p).as_dict().items()} == {
+        si = sensitivity_indices(model, p)
+        assert _is_value(si, SensitivityIndices, 6) and si.model is model
+        if not mb:
+            assert si.upsilon_alpha1 is None and si.upsilon_alpha2 is None
+        assert len(si.as_dict()) == (5 if mb else 3)
+        assert {k: v.hex() for k, v in si.as_dict().items()} == {
             k: v.hex() for k, v in _indices_ref(model, p).items()
         }
 
         case = ordering_case(model, p)
         label, chain, thresholds = _ordering_ref(model, p)
+        assert _is_value(case, OrderingCase, 3)
         assert (case.label, case.chain) == (label, chain)
-        assert _hex(tuple(case.thresholds.values())) == _hex(thresholds)
+        names = ("beta2/(beta1+beta2)", "beta2/beta1", "beta2/(beta1-beta2)")
+        assert tuple(name for name, _ in case.thresholds) == names
+        assert _hex(tuple(value for _, value in case.thresholds)) == _hex(thresholds)
 
+        if model is ModelKind.SINGLE:
+            # rho = 1 makes U_beta2 zero, so there is no relative error to
+            # take and no rho-feasible set to classify.
+            continue
         assert finite_diff_check(model, p, FD_STEP).hex() == _fd_ref(
             model, p, FD_STEP
         ).hex()
+        fs = classify_feasible_set(p.rho, p.kappa, model)
+        assert _is_value(fs, FeasibleSetReport, 4)
+        assert _hex(tuple(fs)) == _hex(_feasible_ref(p.rho, p.kappa) + (p.kappa, p.rho))
+
+
+def test_feasible_set_matches_the_reference_bit_for_bit():
+    rng = random.Random(20221019)
+    cases = [(rng.uniform(1e-6, 0.999), rng.uniform(1e-6, 1.0)) for _ in range(DRAWS)]
+    for kappa in (1e-300, 0.25, 0.5, 1.0 - 2**-53, 1.0):
+        for rho in (kappa, kappa * (1 - 1e-13), kappa * (1 - 1e-11),
+                    kappa * 0.5, math.nextafter(kappa, 0.0)):
+            cases.append((rho, kappa))
+        cases.append((0.999, kappa))
+    for rho, kappa in cases:
+        for model, hi in ((ModelKind.MA, 1.0), (ModelKind.MB, 0.5)):
+            if not rho < hi:
+                continue
+            fs = classify_feasible_set(rho, kappa, model)
+            assert _is_value(fs, FeasibleSetReport, 4)
+            assert type(fs.vertices) is tuple
+            assert _hex(tuple(fs)) == _hex(_feasible_ref(rho, kappa) + (kappa, rho))
+
+
+@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])
+def test_singular_sigma_raises_as_the_reference(model):
+    raw = {"beta1": 0.5, "beta2": 0.1, "lambda": 0.5, "gamma": 0.0,
+           "kappa": 1e-200, "rho": 0.5, "N": 100.0, "alpha1": 1e-200,
+           "alpha2": 5e-201}
+    if model is ModelKind.MA:
+        del raw["alpha1"], raw["alpha2"]
+    p = validate_params(raw, model)
+    with pytest.raises(SingularMatrixError) as ref:
+        _ngm_ref(model, p)
+    with pytest.raises(SingularMatrixError) as got:
+        ngm(model, p)
+    assert str(got.value) == str(ref.value) == "transition matrix is singular"
 
 
 def _outcome(raw, model):

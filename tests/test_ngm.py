@@ -177,9 +177,10 @@ def test_ngm_mb_lambda_one_boundary():
 def test_ngm_raises_when_the_determinant_underflows():
     # Sigma is invertible in exact arithmetic, but with rates near 1e-200
     # its float determinant (a product of two or three of them) is zero
-    with pytest.raises(SingularMatrixError):
+    message = r"^transition matrix is singular$"
+    with pytest.raises(SingularMatrixError, match=message):
         ngm(ModelKind.MA, _ma(kappa=1e-200, gamma=0.0))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=message):
         ngm(ModelKind.MB, _mb(kappa=1e-200, gamma=0.0, alpha1=1e-200, alpha2=5e-201))
 
 

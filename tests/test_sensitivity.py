@@ -133,7 +133,10 @@ def test_ma_case_c_frozen_example():
     oc = ordering_case(ModelKind.MA, _ma())  # rho=0.75 above beta2/beta1
     assert oc.label == "C"
     assert oc.chain == ("beta2", "rho", "beta1")
-    assert oc.thresholds["beta2/beta1"] == pytest.approx(0.0009 / 0.0042, rel=1e-15)
+    assert [name for name, _ in oc.thresholds] == [
+        "beta2/(beta1+beta2)", "beta2/beta1", "beta2/(beta1-beta2)"
+    ]
+    assert oc.thresholds[1][1] == pytest.approx(0.0009 / 0.0042, rel=1e-15)
 
 
 def test_ma_never_reports_case_d():
