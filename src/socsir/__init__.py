@@ -7,166 +7,61 @@ simulates both, computes the basic reproduction number through the
 next-generation matrix, classifies the feasible parameter region where
 the epidemic dies out, ranks parameter sensitivities of R0, and runs the
 composite scenario where a single population splits in two mid-epidemic.
+
+``import socsir`` loads only ``core``, ``errors`` and ``ngm``.  Every
+other public name is imported from its module on first use (PEP 562) and
+then stored here, so later lookups cost what a plain attribute does.
 """
 
-from .config import dump_config, dumps_config, load_config, loads_config
-from .core import (
-    ModelKind,
-    Params,
-    StateMA,
-    StateMB,
-    exact_complement,
-    total_population,
-    validate_params,
-    with_rho_one,
-)
-from .dynamics import rhs_ma, rhs_mb
-from .errors import (
-    ConfigError,
-    EmptyTrajectoryError,
-    MissingFieldError,
-    NegativeStateError,
-    NonFiniteError,
-    NumericError,
-    OrderError,
-    RangeError,
-    SingularMatrixError,
-    ValidationError,
-)
-from .feasibility import (
-    BifurcationScan,
-    FeasibleSetReport,
-    SetType,
-    bifurcation_scan,
-    classify_feasible_set,
-    rho_feasible,
-    threshold_B1,
-    threshold_B2,
-    threshold_P,
-)
-from .integrator import (
-    Observable,
-    SwitchRecord,
-    Trajectory,
-    observables_for,
-    peak_of,
-    simulate,
-    step_rk4,
-)
-from .ngm import (
-    NgmResult,
-    StabilityReport,
-    StabilityVerdict,
-    b_rho,
-    dfe_of,
-    ngm,
-    r0,
-    rho_from_alphas,
-    stability,
-)
-from .output import render_svg, write_csv
-from .scenarios import (
-    INIT_RULE_DFE_PLUS_ONE,
-    MitigationPreset,
-    MixedSpec,
-    ParticipationScanResult,
-    RunResult,
-    RunSummary,
-    ScenarioConfig,
-    covid_mitigation_presets,
-    participation_scan,
-    preset_params,
-    resolve_init,
-    run_mixed,
-    run_scenario,
-)
-from .sensitivity import (
-    OrderingCase,
-    SensitivityIndices,
-    finite_diff_check,
-    ordering_case,
-    sensitivity_indices,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "ModelKind",
-    "Params",
-    "StateMA",
-    "StateMB",
-    "validate_params",
-    "total_population",
-    "exact_complement",
-    "with_rho_one",
-    # dynamics / integration
-    "rhs_ma",
-    "rhs_mb",
-    "simulate",
-    "step_rk4",
-    "Trajectory",
-    "SwitchRecord",
-    "Observable",
-    "observables_for",
-    "peak_of",
-    # reproduction number and stability
-    "r0",
-    "b_rho",
-    "rho_from_alphas",
-    "dfe_of",
-    "ngm",
-    "NgmResult",
-    "stability",
-    "StabilityReport",
-    "StabilityVerdict",
-    # feasibility
-    "SetType",
-    "FeasibleSetReport",
-    "BifurcationScan",
-    "rho_feasible",
-    "classify_feasible_set",
-    "bifurcation_scan",
-    "threshold_P",
-    "threshold_B1",
-    "threshold_B2",
-    # sensitivity
-    "SensitivityIndices",
-    "OrderingCase",
-    "sensitivity_indices",
-    "ordering_case",
-    "finite_diff_check",
-    # scenarios
-    "ScenarioConfig",
-    "MixedSpec",
-    "RunResult",
-    "RunSummary",
-    "INIT_RULE_DFE_PLUS_ONE",
-    "resolve_init",
-    "run_scenario",
-    "run_mixed",
-    "MitigationPreset",
-    "covid_mitigation_presets",
-    "preset_params",
-    "participation_scan",
-    "ParticipationScanResult",
-    # documents and writers
-    "load_config",
-    "loads_config",
-    "dump_config",
-    "dumps_config",
-    "write_csv",
-    "render_svg",
-    # errors
-    "ValidationError",
-    "OrderError",
-    "RangeError",
-    "MissingFieldError",
-    "EmptyTrajectoryError",
-    "NumericError",
-    "NonFiniteError",
-    "NegativeStateError",
-    "SingularMatrixError",
-    "ConfigError",
-]
+# The public names, grouped by the module that defines them, in the order
+# of __all__.
+_PUBLIC = {
+    "core": ("ModelKind", "Params", "StateMA", "StateMB", "validate_params",
+             "total_population", "exact_complement", "with_rho_one"),
+    "dynamics": ("rhs_ma", "rhs_mb"),
+    "integrator": ("simulate", "step_rk4", "Trajectory", "SwitchRecord",
+                   "Observable", "observables_for", "peak_of"),
+    "ngm": ("r0", "b_rho", "rho_from_alphas", "dfe_of", "ngm", "NgmResult",
+            "stability", "StabilityReport", "StabilityVerdict"),
+    "feasibility": ("SetType", "FeasibleSetReport", "BifurcationScan",
+                    "rho_feasible", "classify_feasible_set", "bifurcation_scan",
+                    "threshold_P", "threshold_B1", "threshold_B2"),
+    "sensitivity": ("SensitivityIndices", "OrderingCase", "sensitivity_indices",
+                    "ordering_case", "finite_diff_check"),
+    "scenarios": ("ScenarioConfig", "MixedSpec", "RunResult", "RunSummary",
+                  "INIT_RULE_DFE_PLUS_ONE", "resolve_init", "run_scenario",
+                  "run_mixed", "MitigationPreset", "covid_mitigation_presets",
+                  "preset_params", "participation_scan",
+                  "ParticipationScanResult"),
+    "config": ("load_config", "loads_config", "dump_config", "dumps_config"),
+    "output": ("write_csv", "render_svg"),
+    "errors": ("ValidationError", "OrderError", "RangeError", "MissingFieldError",
+               "EmptyTrajectoryError", "NumericError", "NonFiniteError",
+               "NegativeStateError", "SingularMatrixError", "ConfigError"),
+}
+
+__all__ = ["__version__", *(name for names in _PUBLIC.values() for name in names)]
+
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+# Importing socsir.ngm sets the attribute ngm to the module; bind the function after.
+from .ngm import ngm  # noqa: E402
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        if name in _PUBLIC:
+            # A submodule; importing it binds it in this package.
+            return import_module(f".{name}", __name__)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

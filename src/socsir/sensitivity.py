@@ -155,7 +155,8 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     difference of relative step h; the alpha indices differentiate through
     rho = alpha2 / (alpha1 + alpha2), perturbing the switch rates
     themselves.  Returns the worst relative error over all indices of the
-    model.
+    model; an index that is exactly 0 (U_beta2 when rho = 1, as for model
+    SINGLE) contributes its absolute error instead.
 
     Raises NumericError when the rates are so small that 2*h*r0 or a
     closed-form index underflows to zero.
@@ -200,7 +201,16 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
             ]
         )
     except ZeroDivisionError:
-        raise NumericError(
-            f"the rates are too small for a central difference at step "
-            f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
-        ) from None
+        if not scale or comp:
+            raise NumericError(
+                f"the rates are too small for a central difference at step "
+                f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
+            ) from None
+    # rho = 1 (model SINGLE) makes U_beta2 = (1-rho)*beta2/B exactly 0, and no
+    # other index can be 0 then; that one is compared by absolute error.
+    return max(
+        [
+            abs(diff / scale - closed) / (abs(closed) or 1.0)
+            for diff, closed in zip(diffs, _closed_forms(model, p))
+        ]
+    )

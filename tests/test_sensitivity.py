@@ -211,6 +211,21 @@ def test_finite_diff_step_bounds():
         finite_diff_check(ModelKind.MA, _ma(), 0.02)
 
 
+def test_finite_diff_single_compares_the_zero_index_absolutely():
+    # rho = 1 makes U_beta2 exactly 0, which has no relative error
+    rng = random.Random(11)
+    for _ in range(200):
+        raw = draw_raw_params(rng, ModelKind.MA)
+        del raw["rho"]
+        p = validate_params(raw, ModelKind.SINGLE)
+        assert sensitivity_indices(ModelKind.SINGLE, p).upsilon_beta2 == 0.0
+        assert 0.0 <= finite_diff_check(ModelKind.SINGLE, p) <= 1e-6
+    tiny = validate_params(dict(BASE, beta1=1e-323, beta2=5e-324, kappa=1.0),
+                           ModelKind.SINGLE)
+    with pytest.raises(NumericError, match="too small for a central difference"):
+        finite_diff_check(ModelKind.SINGLE, tiny)
+
+
 @pytest.mark.parametrize(
     "beta1, beta2, rho",
     [(1e-323, 5e-324, 0.5), (1.0, 5e-324, 0.9)],
