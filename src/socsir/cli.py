@@ -17,7 +17,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .config import load_config
-from .core import ModelKind, Params, validate_params
+from .core import ModelKind, Params, _layout, validate_params
 from .errors import ConfigError, NumericError, ValidationError
 from .feasibility import bifurcation_scan, classify_feasible_set
 from .ngm import stability
@@ -177,9 +177,7 @@ def _cmd_bifurcation(args: argparse.Namespace) -> list[str]:
     model = ModelKind(args.model)
     if args.steps < 2:
         raise ValidationError(f"--steps must be at least 2, got {args.steps}")
-    # MA admits rho in (0, 1); MB class splits live in (0, 1/2) because
-    # alpha1 > alpha2.
-    upper = 1.0 if model is ModelKind.MA else 0.5
+    upper = _layout(model).rho_max
     grid = _grid(args.steps, upper)
     scan = bifurcation_scan(model, args.kappa, grid)
     lines = [

@@ -15,18 +15,9 @@ import json
 import math
 from typing import Any, Mapping
 
-from .core import (
-    ModelKind,
-    Params,
-    StateMA,
-    StateMB,
-    to_float,
-    total_population,
-    validate_params,
-    with_rho_one,
-)
+from .core import ModelKind, Params, _layout, to_float, validate_params, with_rho_one
 from .errors import ConfigError, MissingFieldError, RangeError
-from .integrator import check_times, observables_for
+from .integrator import check_times
 from .scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
     MixedSpec,
@@ -125,11 +116,10 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
             + ", ".join(f"params.{key}" for key in missing)
         )
     # The mixed scenario's parameters drive the two-class model after the
-    # switch, so they validate under that model (rho derived from alphas).
-    validation_model = ModelKind.MB if model_name == "mixed" else model
-    params = validate_params(
-        raw_params, validation_model, allow_beta_gt_one=allow_beta_gt_one
-    )
+    # switch, so they validate under that model (rho derived from alphas),
+    # and its trajectory has that model's observables.
+    run_model = ModelKind.MB if model_name == "mixed" else model
+    params = validate_params(raw_params, run_model, allow_beta_gt_one=allow_beta_gt_one)
 
     time_block = doc.get("time")
     if not isinstance(time_block, dict):
@@ -169,7 +159,7 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list) or any(not isinstance(o, str) for o in outputs):
         raise ConfigError('"outputs" must be a list of observable names')
-    known = observables_for(ModelKind.MB if model_name == "mixed" else model)
+    known = _layout(run_model).observables
     bad = sorted(set(outputs) - set(known))
     if bad:
         raise ConfigError(
@@ -206,16 +196,16 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
     if not isinstance(raw, dict):
         raise ConfigError('"init" must be a rule name or an object of compartments')
 
-    fields = StateMB._fields if model is ModelKind.MB else StateMA._fields
-    _reject_unknown(raw, set(fields), '"init"')
+    state_type, total_of = _layout(model)[:2]
+    _reject_unknown(raw, set(state_type._fields), '"init"')
     values = {}
-    for name in fields:
+    for name in state_type._fields:
         values[name] = _require_number(raw, name, "init")
         if values[name] < 0:
             raise RangeError(f"init.{name} must be nonnegative")
-    state = StateMB(**values) if model is ModelKind.MB else StateMA(**values)
+    state = state_type(**values)
 
-    total = total_population(state)
+    total = total_of(state)
     if total != params.N:
         raise RangeError(
             f"init compartments must sum to N exactly: got {total!r}, N = {params.N!r}"

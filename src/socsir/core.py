@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import MissingFieldError, NumericError, OrderError, RangeError
 
@@ -279,16 +279,37 @@ def validate_params(
     ))
 
 
-# The population's grouping on positional components, for named states and
-# raw tuples alike: five components (MA and SINGLE, Ia at index 3) sum as
-# ((S1+S2)+Ia)+Is+R, six (MB) as ((S1+S2)+(A1+A2))+Is+R.  Combining each
-# pair of classes first keeps the total of a split_share split bit-identical.
+# The population total on positional components, for named states and raw
+# tuples alike.  Combining each pair of classes first keeps the total of a
+# split_share split bit-identical.
 def total5(s: Sequence[float]) -> float:
     return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
 
 
 def total6(s: Sequence[float]) -> float:
     return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
+
+
+class _Layout(NamedTuple):
+    state: type  # its _fields name the components; their count is the size
+    total: Callable[[Sequence[float]], float]
+    observables: tuple[str, ...]  # CSV order after t; N is the total
+    rho_max: float  # rho's open upper bound
+
+
+# MA's observables list Ia before Is, unlike StateMA.  MB's rho =
+# alpha2/(alpha1+alpha2) stays below 1/2 because alpha1 > alpha2.
+_MA = _Layout(StateMA, total5, ("S1", "S2", "Ia", "Is", "R", "I", "N"), 1.0)
+_MB = _Layout(StateMB, total6, ("S1", "S2", "A1", "A2", "Is", "R", "I", "N"), 0.5)
+_LAYOUT = {ModelKind.MA: _MA, ModelKind.SINGLE: _MA, ModelKind.MB: _MB}
+
+
+def _layout(model: ModelKind) -> _Layout:
+    """The model's layout; RangeError for anything not a ModelKind."""
+    try:
+        return _LAYOUT[model]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise RangeError(f"model must be a ModelKind, got {model!r}") from None
 
 
 def total_population(state: State | Sequence[float]) -> float:

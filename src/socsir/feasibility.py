@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .core import ModelKind
+from .core import ModelKind, _layout
 from .errors import RangeError
 
 __all__ = [
@@ -132,26 +132,20 @@ def threshold_B1(beta2: float, rho: float, kappa: float) -> float:
     return min(1.0, (kappa - (1.0 - rho) * beta2) / rho)
 
 
-def _rho_range(model: ModelKind) -> tuple[float, str]:
-    if model is ModelKind.MB:
-        return 0.5, "(0, 1/2)"
-    return 1.0, "(0, 1)"
-
-
 def classify_feasible_set(
     rho: float, kappa: float, model: ModelKind = ModelKind.MA
 ) -> FeasibleSetReport:
     """Type and hull vertices of the rho-feasible set.
 
     The classification is the sign of kappa - rho for every kappa in
-    (0, 1]; model only widens or narrows the admitted rho range (MA allows
-    (0,1), MB (0,1/2) since its rho comes from ordered switch rates).
+    (0, 1]; model only sets the admitted rho range, (0, 1) for MA and
+    (0, 0.5) for MB, whose rho comes from ordered switch rates.
     Coincident vertices (kappa = 1) are merged, leaving the degenerate
     three-vertex TYPE_1 half-square.
     """
-    hi, desc = _rho_range(model)
+    hi = _layout(model).rho_max
     if not 0 < rho < hi:
-        raise RangeError(f"rho must lie in {desc} for {model.value}, got {rho}")
+        raise RangeError(f"rho must lie in (0, {hi:g}) for {model.value}, got {rho}")
     if not 0 < kappa <= 1:
         raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
 

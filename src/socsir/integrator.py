@@ -15,8 +15,7 @@ from math import inf
 from operator import attrgetter, indexOf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, StateMA, StateMB
-from .core import total5, total6, total_population
+from .core import ModelKind, Params, State, _layout
 from .dynamics import vector_field
 from .errors import (
     EmptyTrajectoryError,
@@ -68,13 +67,10 @@ class Observable(NamedTuple):
 
 
 def observables_for(model: ModelKind) -> dict[str, Observable]:
-    """The standard observables of a model, keyed by name."""
-    if model is ModelKind.MB:
-        names: tuple[str, ...] = ("S1", "S2", "A1", "A2", "Is", "R")
-    else:
-        names = ("S1", "S2", "Ia", "Is", "R")
-    obs = {name: Observable(name, attrgetter(name)) for name in (*names, "I")}
-    obs["N"] = Observable("N", total_population)
+    """The standard observables of a model, keyed by name, in CSV order."""
+    layout = _layout(model)
+    obs = {name: Observable(name, attrgetter(name)) for name in layout.observables[:-1]}
+    obs["N"] = Observable("N", layout.total)
     return obs
 
 
@@ -198,14 +194,14 @@ def _step(f: VectorField, s: Sequence[float], t: float, dt: float) -> list[float
     return _checked_step(new, s, t)
 
 
-# _step5 (MA and SINGLE) and _step6 (MB) unroll _step for the two state
-# sizes integrate runs, on the positional fields f(*components), and return
-# a tuple.  Each expression keeps _step's operands and their order, so the
-# results are bit-identical; what they save is the per-stage list
-# comprehensions and argument unpacking, about half the cost of a step.
-# A result whose every component lies in [0, inf) passes _checked_step
-# untouched (NaN fails every comparison), so they test that first and call
-# _checked_step only otherwise.  t only labels errors.
+# _step5 and _step6 unroll _step for the two state sizes integrate runs, on
+# the positional fields f(*components), and return a tuple.  Each
+# expression keeps _step's operands and their order, so the results are
+# bit-identical; what they save is the per-stage list comprehensions and
+# argument unpacking, about half the cost of a step.  A result whose every
+# component lies in [0, inf) passes _checked_step untouched (NaN fails
+# every comparison), so they test that first and call _checked_step only
+# otherwise.  t only labels errors.
 
 
 def _step5(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
@@ -273,6 +269,10 @@ def _step6(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
     return _checked_step(new, s, t)
 
 
+# integrate's kernel for each state size.
+_KERNELS = {5: _step5, 6: _step6}
+
+
 def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     """Advance the state s at time t by one RK4 step of size dt.
 
@@ -331,19 +331,18 @@ def integrate(
     to keep the initial total population within 1e-9 * N before it is
     yielded.  Step failures propagate with the failing time attached.
 
-    Raises RangeError (see check_times, a record_every that is not an
-    int >= 1, and an init whose length is not the model's: 6 components for
-    MB, 5 for MA and SINGLE) before the first step.
+    Raises RangeError (see check_times, a model that is not a ModelKind,
+    a record_every that is not an int >= 1, and an init whose length is not
+    the model's state size) before the first step.
     """
     check_times(t0, t1, dt)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
-    if model is ModelKind.MB:
-        size, step, total = 6, _step6, total6
-    else:
-        size, step, total = 5, _step5, total5
+    state, total = _layout(model)[:2]
+    size = len(state._fields)
+    step = _KERNELS[size]
     if len(init) != size:
         raise RangeError(
             f"{model.name} takes {size} state components, got {len(init)}"
@@ -389,10 +388,10 @@ def simulate(
     """Integrate the model from t0 to t1 and record the trajectory.
 
     Records and raises exactly as integrate does, and stores each record
-    as the model's state type: StateMB for MB, StateMA for MA and SINGLE.
-    So init may be a plain tuple of the components.
+    as the model's state type, so init may be a plain tuple of the
+    components.
     """
-    make = StateMB._make if model is ModelKind.MB else StateMA._make
+    make = _layout(model).state._make
     times: list[float] = []
     states: list[State] = []
     for t, s in integrate(model, p, init, t0, t1, dt, record_every):

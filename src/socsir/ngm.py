@@ -14,7 +14,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, State, StateMA, StateMB, split_share
+from .core import ModelKind, Params, State, _layout, split_share
 from .errors import NumericError, OrderError, RangeError, SingularMatrixError
 
 __all__ = [
@@ -97,10 +97,9 @@ def dfe_of(model: ModelKind, p: Params) -> State:
     rates).  split_share makes the state sum to N exactly, so either share
     may differ from literal rho*N or (1-rho)*N by an ulp.
     """
+    state = _layout(model).state
     s1, s2 = split_share(p.N, p.rho)
-    if model is ModelKind.MB:
-        return tuple.__new__(StateMB, (s1, s2, 0.0, 0.0, 0.0, 0.0))
-    return tuple.__new__(StateMA, (s1, s2, 0.0, 0.0, 0.0))
+    return tuple.__new__(state, (s1, s2) + (0.0,) * (len(state._fields) - 2))
 
 
 class NgmResult(NamedTuple):

@@ -18,7 +18,7 @@ import math
 from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .core import ModelKind, total_population
+from .core import ModelKind, _layout
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory, observables_for
 
@@ -33,9 +33,8 @@ __all__ = [
     "DEFAULT_SVG_HEIGHT",
 ]
 
-# t, then the model's observables in observables_for's order.
-CSV_HEADER_MA = ",".join(("t", *observables_for(ModelKind.MA)))
-CSV_HEADER_MB = ",".join(("t", *observables_for(ModelKind.MB)))
+CSV_HEADER_MA = ",".join(("t", *_layout(ModelKind.MA).observables))
+CSV_HEADER_MB = ",".join(("t", *_layout(ModelKind.MB).observables))
 
 DEFAULT_SVG_WIDTH = 720.0
 DEFAULT_SVG_HEIGHT = 480.0
@@ -68,31 +67,26 @@ def csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The CSV text of a trajectory in pieces: the header line, then the
     rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
     are write_csv's text."""
-    header = CSV_HEADER_MB if traj.model is ModelKind.MB else CSV_HEADER_MA
-    names = header.split(",")
-    # Every column between t and N is a state field or the I property.
-    columns = attrgetter(*names[1:-1])
+    layout = _layout(traj.model)
+    names = ("t", *layout.observables)
+    columns, total = attrgetter(*names[1:-1]), layout.total
     # "%.9g" % x is the same text as f"{x:.9g}".
     row = ",".join(["%.9g"] * len(names)) + "\n"
-    yield header + "\n"
+    yield ",".join(names) + "\n"
     times, states = traj.times, traj.states
     for lo in range(0, len(times), _PIECE_RECORDS):
         hi = lo + _PIECE_RECORDS
         yield "".join(
             [
-                row % (t, *columns(s), total_population(s))
+                row % (t, *columns(s), total(s))
                 for t, s in zip(times[lo:hi], states[lo:hi])
             ]
         )
 
 
 def write_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV text (LF line endings, 9 sig. digits).
-
-    Two-class fixed-membership runs carry the Ia/Is split; switching-model
-    runs (including mixed runs, whose pre-switch records embed Ia as A1)
-    carry the A1/A2/Is split.
-    """
+    """Render a trajectory as CSV text (LF line endings, 9 sig. digits):
+    t, then the model's observables."""
     return "".join(csv_pieces(traj))
 
 

@@ -22,6 +22,7 @@ from .core import (
     State,
     StateMA,
     StateMB,
+    _layout,
     split_share,
     validate_params,
 )
@@ -110,10 +111,11 @@ def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     pool = p.N - 1.0
     if pool < 0:
         raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
-    s1, s2 = split_share(pool, p.rho)
-    if model is ModelKind.MB:
-        return StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
-    return StateMA(S1=s1, S2=s2, Is=1.0, Ia=0.0, R=0.0)
+    state = _layout(model).state
+    values = dict.fromkeys(state._fields, 0.0)
+    values["S1"], values["S2"] = split_share(pool, p.rho)
+    values["Is"] = 1.0
+    return state(**values)
 
 
 def _split_state(pre: StateMB, rho_split: float) -> StateMB:
