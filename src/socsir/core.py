@@ -11,6 +11,14 @@ infectives into symptomatic (Is) and asymptomatic carriers.
 * Model "SINGLE": MA restricted to rho = 1 (everyone in class 1, S2 = 0);
   used as the opening phase of the mixed scenario.
 
+_LAYOUT is the one place a model's layout is decided: its state type,
+population total, observables in CSV order and rho's upper bound.  Every
+function that takes a model looks it up there through _layout, which
+raises RangeError for anything that is not a ModelKind (validate_params
+raises it from its own branches).  Only the physics (parameter rules,
+vector fields, next-generation matrices, sensitivity forms) tests the
+model itself.
+
 All types are immutable values; share them freely across threads.
 """
 
@@ -268,8 +276,8 @@ def validate_params(
                 f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
                 f"alpha1={alpha1}, alpha2={alpha2}"
             )
-    else:  # pragma: no cover - enum is exhaustive
-        raise RangeError(f"unknown model kind {model!r}")
+    else:
+        raise RangeError(f"model must be a ModelKind, got {model!r}")
 
     # A NamedTuple's generated __new__ is Python code; tuple.__new__ fills
     # the fields in C.  It takes every field in order and fills no defaults,

@@ -50,7 +50,24 @@ class NonFiniteError(NumericError):
 
 
 class NegativeStateError(NumericError):
-    """A compartment dropped below the negativity tolerance (step too large)."""
+    """A compartment dropped below the negativity tolerance (step too large).
+
+    ``compartment`` is the component that fell lowest: its name when the
+    run knows it (integrate, and so simulate, run_mixed and the CLI), else
+    its position.  ``step`` numbers the failed step from 1 at the start of
+    the integrate call, when known.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        time: float | None = None,
+        compartment: str | int | None = None,
+        step: int | None = None,
+    ):
+        super().__init__(message, time)
+        self.compartment = compartment
+        self.step = step
 
 
 class SingularMatrixError(NumericError):

@@ -174,6 +174,7 @@ def bifurcation_scan(
     the range (e.g. MB with kappa >= 1/2) every label is TYPE_1 and the
     breakpoint list is empty.
     """
+    _layout(model)
     if len(grid) == 0:
         raise RangeError("grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

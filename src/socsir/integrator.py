@@ -161,10 +161,12 @@ def _checked_step(
     if low < 0:
         floor = -NEGATIVE_TOL * sum(map(abs, s))
         if low < floor:
+            i = indexOf(new, low)
             raise NegativeStateError(
-                f"component {low} fell below {floor} in step from t={t}; "
-                f"reduce dt",
+                f"component {i} fell to {low}, below {floor}, in step from "
+                f"t={t}; reduce dt",
                 time=t,
+                compartment=i,
             )
     return new
 
@@ -329,7 +331,8 @@ def integrate(
     later ones are plain tuples of the components in init's field order,
     which simulate turns into named states.  Each recorded state is checked
     to keep the initial total population within 1e-9 * N before it is
-    yielded.  Step failures propagate with the failing time attached.
+    yielded.  Step failures propagate with the failing time attached, and
+    a NegativeStateError also names the compartment and numbers the step.
 
     Raises RangeError (see check_times, a model that is not a ModelKind,
     a record_every that is not an int >= 1, and an init whose length is not
@@ -356,24 +359,31 @@ def integrate(
     yield t, init
     s: Sequence[float] = init
     k = 0
-    while t < t1:
-        # Recompute the grid time from the step index so long runs do not
-        # accumulate additive rounding.
-        t_next = t0 + (k + 1) * dt
-        h = dt
-        if t_next >= t1:
-            t_next = float(t1)
-            h = t1 - t
-        s = step(f, s, t, h)
-        k += 1
-        t = t_next
-        if k % record_every == 0 or t >= t1:
-            drift = abs(total(s) - n_expected)
-            if drift > tol:
-                raise NumericError(
-                    f"population drifted by {drift} at t={t}", time=t
-                )
-            yield t, s
+    try:
+        while t < t1:
+            # Recompute the grid time from the step index so long runs do
+            # not accumulate additive rounding.
+            t_next = t0 + (k + 1) * dt
+            h = dt
+            if t_next >= t1:
+                t_next = float(t1)
+                h = t1 - t
+            s = step(f, s, t, h)
+            k += 1
+            t = t_next
+            if k % record_every == 0 or t >= t1:
+                drift = abs(total(s) - n_expected)
+                if drift > tol:
+                    raise NumericError(
+                        f"population drifted by {drift} at t={t}", time=t
+                    )
+                yield t, s
+    except NegativeStateError as exc:
+        # The kernels know positions only; the layout names the compartment.
+        name = state._fields[exc.compartment]
+        raise NegativeStateError(
+            f"{name}, step {k + 1}: {exc}", exc.time, name, k + 1
+        ) from None
 
 
 def simulate(

@@ -122,11 +122,13 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     the non-dominant eigenvalues are reported as exact zeros and the
     dominant one is the float trace of K.
 
-    Raises SingularMatrixError if Sigma's float determinant is zero.  Its
-    exact value is nonzero for validated parameters (kappa > 0), but it
+    Raises RangeError for a model that is not a ModelKind, and
+    SingularMatrixError if Sigma's float determinant is zero.  Its exact
+    value is nonzero for validated parameters (kappa > 0), but it
     underflows when the rates on its diagonal are tiny: kappa = 1e-200
     with gamma = 0 (and, for MB, alphas as small) does it.
     """
+    _layout(model)
     beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
     gamma, kappa = p.gamma, p.kappa
     mixed = b_rho(beta1, beta2, rho)
@@ -205,6 +207,7 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
 
     Raises NumericError when R0 or B_rho is not finite (see checked_r0).
     """
+    dfe = dfe_of(model, p)
     value, mixed = checked_r0(p)
     if abs(value - 1.0) <= MARGINAL_TOL:
         verdict = StabilityVerdict.MARGINAL
@@ -212,4 +215,4 @@ def stability(model: ModelKind, p: Params) -> StabilityReport:
         verdict = StabilityVerdict.STABLE
     else:
         verdict = StabilityVerdict.UNSTABLE
-    return tuple.__new__(StabilityReport, (value, verdict, dfe_of(model, p), mixed))
+    return tuple.__new__(StabilityReport, (value, verdict, dfe, mixed))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ModelKind, Params
+from .core import ModelKind, Params, _layout
 from .errors import NumericError, RangeError
 from .ngm import b_rho
 
@@ -102,6 +102,7 @@ def _closed_forms(model: ModelKind, p: Params) -> tuple[float | None, ...]:
 
 def sensitivity_indices(model: ModelKind, p: Params) -> SensitivityIndices:
     """Closed-form indices for the model's parameters."""
+    _layout(model)
     return tuple.__new__(SensitivityIndices, (model, *_closed_forms(model, p)))
 
 
@@ -121,6 +122,7 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
                                             (rho > beta2/(beta1-beta2))
     BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint.
     """
+    _layout(model)
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     t_sum = beta2 / (beta1 + beta2)
     t_ratio = beta2 / beta1
@@ -161,6 +163,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     Raises NumericError when the rates are so small that 2*h*r0 or a
     closed-form index underflows to zero.
     """
+    _layout(model)
     if not 1e-10 < h <= 1e-2:
         raise RangeError(f"h must lie in (1e-10, 1e-2], got {h}")
 
