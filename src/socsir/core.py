@@ -50,6 +50,11 @@ class ModelKind(enum.Enum):
     MB = "mb"
     SINGLE = "single"
 
+    # Members compare by identity, so identity hashes them too, in C;
+    # Enum's own __hash__ is Python code, and _layout hashes a member on
+    # every analysis call.
+    __hash__ = object.__hash__
+
 
 class StateMA(NamedTuple):
     """Compartment vector for model MA (counts, same unit as N)."""
