@@ -67,11 +67,6 @@ def digests() -> dict[str, str]:
     return out
 
 
-def render(parts: dict[str, str]) -> str:
-    """The JSON text of golden.json for these digests."""
-    return json.dumps(parts, indent=2, sort_keys=True) + "\n"
-
-
 if __name__ == "__main__":
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-    sys.stdout.write(render(digests()))
+    sys.stdout.write(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
