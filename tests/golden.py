@@ -4,9 +4,14 @@ Each part is one sha256 hex digest:
 
 * ``cli/<config>/stdout|csv|svg``: what ``cli.main`` writes for
   ``simulate`` (``mixed`` for the mixed config) with ``--csv`` and
-  ``--svg`` on each scenario document in tests/data;
-* ``scan/<preset>``: the ``float.hex`` of every ``participation_scan``
-  peak of a mitigation preset on a coarse grid.
+  ``--svg`` on each scenario document in tests/data, and on an MB
+  document run under ``"transition_normalization": "uniform"``;
+* ``cli/ma_dt20/stdout|stderr|exit``: a ``simulate`` whose step fails,
+  an MA run at dt 20 that exits 3;
+* ``scan/<preset>`` and ``scan/<preset>/serial``: the ``float.hex`` of
+  every ``participation_scan`` peak of a mitigation preset on a coarse
+  grid, forked as the public call runs on a multi-CPU host, and in this
+  process alone.
 
 Standard library only, so any interpreter can run it:
 
@@ -35,6 +40,14 @@ CLI_RUNS = (
     ("mb_switching", "simulate"),
     ("mixed_switch", "mixed"),
 )
+# The MA reference set at dt 20: the second step drives Is far negative.
+MA_DT20 = {
+    "model": "ma",
+    "params": {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
+               "kappa": 0.05, "rho": 0.75, "N": 100.0},
+    "init": "dfe_plus_one_symptomatic",
+    "time": {"t1": 400.0, "dt": 20.0},
+}
 SCAN_GRID = tuple(i / 10 for i in range(1, 10))
 SCAN_CAPACITY = 10.0
 
@@ -43,27 +56,57 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
+    from socsir import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _uniform_doc() -> dict:
+    doc = json.loads((DATA / "mb_switching.json").read_text(encoding="utf-8"))
+    doc["params"]["transition_normalization"] = "uniform"
+    return doc
+
+
 def digests() -> dict[str, str]:
     """Every part's digest, keyed by part name."""
-    from socsir import cli, covid_mitigation_presets, participation_scan
+    from socsir import covid_mitigation_presets, participation_scan, scenarios
 
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command in CLI_RUNS:
+        runs = [(name, command, DATA / f"{name}.json") for name, command in CLI_RUNS]
+        for name, doc in (("mb_uniform", _uniform_doc()), ("ma_dt20", MA_DT20)):
+            path = pathlib.Path(tmp, f"{name}.json")
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            runs.append((name, "simulate", path))
+        for name, command, path in runs:
             csv, svg = pathlib.Path(tmp, "run.csv"), pathlib.Path(tmp, "run.svg")
-            argv = [command, "--config", str(DATA / f"{name}.json"),
-                    "--csv", str(csv), "--svg", str(svg)]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv)
+            code, stdout, stderr = _main(
+                [command, "--config", str(path), "--csv", str(csv), "--svg", str(svg)]
+            )
+            out[f"cli/{name}/stdout"] = _sha(stdout.encode())
             if code != 0:
-                raise RuntimeError(f"{name}: cli.main exited {code}")
-            out[f"cli/{name}/stdout"] = _sha(stdout.getvalue().encode())
+                out[f"cli/{name}/stderr"] = _sha(stderr.encode())
+                out[f"cli/{name}/exit"] = _sha(str(code).encode())
+                continue
             out[f"cli/{name}/csv"] = _sha(csv.read_bytes())
             out[f"cli/{name}/svg"] = _sha(svg.read_bytes())
+            csv.unlink()
+            svg.unlink()
+    usable_cpus = scenarios._usable_cpus
     for preset in covid_mitigation_presets():
-        peaks = participation_scan(preset, SCAN_CAPACITY, SCAN_GRID).peak_I
-        out[f"scan/{preset.name}"] = _sha(" ".join(map(float.hex, peaks)).encode())
+        for suffix, cpus in (("", usable_cpus), ("/serial", lambda: 1)):
+            scenarios._usable_cpus = cpus
+            try:
+                result = participation_scan(preset, SCAN_CAPACITY, SCAN_GRID)
+            finally:
+                scenarios._usable_cpus = usable_cpus
+            peaks = " ".join(map(float.hex, result.peak_I))
+            out[f"scan/{preset.name}{suffix}"] = _sha(peaks.encode())
     return out
 
 
