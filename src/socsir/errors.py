@@ -37,25 +37,12 @@ class NumericError(ArithmeticError):
     """A numerical computation failed.
 
     ``time`` carries the simulation time at which the failure occurred,
-    when one applies.
-    """
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
-
-class NonFiniteError(NumericError):
-    """A state or derivative evaluated to NaN or infinity."""
-
-
-class NegativeStateError(NumericError):
-    """A compartment dropped below the negativity tolerance (step too large).
-
-    ``compartment`` is the component that fell lowest: its name when the
-    run knows it (integrate, and so simulate, run_mixed and the CLI), else
-    its position.  ``step`` numbers the failed step from 1 at the start of
-    the integrate call, when known.
+    when one applies.  A failure during a run also sets ``step``, which
+    numbers the failed step from 1 at the start of the run (integrate's, or
+    step_rk4's one step).  A failed step sets ``compartment``, the
+    component at fault: its name when the state's type names it
+    (integrate, and so simulate, run_mixed and the CLI, always do), else
+    its position.  A population drift names no compartment.
     """
 
     def __init__(
@@ -65,9 +52,24 @@ class NegativeStateError(NumericError):
         compartment: str | int | None = None,
         step: int | None = None,
     ):
-        super().__init__(message, time)
+        super().__init__(message)
+        self.time = time
         self.compartment = compartment
         self.step = step
+
+
+class NonFiniteError(NumericError):
+    """A state or derivative evaluated to NaN or infinity.
+
+    ``compartment`` is the first non-finite component of a failed step.
+    """
+
+
+class NegativeStateError(NumericError):
+    """A compartment dropped below the negativity tolerance (step too large).
+
+    ``compartment`` is the component that fell lowest.
+    """
 
 
 class SingularMatrixError(NumericError):

@@ -15,8 +15,7 @@ from math import inf
 from operator import attrgetter, indexOf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, _layout
-from .dynamics import vector_field
+from .core import ModelKind, Params, State, StateMA, StateMB, _layout
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -39,8 +38,9 @@ __all__ = [
 ]
 
 # step_rk4's vector field maps (time, state-tuple) to a derivative tuple of
-# the same length.  The model fields that integrate runs are autonomous and
-# take the components positionally instead (see dynamics.vector_field).
+# the same length.  The model fields are autonomous and take the components
+# positionally instead (dynamics.vector_field); integrate's kernels have
+# them written in.
 VectorField = Callable[[float, Sequence[float]], Sequence[float]]
 
 # Tolerance for "a compartment went negative": one part in 1e9 of the
@@ -50,11 +50,11 @@ NEGATIVE_TOL = 1e-9
 # Most RK4 steps one run may take, 50 times the longest run the tests and
 # the benchmark make.  simulate stores up to one record per step, so without
 # a cap a finite but huge window (t1 = 1e9, dt = 1) grows without bound.  A
-# recorded MB run of 10**5 steps takes about 0.8 s and 30 MB (Python 3.11,
-# 2-vCPU host), so the cap bounds one run near 8 s and 300 MB.  A CLI
-# simulate of an MB run that also writes --csv and --svg peaked at 53 MB
-# RSS in 2.0 s for 10**5 steps and at 130 MB in 6.1 s for 3 * 10**5, about
-# 38 MB per 10**5 records; at the cap such a run would take about 20 s
+# recorded MB run of 10**5 steps takes about 0.4 s and 28 MB (Python 3.11,
+# 2-vCPU host), so the cap bounds one run near 4 s and 280 MB.  A CLI
+# simulate of an MB run that also writes --csv and --svg peaked at 54 MB
+# RSS in 1.7 s for 10**5 steps and at 130 MB in 3.7 s for 3 * 10**5, about
+# 38 MB per 10**5 records; at the cap such a run would take about 12 s
 # and 400 MB.
 MAX_STEPS = 10**6
 
@@ -147,36 +147,58 @@ class Trajectory:
 
 
 def _checked_step(
-    new: Sequence[float], s: Sequence[float], t: float
+    new: Sequence[float],
+    s: Sequence[float],
+    t: float,
+    step: int,
+    names: Sequence[str] | None,
 ) -> Sequence[float]:
-    """Check new, the result of one RK4 step from state s at time t.
+    """Check new, the result of RK4 step number step from state s at time t.
 
     One check per step suffices: NaN and inf propagate through +, * and /,
     so a non-finite stage always leaves a non-finite result, and the
     negativity floor needs computing only when a component is negative.
+    An error names the component by names, or by its position when names
+    is None, and numbers the step.
     """
-    if not all(map(math.isfinite, new)):
-        raise NonFiniteError(f"non-finite value in step from t={t}", time=t)
-    low = min(new)
-    if low < 0:
+    if all(map(math.isfinite, new)):
+        low = min(new)
+        if low >= 0:
+            return new
         floor = -NEGATIVE_TOL * sum(map(abs, s))
-        if low < floor:
-            i = indexOf(new, low)
-            raise NegativeStateError(
-                f"component {i} fell to {low}, below {floor}, in step from "
-                f"t={t}; reduce dt",
-                time=t,
-                compartment=i,
-            )
-    return new
+        if low >= floor:
+            return new
+        i = indexOf(new, low)
+        error = NegativeStateError
+        why = f"fell to {low}, below {floor}, in step from t={t}; reduce dt"
+    else:
+        i = next(i for i, x in enumerate(new) if not math.isfinite(x))
+        error, why = NonFiniteError, f"became {new[i]} in step from t={t}"
+    name = i if names is None else names[i]
+    where = f"step {step}" if names is None else f"{name}, step {step}"
+    raise error(f"{where}: component {i} {why}", t, name, step)
 
 
-def _step(f: VectorField, s: Sequence[float], t: float, dt: float) -> list[float]:
+def _drifted(drift: float, t: float, step: int) -> NumericError:
+    """The error for a record whose total population drifted by drift."""
+    return NumericError(
+        f"step {step}: population drifted by {drift} at t={t}", t, step=step
+    )
+
+
+def _step(
+    f: VectorField,
+    s: Sequence[float],
+    t: float,
+    dt: float,
+    step: int,
+    names: Sequence[str] | None,
+) -> list[float]:
     """One classical RK4 step of the field f(t, components).
 
     f receives each stage's components as a plain tuple.  Works for any
-    number of components; _step5 and _step6 are the same arithmetic
-    written out per component.
+    number of components; _run5 and _run6 are the same arithmetic written
+    out per component.  step and names label a failure (_checked_step).
     """
     half = 0.5 * dt
     k1 = f(t, tuple(s))
@@ -193,86 +215,250 @@ def _step(f: VectorField, s: Sequence[float], t: float, dt: float) -> list[float
         x + sixth * (a + 2.0 * (b + c) + d)
         for x, a, b, c, d in zip(s, k1, k2, k3, k4)
     ]
-    return _checked_step(new, s, t)
+    return _checked_step(new, s, t, step, names)
 
 
-# _step5 and _step6 unroll _step for the two state sizes integrate runs, on
-# the positional fields f(*components), and return a tuple.  Each
-# expression keeps _step's operands and their order, so the results are
-# bit-identical; what they save is the per-stage list comprehensions and
-# argument unpacking, about half the cost of a step.  A result whose every
-# component lies in [0, inf) passes _checked_step untouched (NaN fails
-# every comparison), so they test that first and call _checked_step only
-# otherwise.  t only labels errors.
+# _run5 and _run6 are integrate's whole-run kernels, one per state size.
+# Each is _step on dynamics.vector_field, with the model's field written
+# into the four stages: every expression keeps the operands and their order
+# of _step and of dynamics._field_ma/_field_mb, so the results are
+# bit-identical.  The stage inputs of R are left out, as neither field
+# reads R.  The time grid is integrate's: step k ends at t0 + k*dt, except
+# that a step that would reach t1 ends at t1 exactly.  A result whose
+# every component lies in [0, inf) passes _checked_step untouched (NaN
+# fails every comparison), so the kernels test that first and call
+# _checked_step only otherwise.  Each record's total is grouped as
+# core.total5/total6 group it and checked against n_expected before the
+# record is yielded.
 
 
-def _step5(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
-    """_step for five components."""
-    half = 0.5 * dt
+def _run5(p, s, t0, t1, dt, every, n_expected, tol):
+    """integrate's run for five components (MA, SINGLE).
+
+    The field written in is dynamics._field_ma, its reference.
+    """
+    beta1, beta2, lam, gamma, kappa, N = (
+        p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.N
+    )
+    asym_share = 1.0 - lam
+    leave_ia = gamma + kappa
+    names = StateMA._fields
+    t = float(t0)
+    yield t, s
     x1, x2, x3, x4, x5 = s
-    a1, a2, a3, a4, a5 = f(x1, x2, x3, x4, x5)
-    b1, b2, b3, b4, b5 = f(
-        x1 + half * a1, x2 + half * a2, x3 + half * a3,
-        x4 + half * a4, x5 + half * a5,
-    )
-    c1, c2, c3, c4, c5 = f(
-        x1 + half * b1, x2 + half * b2, x3 + half * b3,
-        x4 + half * b4, x5 + half * b5,
-    )
-    d1, d2, d3, d4, d5 = f(
-        x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
-        x4 + dt * c4, x5 + dt * c5,
-    )
-    sixth = dt / 6.0
-    n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-    n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-    n3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-    n4 = x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-    n5 = x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-    new = (n1, n2, n3, n4, n5)
-    if (
-        0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
-        and 0.0 <= n4 < inf and 0.0 <= n5 < inf
-    ):
-        return new
-    return _checked_step(new, s, t)
+    h = dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    k = 0
+    while t < t1:
+        k += 1
+        # The grid time comes from the step index so long runs do not
+        # accumulate additive rounding.
+        t_next = t0 + k * dt
+        if t_next >= t1:
+            t_next = float(t1)
+            h = t1 - t
+            half = 0.5 * h
+            sixth = h / 6.0
+        # Components in StateMA order: S1, S2, Is, Ia, R.
+        i_a = x4 + x3
+        f1 = beta1 * x1 / N
+        f2 = beta2 * x2 / N
+        inc = (f1 + f2) * i_a
+        a1 = -f1 * i_a
+        a2 = -f2 * i_a
+        a3 = lam * inc + gamma * x4 - kappa * x3
+        a4 = asym_share * inc - leave_ia * x4
+        y1 = x1 + half * a1
+        y2 = x2 + half * a2
+        y3 = x3 + half * a3
+        y4 = x4 + half * a4
+        i_b = y4 + y3
+        f1 = beta1 * y1 / N
+        f2 = beta2 * y2 / N
+        inc = (f1 + f2) * i_b
+        b1 = -f1 * i_b
+        b2 = -f2 * i_b
+        b3 = lam * inc + gamma * y4 - kappa * y3
+        b4 = asym_share * inc - leave_ia * y4
+        y1 = x1 + half * b1
+        y2 = x2 + half * b2
+        y3 = x3 + half * b3
+        y4 = x4 + half * b4
+        i_c = y4 + y3
+        f1 = beta1 * y1 / N
+        f2 = beta2 * y2 / N
+        inc = (f1 + f2) * i_c
+        c1 = -f1 * i_c
+        c2 = -f2 * i_c
+        c3 = lam * inc + gamma * y4 - kappa * y3
+        c4 = asym_share * inc - leave_ia * y4
+        y1 = x1 + h * c1
+        y2 = x2 + h * c2
+        y3 = x3 + h * c3
+        y4 = x4 + h * c4
+        i_d = y4 + y3
+        f1 = beta1 * y1 / N
+        f2 = beta2 * y2 / N
+        inc = (f1 + f2) * i_d
+        n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + -f1 * i_d)
+        n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + -f2 * i_d)
+        n3 = x3 + sixth * (
+            a3 + 2.0 * (b3 + c3) + (lam * inc + gamma * y4 - kappa * y3)
+        )
+        n4 = x4 + sixth * (
+            a4 + 2.0 * (b4 + c4) + (asym_share * inc - leave_ia * y4)
+        )
+        n5 = x5 + sixth * (
+            kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
+        )
+        if not (
+            0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
+            and 0.0 <= n4 < inf and 0.0 <= n5 < inf
+        ):
+            _checked_step((n1, n2, n3, n4, n5), (x1, x2, x3, x4, x5), t, k, names)
+        x1, x2, x3, x4, x5 = n1, n2, n3, n4, n5
+        t = t_next
+        if k % every == 0 or t >= t1:
+            drift = abs(((x1 + x2) + x4) + x3 + x5 - n_expected)
+            if drift > tol:
+                raise _drifted(drift, t, k)
+            yield t, (x1, x2, x3, x4, x5)
 
 
-def _step6(f, s: Sequence[float], t: float, dt: float) -> tuple[float, ...]:
-    """_step for six components."""
-    half = 0.5 * dt
+def _run6(p, s, t0, t1, dt, every, n_expected, tol):
+    """integrate's run for six components (MB).
+
+    The field written in is dynamics._field_mb, its reference.
+    """
+    beta1, beta2, lam, gamma, kappa, alpha1, alpha2, N = (
+        p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.alpha1, p.alpha2, p.N
+    )
+    uniform = p.transition_normalization == "uniform"
+    asym_rate1 = (1.0 - lam) * beta1
+    asym_rate2 = (1.0 - lam) * beta2
+    leave_a = gamma + kappa
+    names = StateMB._fields
+    t = float(t0)
+    yield t, s
     x1, x2, x3, x4, x5, x6 = s
-    a1, a2, a3, a4, a5, a6 = f(x1, x2, x3, x4, x5, x6)
-    b1, b2, b3, b4, b5, b6 = f(
-        x1 + half * a1, x2 + half * a2, x3 + half * a3,
-        x4 + half * a4, x5 + half * a5, x6 + half * a6,
-    )
-    c1, c2, c3, c4, c5, c6 = f(
-        x1 + half * b1, x2 + half * b2, x3 + half * b3,
-        x4 + half * b4, x5 + half * b5, x6 + half * b6,
-    )
-    d1, d2, d3, d4, d5, d6 = f(
-        x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
-        x4 + dt * c4, x5 + dt * c5, x6 + dt * c6,
-    )
-    sixth = dt / 6.0
-    n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + d1)
-    n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + d2)
-    n3 = x3 + sixth * (a3 + 2.0 * (b3 + c3) + d3)
-    n4 = x4 + sixth * (a4 + 2.0 * (b4 + c4) + d4)
-    n5 = x5 + sixth * (a5 + 2.0 * (b5 + c5) + d5)
-    n6 = x6 + sixth * (a6 + 2.0 * (b6 + c6) + d6)
-    new = (n1, n2, n3, n4, n5, n6)
-    if (
-        0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
-        and 0.0 <= n4 < inf and 0.0 <= n5 < inf and 0.0 <= n6 < inf
-    ):
-        return new
-    return _checked_step(new, s, t)
-
-
-# integrate's kernel for each state size.
-_KERNELS = {5: _step5, 6: _step6}
+    h = dt
+    half = 0.5 * h
+    sixth = h / 6.0
+    k = 0
+    while t < t1:
+        k += 1
+        t_next = t0 + k * dt
+        if t_next >= t1:
+            t_next = float(t1)
+            h = t1 - t
+            half = 0.5 * h
+            sixth = h / 6.0
+        # Components in StateMB order: S1, S2, A1, A2, Is, R.
+        asympt = x3 + x4
+        i_a = asympt + x5
+        s1n = x1 / N
+        s2n = x2 / N
+        sw_in = alpha2 * x4
+        sw_out = alpha1 * x3
+        if uniform:
+            sw_in /= N
+            sw_out /= N
+        a1 = alpha2 * x2 / N - (alpha1 + beta1 * i_a) * s1n
+        a2 = alpha1 * x1 / N - (alpha2 + beta2 * i_a) * s2n
+        a3 = asym_rate1 * i_a * s1n + sw_in - sw_out - leave_a * x3
+        a4 = asym_rate2 * i_a * s2n + sw_out - sw_in - leave_a * x4
+        a5 = lam * (beta1 * s1n + beta2 * s2n) * i_a + gamma * asympt - kappa * x5
+        y1 = x1 + half * a1
+        y2 = x2 + half * a2
+        y3 = x3 + half * a3
+        y4 = x4 + half * a4
+        y5 = x5 + half * a5
+        asympt = y3 + y4
+        i_b = asympt + y5
+        s1n = y1 / N
+        s2n = y2 / N
+        sw_in = alpha2 * y4
+        sw_out = alpha1 * y3
+        if uniform:
+            sw_in /= N
+            sw_out /= N
+        b1 = alpha2 * y2 / N - (alpha1 + beta1 * i_b) * s1n
+        b2 = alpha1 * y1 / N - (alpha2 + beta2 * i_b) * s2n
+        b3 = asym_rate1 * i_b * s1n + sw_in - sw_out - leave_a * y3
+        b4 = asym_rate2 * i_b * s2n + sw_out - sw_in - leave_a * y4
+        b5 = lam * (beta1 * s1n + beta2 * s2n) * i_b + gamma * asympt - kappa * y5
+        y1 = x1 + half * b1
+        y2 = x2 + half * b2
+        y3 = x3 + half * b3
+        y4 = x4 + half * b4
+        y5 = x5 + half * b5
+        asympt = y3 + y4
+        i_c = asympt + y5
+        s1n = y1 / N
+        s2n = y2 / N
+        sw_in = alpha2 * y4
+        sw_out = alpha1 * y3
+        if uniform:
+            sw_in /= N
+            sw_out /= N
+        c1 = alpha2 * y2 / N - (alpha1 + beta1 * i_c) * s1n
+        c2 = alpha1 * y1 / N - (alpha2 + beta2 * i_c) * s2n
+        c3 = asym_rate1 * i_c * s1n + sw_in - sw_out - leave_a * y3
+        c4 = asym_rate2 * i_c * s2n + sw_out - sw_in - leave_a * y4
+        c5 = lam * (beta1 * s1n + beta2 * s2n) * i_c + gamma * asympt - kappa * y5
+        y1 = x1 + h * c1
+        y2 = x2 + h * c2
+        y3 = x3 + h * c3
+        y4 = x4 + h * c4
+        y5 = x5 + h * c5
+        asympt = y3 + y4
+        i_d = asympt + y5
+        s1n = y1 / N
+        s2n = y2 / N
+        sw_in = alpha2 * y4
+        sw_out = alpha1 * y3
+        if uniform:
+            sw_in /= N
+            sw_out /= N
+        n1 = x1 + sixth * (
+            a1 + 2.0 * (b1 + c1)
+            + (alpha2 * y2 / N - (alpha1 + beta1 * i_d) * s1n)
+        )
+        n2 = x2 + sixth * (
+            a2 + 2.0 * (b2 + c2)
+            + (alpha1 * y1 / N - (alpha2 + beta2 * i_d) * s2n)
+        )
+        n3 = x3 + sixth * (
+            a3 + 2.0 * (b3 + c3)
+            + (asym_rate1 * i_d * s1n + sw_in - sw_out - leave_a * y3)
+        )
+        n4 = x4 + sixth * (
+            a4 + 2.0 * (b4 + c4)
+            + (asym_rate2 * i_d * s2n + sw_out - sw_in - leave_a * y4)
+        )
+        n5 = x5 + sixth * (
+            a5 + 2.0 * (b5 + c5)
+            + (lam * (beta1 * s1n + beta2 * s2n) * i_d + gamma * asympt
+               - kappa * y5)
+        )
+        n6 = x6 + sixth * (
+            kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
+        )
+        if not (
+            0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
+            and 0.0 <= n4 < inf and 0.0 <= n5 < inf and 0.0 <= n6 < inf
+        ):
+            _checked_step(
+                (n1, n2, n3, n4, n5, n6), (x1, x2, x3, x4, x5, x6), t, k, names
+            )
+        x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, n6
+        t = t_next
+        if k % every == 0 or t >= t1:
+            drift = abs(((x1 + x2) + (x3 + x4)) + x5 + x6 - n_expected)
+            if drift > tol:
+                raise _drifted(drift, t, k)
+            yield t, (x1, x2, x3, x4, x5, x6)
 
 
 def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
@@ -285,14 +471,15 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     Raises RangeError if dt is not finite or dt <= 0 or if f's first stage
     has another length than s, NonFiniteError if the step produces
     NaN/inf, NegativeStateError if any component falls below -1e-9 times
-    the state's magnitude.
+    the state's magnitude.  Either error is step 1 and names the component
+    by the state type's field name, or by its position in a plain tuple.
     """
     if not math.isfinite(dt):
         raise RangeError(f"dt must be finite, got {dt}")
     if dt <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
-    new = _step(f, s, t, dt)
     cls = type(s)
+    new = _step(f, s, t, dt, 1, getattr(cls, "_fields", None))
     return cls._make(new) if hasattr(cls, "_make") else cls(new)
 
 
@@ -331,12 +518,12 @@ def integrate(
     later ones are plain tuples of the components in init's field order,
     which simulate turns into named states.  Each recorded state is checked
     to keep the initial total population within 1e-9 * N before it is
-    yielded.  Step failures propagate with the failing time attached, and
-    a NegativeStateError also names the compartment and numbers the step.
+    yielded.  A failure raises a NumericError with its time and step
+    number (from 1 at t0), and a step failure names its compartment.
 
     Raises RangeError (see check_times, a model that is not a ModelKind,
     a record_every that is not an int >= 1, and an init whose length is not
-    the model's state size) before the first step.
+    the model's state size) at the call, before the first step.
     """
     check_times(t0, t1, dt)
     if isinstance(record_every, bool) or not isinstance(record_every, int):
@@ -345,45 +532,13 @@ def integrate(
         raise RangeError(f"record_every must be >= 1, got {record_every}")
     state, total = _layout(model)[:2]
     size = len(state._fields)
-    step = _KERNELS[size]
     if len(init) != size:
         raise RangeError(
             f"{model.name} takes {size} state components, got {len(init)}"
         )
-
-    f = vector_field(model, p)
     n_expected = total(init)
-    tol = 1e-9 * abs(n_expected)
-
-    t = float(t0)
-    yield t, init
-    s: Sequence[float] = init
-    k = 0
-    try:
-        while t < t1:
-            # Recompute the grid time from the step index so long runs do
-            # not accumulate additive rounding.
-            t_next = t0 + (k + 1) * dt
-            h = dt
-            if t_next >= t1:
-                t_next = float(t1)
-                h = t1 - t
-            s = step(f, s, t, h)
-            k += 1
-            t = t_next
-            if k % record_every == 0 or t >= t1:
-                drift = abs(total(s) - n_expected)
-                if drift > tol:
-                    raise NumericError(
-                        f"population drifted by {drift} at t={t}", time=t
-                    )
-                yield t, s
-    except NegativeStateError as exc:
-        # The kernels know positions only; the layout names the compartment.
-        name = state._fields[exc.compartment]
-        raise NegativeStateError(
-            f"{name}, step {k + 1}: {exc}", exc.time, name, k + 1
-        ) from None
+    run = _run6 if size == 6 else _run5
+    return run(p, init, t0, t1, dt, record_every, n_expected, 1e-9 * abs(n_expected))
 
 
 def simulate(

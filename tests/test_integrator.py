@@ -15,6 +15,7 @@ import pytest
 from socsir import integrator
 from socsir.core import (
     ModelKind,
+    Params,
     StateMA,
     StateMB,
     total5,
@@ -34,9 +35,9 @@ from socsir.integrator import (
     MAX_STEPS,
     Observable,
     Trajectory,
+    _run5,
+    _run6,
     _step,
-    _step5,
-    _step6,
     check_times,
     integrate,
     observables_for,
@@ -60,6 +61,10 @@ FIG_A = validate_params(
     ModelKind.MA,
 )
 FIG_A_INIT = StateMA(S1=74.25, S2=24.75, Is=1.0, Ia=0.0, R=0.0)
+# FIG_A's rates with the switching of tests/data/mb_switching.json
+FIG_A_MB = validate_params(
+    dict(FIG_A.as_dict(), alpha1=0.1, alpha2=0.01), ModelKind.MB
+)
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -112,114 +117,209 @@ def test_step_rk4_raises_on_nonfinite():
     assert exc.value.time == 3.0
 
 
-def _generic_step(f, s, t, dt):
-    # step_rk4 on a positional field, so all three kernels take one form
-    return step_rk4(lambda t, c: f(*c), s, t, dt)
+# integrate's kernel and named state type for each model
+KERNEL_OF = {ModelKind.MA: _run5, ModelKind.SINGLE: _run5, ModelKind.MB: _run6}
+STATE_OF = {ModelKind.MA: StateMA, ModelKind.SINGLE: StateMA, ModelKind.MB: StateMB}
 
 
-# (kernel, state size): the generic step behind step_rk4 and the two
-# unrolled steps integrate runs
+def _raw_params(**rates) -> Params:
+    """Params with every rate 0, alphas 0 and N = 1 unless given.
+
+    Params itself checks nothing, so any float reaches the kernels, which
+    are handed validated parameters only through integrate.
+    """
+    zero = Params(0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0)
+    return zero._replace(**rates)
+
+
+def _one_step(run, p, s, t, h):
+    """One step of a whole-run kernel from s at time t, drift check off."""
+    return list(run(p, s, t, t + h, h, 1, 0.0, math.inf))[1][1]
+
+
+def _step5(p, s, t, h):
+    """One step of _run5 (MA)."""
+    return _one_step(_run5, p, s, t, h)
+
+
+def _step6(p, s, t, h):
+    """One step of _run6 (MB)."""
+    return _one_step(_run6, p, s, t, h)
+
+
+def _generic_step(p, s, t, h):
+    """step_rk4 on the MA field: the generic step behind the kernels."""
+    f = vector_field(ModelKind.MA, p)
+    return step_rk4(lambda t, c: f(*c), s, t, h)
+
+
+# (one step, model): the generic step behind step_rk4 and one step of
+# each whole-run kernel that integrate runs
 KERNELS = {
-    "step_rk4": (_generic_step, 1),
-    "_step5": (_step5, 5),
-    "_step6": (_step6, 6),
+    "step_rk4": (_generic_step, ModelKind.MA),
+    "_step5": (_step5, ModelKind.MA),
+    "_step6": (_step6, ModelKind.MB),
 }
+
+
+def _stages(f, s, h):
+    """The four RK4 stage derivatives of the positional field f, as _step
+    forms them."""
+    half = 0.5 * h
+    k1 = f(*s)
+    k2 = f(*[x + half * k for x, k in zip(s, k1)])
+    k3 = f(*[x + half * k for x, k in zip(s, k2)])
+    k4 = f(*[x + h * k for x, k in zip(s, k3)])
+    return k1, k2, k3, k4
 
 
 @pytest.mark.parametrize("stage", [2, 3])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_step_rk4_raises_on_nonfinite_inner_stage(kernel, stage):
-    # the kernels check only the result, so a stage that alone turns
-    # non-finite must still surface there
-    step, n = KERNELS[kernel]
-    calls = []
-
-    def f(*c):
-        calls.append(c)
-        return (math.inf,) + (0.0,) * (n - 1) if len(calls) == stage else (0.0,) * n
-
+    # the kernels check only the result, so a run whose first non-finite
+    # stage is an inner one must still fail there: find a beta1 that
+    # overflows first at that stage, from all ones in a step of 1
+    step, model = KERNELS[kernel]
+    s = STATE_OF[model]._make([1.0] * len(STATE_OF[model]._fields))
+    for e in range(1, 308):
+        p = _raw_params(beta1=10.0**e)
+        ks = _stages(vector_field(model, p), s, 1.0)
+        finite = [all(map(math.isfinite, k)) for k in ks]
+        if finite[:stage] == [True] * (stage - 1) + [False]:
+            break
+    else:
+        pytest.fail(f"no beta1 overflows first at stage {stage}")
     with pytest.raises(NonFiniteError) as exc:
-        step(f, (1.0,) * n, 4.0, 1.0)
-    assert exc.value.time == 4.0
+        step(p, s, 4.0, 1.0)
+    assert (exc.value.time, exc.value.step) == (4.0, 1)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_step_rk4_raises_on_negative_overshoot(kernel):
-    step, n = KERNELS[kernel]
+    # a negative gamma feeds the growing asymptomatics into Is with a
+    # minus sign, so Is ends the step far below zero
+    step, model = KERNELS[kernel]
+    s = STATE_OF[model]._make([1.0] * len(STATE_OF[model]._fields))
     with pytest.raises(NegativeStateError) as exc:
-        step(lambda *c: (-3.0,) * n, (1.0,) * n, 2.0, 1.0)
-    assert exc.value.time == 2.0
+        step(_raw_params(gamma=-3.0), s, 2.0, 1.0)
+    assert (exc.value.time, exc.value.compartment, exc.value.step) == (2.0, "Is", 1)
 
 
-def _outcome(step, f, s, t, h):
+def _outcome(step, *args):
+    """A step's result as bits, or its error's description."""
     try:
-        return [x.hex() for x in step(f, s, t, h)]
+        return [x.hex() for x in step(*args)]
     except NumericError as exc:
-        return type(exc), exc.time, str(exc)
+        return type(exc), str(exc), exc.time, exc.compartment, exc.step
 
 
-# Result components around the unrolled steps' fast check, each as
-# (start value, constant derivative, expected error class or None).  The
-# other components start at 1.0 with derivative 0, which puts the
-# negativity floor near -5e-9.
+def _reference_step(model):
+    def step(p, s, t, h):
+        f = vector_field(model, p)
+        return _step(lambda t, c: f(*c), s, t, h, 1, STATE_OF[model]._fields)
+
+    return step
+
+
+# Start values around the kernels' fast check, each with the error class
+# the step must raise, or None.  The other components start at 1.0 and
+# every rate is 0, so the values pass through the step (-0.0 may come out
+# as 0.0, and a NaN or an infinity times a zero rate spreads NaN), with
+# the negativity floor near -5e-9.
 _EDGE_RESULTS = {
-    "nan": (1.0, math.nan, NonFiniteError),
-    "+inf": (1.0, math.inf, NonFiniteError),
-    "-inf": (1.0, -math.inf, NonFiniteError),
-    "-0.0": (-0.0, -0.0, None),
-    "negative within the floor": (0.0, -1e-12, None),
-    "negative below the floor": (0.0, -1.0, NegativeStateError),
-    "largest finite": (sys.float_info.max, 0.0, None),
+    "nan": (math.nan, NonFiniteError),
+    "+inf": (math.inf, NonFiniteError),
+    "-inf": (-math.inf, NonFiniteError),
+    "-0.0": (-0.0, None),
+    "negative within the floor": (-1e-12, None),
+    "negative below the floor": (-1.0, NegativeStateError),
+    "largest finite": (sys.float_info.max, None),
 }
 
 
 @pytest.mark.parametrize("edge", sorted(_EDGE_RESULTS))
 @pytest.mark.parametrize("unrolled, n", [(_step5, 5), (_step6, 6)])
 def test_fast_check_matches_generic_step_at_edges(unrolled, n, edge):
-    # the fast check in _step5/_step6 must pass exactly the results that
+    # the kernels' fast check must pass exactly the results that
     # _checked_step passes, and leave the others to raise as _step does
-    start, rate, error = _EDGE_RESULTS[edge]
+    start, error = _EDGE_RESULTS[edge]
+    model = ModelKind.MA if n == 5 else ModelKind.MB
+    names = STATE_OF[model]._fields
+    p = _raw_params()
     for i in range(n):
         s = tuple(start if j == i else 1.0 for j in range(n))
-        deriv = tuple(rate if j == i else 0.0 for j in range(n))
-
-        def f(*c):
-            return deriv
-
-        got = _outcome(unrolled, f, s, 7.0, 1.0)
-        assert got == _outcome(_step, lambda t, c: f(*c), s, 7.0, 1.0)
+        got = _outcome(unrolled, p, s, 7.0, 1.0)
+        assert got == _outcome(_reference_step(model), p, s, 7.0, 1.0)
         if error is None:
             assert isinstance(got, list)
-        else:
-            assert got[:2] == (error, 7.0)
+            continue
+        cls, _, time, compartment, step = got
+        assert (cls, time, step) == (error, 7.0, 1)
+        if error is NegativeStateError:
+            assert compartment == names[i]
 
 
-@pytest.mark.parametrize(
-    "model, unrolled", [(ModelKind.MA, _step5), (ModelKind.MB, _step6)]
-)
-def test_unrolled_steps_match_generic_step_bit_for_bit(model, unrolled):
-    # the unrolled steps must give exactly _step's bits or raise the same
-    # error at the same time, on full steps and on a partial final step,
-    # from states along sampler runs
+def _reference_run(model, p, init, t0, t1, dt, every):
+    """integrate's records from _step on vector_field, total_population
+    and the drift rule, one step at a time."""
+    f = vector_field(model, p)
+    names = STATE_OF[model]._fields
+    n0 = total_population(init)
+    tol = 1e-9 * abs(n0)
+    t, s, k = float(t0), init, 0
+    yield t, s
+    while t < t1:
+        k += 1
+        t_next, h = t0 + k * dt, dt
+        if t_next >= t1:
+            t_next, h = float(t1), t1 - t
+        s = _step(lambda t, c: f(*c), s, t, h, k, names)
+        t = t_next
+        if k % every == 0 or t >= t1:
+            drift = abs(total_population(s) - n0)
+            if drift > tol:
+                raise integrator._drifted(drift, t, k)
+            yield t, s
+
+
+def _records(run):
+    """A run's records as bits, ending with its error's description."""
+    out = []
+    try:
+        for t, s in run:
+            out.append((t.hex(), [x.hex() for x in s]))
+    except NumericError as exc:
+        out.append((type(exc), str(exc), exc.time, exc.compartment, exc.step))
+    return out
+
+
+_RUN_CASES = {
+    "MA": (ModelKind.MA, {}),
+    "SINGLE": (ModelKind.SINGLE, {"rho": 1.0}),
+    "MB-asymmetric": (ModelKind.MB, {}),
+    "MB-uniform": (ModelKind.MB, {"transition_normalization": "uniform"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUN_CASES))
+def test_kernels_match_the_reference_run_bit_for_bit(case):
+    # integrate must give exactly the reference run's records, or raise
+    # the same error at the same step, over sampler draws at record_every
+    # 1 and 3, each ending in a partial step; a fifth of the draws take a
+    # dt large enough to fail often
+    model, extra = _RUN_CASES[case]
     rng = random.Random(20221018)
+    failed = 0
     for _ in range(1000):
-        p = validate_params(draw_raw_params(rng, model), model)
-        f = vector_field(model, p)
-        dt = rng.uniform(0.1, 5.0)
-        states = []
-        try:
-            for t, s in integrate(
-                model, p, resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE),
-                0.0, 40 * dt, dt,
-            ):
-                states.append((t, s))
-        except NumericError:
-            pass
-        for t, s in states[:: rng.randint(5, 10)]:
-            for h in (dt, dt * rng.random()):
-                assert _outcome(unrolled, f, s, t, h) == _outcome(
-                    _step, lambda t, c: f(*c), s, t, h
-                )
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        init = resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE)
+        dt = rng.uniform(0.1, 2.0) if rng.random() < 0.8 else rng.uniform(2.0, 40.0)
+        t1 = dt * (rng.randint(5, 30) + rng.random())
+        for every in (1, 3):
+            got = _records(integrate(model, p, init, 0.0, t1, dt, every))
+            assert got == _records(_reference_run(model, p, init, 0.0, t1, dt, every))
+            failed += isinstance(got[-1][0], type)
+    assert failed > 100, failed
 
 
 @pytest.mark.parametrize(
@@ -252,33 +352,43 @@ def test_raw_totals_match_total_population_bit_for_bit(total, state_type, named)
         (ModelKind.MB, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
     ],
 )
-def test_drift_check_stops_at_first_drifting_record(
-    monkeypatch, model, init, record_every
-):
-    # a field that creates population at 3e-8 per unit time crosses the
-    # 1e-9 * N = 1e-7 tolerance after the fourth step of dt = 1
-    n = len(init)
-    leak = tuple(3e-8 if j == 3 else 0.0 for j in range(n))
-    monkeypatch.setattr(
-        integrator, "vector_field", lambda model, p: lambda *c: leak
-    )
+def test_drift_check_stops_at_first_drifting_record(model, init, record_every):
+    # rounding moves the total by about 1.4e-14 at a time; against a
+    # tolerance of 2e-14 in place of integrate's 1e-9 * N it drifts out
+    # part way through the run
+    p = FIG_A if model is ModelKind.MA else FIG_A_MB
+    f = vector_field(model, p)
+    tol = 2e-14
 
     # reference: the generic step, named states and total_population
     n0 = total_population(init)
     s, k, first_bad = init, 0, None
     while first_bad is None:
-        s = type(init)._make(_step(lambda t, c: leak, s, float(k), 1.0))
+        s = type(init)._make(_step(lambda t, c: f(*c), s, float(k), 1.0, k + 1, None))
         k += 1
-        if k % record_every == 0 and abs(total_population(s) - n0) > 1e-9 * n0:
+        if k % record_every == 0 and abs(total_population(s) - n0) > tol:
             first_bad = float(k)
-    assert first_bad == (4.0 if record_every == 1 else 5.0)
+    assert 2 * record_every < first_bad < 40.0
 
     times = []
     with pytest.raises(NumericError, match="population drifted") as exc:
-        for t, _ in integrate(model, FIG_A, init, 0.0, 20.0, 1.0, record_every):
+        for t, _ in KERNEL_OF[model](p, init, 0.0, 40.0, 1.0, record_every, n0, tol):
             times.append(t)
-    assert exc.value.time == first_bad
+    assert (exc.value.time, exc.value.step) == (first_bad, int(first_bad))
     assert times == [float(k) for k in range(0, int(first_bad), record_every)]
+
+
+@pytest.mark.parametrize("model", list(KERNEL_OF))
+def test_integrate_checks_drift_against_the_initial_total(monkeypatch, model):
+    # integrate hands its kernel the initial total and 1e-9 of it
+    init = resolve_init(model, FIG_A_MB, INIT_RULE_DFE_PLUS_ONE)
+    seen = []
+    monkeypatch.setattr(
+        integrator, KERNEL_OF[model].__name__, lambda *args: seen.append(args[-2:])
+    )
+    integrate(model, FIG_A_MB, init, 0.0, 5.0, 1.0)
+    n0 = total_population(init)
+    assert seen == [(n0, 1e-9 * n0)]
 
 
 @pytest.mark.parametrize(

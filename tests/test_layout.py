@@ -1,4 +1,4 @@
-"""The per-model layout table, wrong model arguments, and named step failures."""
+"""The per-model layout table, wrong model arguments, and named run failures."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from socsir import (
     INIT_RULE_DFE_PLUS_ONE,
     ModelKind,
     NegativeStateError,
+    NonFiniteError,
     RangeError,
     bifurcation_scan,
     classify_feasible_set,
@@ -25,10 +26,13 @@ from socsir import (
     validate_params,
 )
 from socsir.cli import main
-from socsir.core import _LAYOUT
+from socsir.core import _LAYOUT, StateMA
+from socsir.integrator import step_rk4
 
 RAW_MA = {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
           "kappa": 0.05, "rho": 0.75, "N": 100.0}
+# beta1 so large that the first step overflows
+RAW_HUGE = dict(RAW_MA, beta1=1e300, beta2=1e299)
 RAW_MB = {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
           "kappa": 0.05, "alpha1": 0.3, "alpha2": 0.1, "N": 100.0}
 P_MA = validate_params(RAW_MA, ModelKind.MA)
@@ -94,3 +98,41 @@ def test_cli_error_line_names_compartment_and_step(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error at t = 20: Is, step 2: component 2 fell to")
+
+
+def test_non_finite_state_names_compartment_and_step():
+    # the error used to carry only its time
+    p = validate_params(RAW_HUGE, ModelKind.MA, allow_beta_gt_one=True)
+    init = resolve_init(ModelKind.MA, p, INIT_RULE_DFE_PLUS_ONE)
+    with pytest.raises(NonFiniteError) as exc:
+        simulate(ModelKind.MA, p, init, 0.0, 10.0, 1.0)
+    err = exc.value
+    assert (err.compartment, err.step, err.time) == ("S1", 1, 0.0)
+    assert str(err) == "S1, step 1: component 0 became nan in step from t=0.0"
+
+
+def test_cli_error_line_names_a_non_finite_compartment(tmp_path, capsys):
+    doc = {"model": "ma", "params": RAW_HUGE, "init": INIT_RULE_DFE_PLUS_ONE,
+           "time": {"t1": 10.0}}
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--allow-beta-gt-one"]) == 3
+    assert capsys.readouterr().err == (
+        "error at t = 0: S1, step 1: component 0 became nan in step from t=0.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "state, compartment",
+    [(StateMA(50.0, 49.0, 1.0, 0.0, 0.0), "Is"), ((50.0, 49.0, 1.0, 0.0, 0.0), 2)],
+    ids=["named", "plain"],
+)
+def test_step_rk4_names_the_compartment_by_the_state_fields(state, compartment):
+    # a named state's compartment used to be reported by position, and
+    # the step not at all
+    with pytest.raises(NegativeStateError) as exc:
+        step_rk4(lambda t, s: (0.0, 0.0, -500.0, 0.0, 500.0), state, 0.0, 1.0)
+    err = exc.value
+    assert (err.compartment, err.step, err.time) == (compartment, 1, 0.0)
+    where = "Is, step 1" if compartment == "Is" else "step 1"
+    assert str(err).startswith(f"{where}: component 2 fell to -499.0, below ")
