@@ -312,18 +312,19 @@ def _run5(p, s, t0, t1, dt, every, n_expected, tol):
         n5 = x5 + sixth * (
             kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
         )
+        new = (n1, n2, n3, n4, n5)
         if not (
             0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
             and 0.0 <= n4 < inf and 0.0 <= n5 < inf
         ):
-            _checked_step((n1, n2, n3, n4, n5), (x1, x2, x3, x4, x5), t, k, names)
-        x1, x2, x3, x4, x5 = n1, n2, n3, n4, n5
+            _checked_step(new, (x1, x2, x3, x4, x5), t, k, names)
+        x1, x2, x3, x4, x5 = new
         t = t_next
         if k % every == 0 or t >= t1:
             drift = abs(((x1 + x2) + x4) + x3 + x5 - n_expected)
             if drift > tol:
                 raise _drifted(drift, t, k)
-            yield t, (x1, x2, x3, x4, x5)
+            yield t, new
 
 
 def _run6(p, s, t0, t1, dt, every, n_expected, tol):
@@ -445,20 +446,19 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         n6 = x6 + sixth * (
             kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
         )
+        new = (n1, n2, n3, n4, n5, n6)
         if not (
             0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
             and 0.0 <= n4 < inf and 0.0 <= n5 < inf and 0.0 <= n6 < inf
         ):
-            _checked_step(
-                (n1, n2, n3, n4, n5, n6), (x1, x2, x3, x4, x5, x6), t, k, names
-            )
-        x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, n6
+            _checked_step(new, (x1, x2, x3, x4, x5, x6), t, k, names)
+        x1, x2, x3, x4, x5, x6 = new
         t = t_next
         if k % every == 0 or t >= t1:
             drift = abs(((x1 + x2) + (x3 + x4)) + x5 + x6 - n_expected)
             if drift > tol:
                 raise _drifted(drift, t, k)
-            yield t, (x1, x2, x3, x4, x5, x6)
+            yield t, new
 
 
 def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
