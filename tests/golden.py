@@ -8,6 +8,11 @@ Each part is one sha256 hex digest:
   document run under ``"transition_normalization": "uniform"``;
 * ``cli/ma_dt20/stdout|stderr|exit``: a ``simulate`` whose step fails,
   an MA run at dt 20 that exits 3;
+* ``run/<config>/hex``: the ``float.hex`` of every time and component
+  that ``run_scenario`` records for each document that runs to the end,
+  since the 9-digit CSV and SVG cannot see a change in the last bits;
+* ``ngm/mb_uniform/hex``: the ``float.hex`` of every matrix and eigenvalue
+  of ``ngm`` on a few MB parameter sets under ``"uniform"``;
 * ``scan/<preset>`` and ``scan/<preset>/serial``: the ``float.hex`` of
   every ``participation_scan`` peak of a mitigation preset on a coarse
   grid, forked as the public call runs on a multi-CPU host, and in this
@@ -48,6 +53,19 @@ MA_DT20 = {
     "init": "dfe_plus_one_symptomatic",
     "time": {"t1": 400.0, "dt": 20.0},
 }
+# MB parameter sets for ngm under "uniform": the MB reference set, the
+# rates of mb_switching.json, and a larger population with gamma = 0.
+NGM_UNIFORM = tuple(
+    dict(raw, transition_normalization="uniform")
+    for raw in (
+        {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
+         "kappa": 0.05, "alpha1": 0.3, "alpha2": 0.1, "N": 100.0},
+        {"beta1": 0.0042, "beta2": 0.0009, "lambda": 0.65, "gamma": 0.0005,
+         "kappa": 0.0002, "alpha1": 0.1, "alpha2": 0.01, "N": 100.0},
+        {"beta1": 0.9, "beta2": 0.3, "lambda": 1.0, "gamma": 0.0,
+         "kappa": 0.2, "alpha1": 0.05, "alpha2": 0.04, "N": 1e4},
+    )
+)
 SCAN_GRID = tuple(i / 10 for i in range(1, 10))
 SCAN_CAPACITY = 10.0
 
@@ -66,6 +84,13 @@ def _main(argv: list[str]) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _hex(values) -> str:
+    """float.hex of each float in values, nested tuples flattened."""
+    return " ".join(
+        _hex(v) if isinstance(v, tuple) else float.hex(v) for v in values
+    )
+
+
 def _uniform_doc() -> dict:
     doc = json.loads((DATA / "mb_switching.json").read_text(encoding="utf-8"))
     doc["params"]["transition_normalization"] = "uniform"
@@ -74,7 +99,16 @@ def _uniform_doc() -> dict:
 
 def digests() -> dict[str, str]:
     """Every part's digest, keyed by part name."""
-    from socsir import covid_mitigation_presets, participation_scan, scenarios
+    from socsir import (
+        ModelKind,
+        covid_mitigation_presets,
+        load_config,
+        ngm,
+        participation_scan,
+        run_scenario,
+        scenarios,
+        validate_params,
+    )
 
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -97,6 +131,13 @@ def digests() -> dict[str, str]:
             out[f"cli/{name}/svg"] = _sha(svg.read_bytes())
             csv.unlink()
             svg.unlink()
+            traj = run_scenario(load_config(str(path))).trajectory
+            out[f"run/{name}/hex"] = _sha(_hex((traj.times, traj.states)).encode())
+    # Every field of each NgmResult but the int dimension.
+    results = tuple(
+        ngm(ModelKind.MB, validate_params(raw, ModelKind.MB))[:5] for raw in NGM_UNIFORM
+    )
+    out["ngm/mb_uniform/hex"] = _sha(_hex(results).encode())
     usable_cpus = scenarios._usable_cpus
     for preset in covid_mitigation_presets():
         for suffix, cpus in (("", usable_cpus), ("/serial", lambda: 1)):
