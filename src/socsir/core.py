@@ -153,6 +153,14 @@ class Params(NamedTuple):
         return out
 
 
+def _switch_rates(p: Params) -> tuple[float, float]:
+    """MB's asymptomatic switch rates 1 -> 2 and 2 -> 1: the alphas, or
+    under "uniform" the alphas over N.  Field, kernel and ngm read them."""
+    if p.transition_normalization == "uniform":
+        return p.alpha1 / p.N, p.alpha2 / p.N
+    return p.alpha1, p.alpha2
+
+
 def to_float(value: int | float) -> float:
     """float(value), with an int beyond the float range mapped to +-inf.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, StateMA, StateMB
+from .core import ModelKind, Params, StateMA, StateMB, _switch_rates
 from .errors import NonFiniteError
 
 __all__ = ["DerivMA", "DerivMB", "rhs_ma", "rhs_mb", "vector_field"]
@@ -79,14 +79,13 @@ def _field_mb(p: Params):
 
     Like MA, but susceptibles and asymptomatics switch class at rates
     alpha1 (1 -> 2) and alpha2 (2 -> 1).  Susceptible switch terms are
-    scaled by 1/N; asymptomatic switch terms are not, unless
-    p.transition_normalization == "uniform", which divides them by N too.
-    Either way the switches cancel pairwise, so the total is conserved.
+    scaled by 1/N, asymptomatic ones as core._switch_rates says (so too
+    in ngm's Sigma).  The switches cancel pairwise: the total is conserved.
     """
     beta1, beta2, lam, gamma, kappa, alpha1, alpha2, N = (
         p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.alpha1, p.alpha2, p.N
     )
-    uniform = p.transition_normalization == "uniform"
+    sw1, sw2 = _switch_rates(p)
     # Left-associative prefixes of the rate expressions, so hoisting them
     # keeps every result bit-identical.
     asym_rate1 = (1.0 - lam) * beta1
@@ -98,11 +97,8 @@ def _field_mb(p: Params):
         infectives = asympt + Is
         s1n = S1 / N
         s2n = S2 / N
-        switch_in_1 = alpha2 * A2
-        switch_out_1 = alpha1 * A1
-        if uniform:
-            switch_in_1 /= N
-            switch_out_1 /= N
+        switch_in_1 = sw2 * A2
+        switch_out_1 = sw1 * A1
         return (
             alpha2 * S2 / N - (alpha1 + beta1 * infectives) * s1n,
             alpha1 * S1 / N - (alpha2 + beta2 * infectives) * s2n,

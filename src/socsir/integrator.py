@@ -15,7 +15,7 @@ from math import inf
 from operator import attrgetter, indexOf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, StateMA, StateMB, _layout
+from .core import ModelKind, Params, State, StateMA, StateMB, _layout, _switch_rates
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -243,7 +243,7 @@ def _run5(p, s, t0, t1, dt, every, n_expected, tol):
     asym_share = 1.0 - lam
     leave_ia = gamma + kappa
     names = StateMA._fields
-    t = float(t0)
+    t = t0
     yield t, s
     x1, x2, x3, x4, x5 = s
     h = dt
@@ -335,12 +335,12 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
     beta1, beta2, lam, gamma, kappa, alpha1, alpha2, N = (
         p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.alpha1, p.alpha2, p.N
     )
-    uniform = p.transition_normalization == "uniform"
+    sw1, sw2 = _switch_rates(p)
     asym_rate1 = (1.0 - lam) * beta1
     asym_rate2 = (1.0 - lam) * beta2
     leave_a = gamma + kappa
     names = StateMB._fields
-    t = float(t0)
+    t = t0
     yield t, s
     x1, x2, x3, x4, x5, x6 = s
     h = dt
@@ -360,11 +360,8 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         i_a = asympt + x5
         s1n = x1 / N
         s2n = x2 / N
-        sw_in = alpha2 * x4
-        sw_out = alpha1 * x3
-        if uniform:
-            sw_in /= N
-            sw_out /= N
+        sw_in = sw2 * x4
+        sw_out = sw1 * x3
         a1 = alpha2 * x2 / N - (alpha1 + beta1 * i_a) * s1n
         a2 = alpha1 * x1 / N - (alpha2 + beta2 * i_a) * s2n
         a3 = asym_rate1 * i_a * s1n + sw_in - sw_out - leave_a * x3
@@ -379,11 +376,8 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         i_b = asympt + y5
         s1n = y1 / N
         s2n = y2 / N
-        sw_in = alpha2 * y4
-        sw_out = alpha1 * y3
-        if uniform:
-            sw_in /= N
-            sw_out /= N
+        sw_in = sw2 * y4
+        sw_out = sw1 * y3
         b1 = alpha2 * y2 / N - (alpha1 + beta1 * i_b) * s1n
         b2 = alpha1 * y1 / N - (alpha2 + beta2 * i_b) * s2n
         b3 = asym_rate1 * i_b * s1n + sw_in - sw_out - leave_a * y3
@@ -398,11 +392,8 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         i_c = asympt + y5
         s1n = y1 / N
         s2n = y2 / N
-        sw_in = alpha2 * y4
-        sw_out = alpha1 * y3
-        if uniform:
-            sw_in /= N
-            sw_out /= N
+        sw_in = sw2 * y4
+        sw_out = sw1 * y3
         c1 = alpha2 * y2 / N - (alpha1 + beta1 * i_c) * s1n
         c2 = alpha1 * y1 / N - (alpha2 + beta2 * i_c) * s2n
         c3 = asym_rate1 * i_c * s1n + sw_in - sw_out - leave_a * y3
@@ -417,11 +408,8 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         i_d = asympt + y5
         s1n = y1 / N
         s2n = y2 / N
-        sw_in = alpha2 * y4
-        sw_out = alpha1 * y3
-        if uniform:
-            sw_in /= N
-            sw_out /= N
+        sw_in = sw2 * y4
+        sw_out = sw1 * y3
         n1 = x1 + sixth * (
             a1 + 2.0 * (b1 + c1)
             + (alpha2 * y2 / N - (alpha1 + beta1 * i_d) * s1n)
@@ -526,6 +514,7 @@ def integrate(
     the model's state size) at the call, before the first step.
     """
     check_times(t0, t1, dt)
+    t0, dt = float(t0), float(dt)  # so every grid time t0 + k*dt is a float
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:

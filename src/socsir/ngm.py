@@ -14,7 +14,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, State, _layout, split_share
+from .core import ModelKind, Params, State, _layout, _switch_rates, split_share
 from .errors import NumericError, OrderError, RangeError, SingularMatrixError
 
 __all__ = [
@@ -117,7 +117,9 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     """Build T and Sigma, form K = -T * Sigma^{-1}, and take its spectrum.
 
     MA and SINGLE order the infected compartments (Is, Ia); MB orders them
-    (A1, A2, Is).  K has rank one (Diekmann, Heesterbeek & Roberts, J. R.
+    (A1, A2, Is).  T + Sigma is the Jacobian of vector_field's infected
+    equations at dfe_of, so MB's Sigma reads core._switch_rates as the
+    field does.  K has rank one (Diekmann, Heesterbeek & Roberts, J. R.
     Soc. Interface 7:873, 2010), so its spectrum is (0, ..., 0, trace(K)):
     the non-dominant eigenvalues are reported as exact zeros and the
     dominant one is the float trace of K.
@@ -139,9 +141,9 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
         t1 = (1.0 - lam) * beta1 * rho
         t2 = (1.0 - lam) * beta2 * (1.0 - rho)
         t3 = lam * mixed
-        alpha1, alpha2 = p.alpha1, p.alpha2
-        a, b, c = -(alpha1 + gamma + kappa), alpha2, 0.0
-        d, e, f = alpha1, -(alpha2 + gamma + kappa), 0.0
+        sw1, sw2 = _switch_rates(p)
+        a, b, c = -(sw1 + gamma + kappa), sw2, 0.0
+        d, e, f = sw1, -(sw2 + gamma + kappa), 0.0
         g, h, i = gamma, gamma, -kappa
         ca, cb, cc = e * i - f * h, f * g - d * i, d * h - e * g
         det = a * ca + b * cb + c * cc

@@ -90,20 +90,19 @@ def write_csv(traj: Trajectory) -> str:
     return "".join(csv_pieces(traj))
 
 
-def _nice_step(span: float, target: int) -> float:
-    """Tick spacing from the 1-2-5 ladder giving about `target` intervals."""
-    if span <= 0:
-        return 1.0
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    """Tick spacing from the 1-2-5 ladder giving about six intervals of a
+    span > 0 (svg_pieces widens an empty range to 1)."""
+    raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if mag * mult >= raw:
             return mag * mult
-    return mag * 10.0  # pragma: no cover - ladder always hits by 10
+    return mag * 10.0
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    step = _nice_step(hi - lo, target)
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
     out = []
     v = first

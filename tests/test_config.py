@@ -55,8 +55,14 @@ def test_load_mixed():
 
 
 def test_round_trip_identity():
-    for name in ("ma_basic.json", "mb_switching.json", "mixed_switch.json"):
-        cfg = load_config(str(DATA / name))
+    uniform = json.loads((DATA / "mb_switching.json").read_text())
+    uniform["params"]["transition_normalization"] = "uniform"
+    configs = [
+        load_config(str(DATA / name))
+        for name in ("ma_basic.json", "mb_switching.json", "mixed_switch.json")
+    ]
+    configs.append(loads_config(json.dumps(uniform)))
+    for cfg in configs:
         text = dumps_config(cfg)
         again = loads_config(text)
         assert again == cfg

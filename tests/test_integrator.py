@@ -410,6 +410,14 @@ def test_simulate_grid_times_are_exact():
     assert traj.times == tuple(0.0 + k * 0.5 for k in range(11))
 
 
+def test_int_times_give_float_times():
+    # t0 + k*dt in ints would give int grid times between float ends
+    traj = simulate(ModelKind.MA, FIG_A, StateMA(74, 25, 1, 0, 0), 0, 3, 1)
+    assert traj.times == (0.0, 1.0, 2.0, 3.0)
+    assert all(type(t) is float for t in traj.times)
+    assert type(traj.dt) is float
+
+
 def test_simulate_partial_final_step():
     traj = simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 3.7, 1.0)
     assert traj.times == (0.0, 1.0, 2.0, 3.0, 3.7)

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
-from socsir.dynamics import rhs_ma, rhs_mb
+from socsir.dynamics import rhs_ma, rhs_mb, vector_field
 from socsir.errors import OrderError, RangeError, SingularMatrixError
 from socsir.ngm import (
     StabilityVerdict,
@@ -150,6 +150,39 @@ def test_ngm_matches_closed_form_both_models():
         resb = ngm(ModelKind.MB, q)
         wantb = r0(q.beta1, q.beta2, q.rho, q.kappa)
         assert abs(resb.dominant - wantb) <= 1e-10 * wantb
+
+
+_ORACLE_CASES = {
+    "MA": (ModelKind.MA, {}),
+    "SINGLE": (ModelKind.SINGLE, {"rho": 1.0}),
+    "MB-asymmetric": (ModelKind.MB, {}),
+    "MB-uniform": (ModelKind.MB, {"transition_normalization": "uniform"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_ngm_linearizes_the_vector_field(case):
+    # At the DFE the infected equations of the field are linear in the
+    # infected compartments (van den Driessche & Watmough, Math. Biosci.
+    # 180 (2002) 29-48), so f(dfe + e_j) - f(dfe) is column j of their
+    # Jacobian, which T + Sigma must be.  The infected compartments sit
+    # at positions 2, 3 (and 4) of the state, in ngm's order.
+    model, extra = _ORACLE_CASES[case]
+    rng = random.Random(20021029)
+    for _ in range(300):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        f = vector_field(model, p)
+        dfe = dfe_of(model, p)
+        at_dfe = f(*dfe)
+        assert max(map(abs, at_dfe)) <= 1e-15
+        res = ngm(model, p)
+        n = res.dimension
+        for j in range(n):
+            bumped = list(dfe)
+            bumped[2 + j] += 1.0
+            column = [a - b for a, b in zip(f(*bumped)[2:2 + n], at_dfe[2:])]
+            expected = [res.T[i][j] + res.Sigma[i][j] for i in range(n)]
+            assert column == pytest.approx(expected, rel=1e-9, abs=1e-15), (p, j)
 
 
 @pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])

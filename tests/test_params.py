@@ -161,6 +161,13 @@ def test_mb_rho_that_rounds_to_zero_is_rejected(alpha1, alpha2):
             )
 
 
+def test_unknown_transition_normalization_is_rejected():
+    message = "^transition_normalization must be one of"
+    for norm in ("scaled", "Uniform", None):
+        with pytest.raises(RangeError, match=message):
+            validate_params(dict(GOOD_MB, transition_normalization=norm), ModelKind.MB)
+
+
 def test_lambda_unit_interval():
     with pytest.raises(RangeError):
         validate_params(dict(GOOD_MA, **{"lambda": 0.0}), ModelKind.MA)
