@@ -19,11 +19,12 @@ from typing import Iterable, Sequence
 from .config import load_config
 from .core import ModelKind, Params, _layout, validate_params
 from .errors import ConfigError, NumericError, ValidationError
-from .feasibility import bifurcation_scan, classify_feasible_set
 from .ngm import stability
 from .output import csv_pieces, svg_pieces
 from .scenarios import covid_mitigation_presets, participation_scan, run_scenario
-from .sensitivity import finite_diff_check, ordering_case, sensitivity_indices
+
+# feasibility and sensitivity are imported by the handlers that use them,
+# so a simulate or mixed process never compiles or loads them.
 
 __all__ = ["main"]
 
@@ -150,6 +151,8 @@ def _cmd_stability(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> list[str]:
+    from .feasibility import classify_feasible_set
+
     model = ModelKind(args.model)
     report = classify_feasible_set(args.rho, args.kappa, model)
     vertices = ", ".join(
@@ -174,6 +177,8 @@ def _grid(steps: int, upper: float = 1.0) -> list[float]:
 
 
 def _cmd_bifurcation(args: argparse.Namespace) -> list[str]:
+    from .feasibility import bifurcation_scan
+
     model = ModelKind(args.model)
     if args.steps < 2:
         raise ValidationError(f"--steps must be at least 2, got {args.steps}")
@@ -200,6 +205,8 @@ def _cmd_bifurcation(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> list[str]:
+    from .sensitivity import finite_diff_check, ordering_case, sensitivity_indices
+
     model, p = _params_from_flags(args)
     indices = sensitivity_indices(model, p)
     case = ordering_case(model, p)

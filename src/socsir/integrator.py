@@ -12,10 +12,19 @@ from __future__ import annotations
 
 import math
 from math import inf
-from operator import attrgetter, indexOf
+from operator import attrgetter, indexOf, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, StateMA, StateMB, _layout, _switch_rates
+from .core import (
+    ModelKind,
+    Params,
+    State,
+    StateMA,
+    StateMB,
+    _layout,
+    _switch_rates,
+    to_float,
+)
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -50,12 +59,12 @@ NEGATIVE_TOL = 1e-9
 # Most RK4 steps one run may take, 50 times the longest run the tests and
 # the benchmark make.  simulate stores up to one record per step, so without
 # a cap a finite but huge window (t1 = 1e9, dt = 1) grows without bound.  A
-# recorded MB run of 10**5 steps takes about 0.4 s and 28 MB (Python 3.11,
-# 2-vCPU host), so the cap bounds one run near 4 s and 280 MB.  A CLI
-# simulate of an MB run that also writes --csv and --svg peaked at 54 MB
-# RSS in 1.7 s for 10**5 steps and at 130 MB in 3.7 s for 3 * 10**5, about
-# 38 MB per 10**5 records; at the cap such a run would take about 12 s
-# and 400 MB.
+# recorded MB run of 10**5 steps takes about 0.35 s and 26 MB (Python 3.11,
+# 2-vCPU host), so the cap bounds one run near 3.5 s and 260 MB.  A CLI
+# simulate of an MB run that also writes --csv and a four-curve --svg
+# peaked, by the child's own ru_maxrss from os.wait4, at 52 MB in 1.0 s
+# for 10**5 steps and at 126 MB in 3.1 s for 3 * 10**5, about 37 MB per
+# 10**5 records; at the cap such a run would take about 10 s and 390 MB.
 MAX_STEPS = 10**6
 
 
@@ -92,14 +101,19 @@ class Trajectory:
 
     An immutable value like the NamedTuple types, but a slotted class:
     len() is the record count, which a tuple's len() cannot be.
+
+    The records are kept as given: simulate and run_mixed pass the
+    kernels' plain component tuples, which compare and hash as the named
+    states do.  states builds the named states on first read and keeps
+    them in place of the plain tuples.
     """
 
-    __slots__ = ("model", "times", "states", "params_used", "dt", "switch_record")
-    __match_args__ = __slots__
+    __slots__ = ("model", "times", "_records", "params_used", "dt", "switch_record",
+                 "_states")
+    __match_args__ = ("model", "times", "states", "params_used", "dt", "switch_record")
 
     model: ModelKind
     times: tuple[float, ...]
-    states: tuple[State, ...]
     params_used: Params
     dt: float
     switch_record: SwitchRecord | None
@@ -113,12 +127,23 @@ class Trajectory:
         dt: float,
         switch_record: SwitchRecord | None = None,
     ) -> None:
-        values = (model, times, states, params_used, dt, switch_record)
+        values = (model, times, states, params_used, dt, switch_record, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    @property
+    def states(self) -> tuple[State, ...]:
+        """The records as the model's state type."""
+        states = self._states
+        if states is None:
+            states = tuple(map(_layout(self.model).state._make, self._records))
+            object.__setattr__(self, "_states", states)
+            object.__setattr__(self, "_records", states)
+        return states
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return (self.model, self.times, self._records, self.params_used, self.dt,
+                self.switch_record)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -133,7 +158,7 @@ class Trajectory:
 
     def __repr__(self) -> str:
         fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
         )
         return f"Trajectory({fields})"
 
@@ -474,7 +499,13 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
 def check_times(t0: float, t1: float, dt: float) -> None:
     """Raise RangeError unless t0, t1 and dt are finite, dt > 0, t1 > t0
     and the window takes at most MAX_STEPS steps of dt."""
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+    # to_float maps an int beyond the float range to +-inf, where
+    # math.isfinite would raise OverflowError.
+    if not (
+        math.isfinite(to_float(t0))
+        and math.isfinite(to_float(t1))
+        and math.isfinite(to_float(dt))
+    ):
         raise RangeError(
             f"t0, t1 and dt must be finite, got t0={t0}, t1={t1}, dt={dt}"
         )
@@ -487,6 +518,20 @@ def check_times(t0: float, t1: float, dt: float) -> None:
             f"t0={t0}, t1={t1}, dt={dt} needs more than {MAX_STEPS} steps; "
             f"shorten the window or raise dt"
         )
+
+
+def _check_init(names: Sequence[str], init: Sequence[float]) -> None:
+    """Raise RangeError naming the first component of init that is not a
+    finite number, or that lies below _checked_step's negativity floor."""
+    for name, x in zip(names, init):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise RangeError(f"init {name} must be a number, got {x!r}")
+        if not math.isfinite(to_float(x)):
+            raise RangeError(f"init {name} must be finite, got {x!r}")
+    floor = -NEGATIVE_TOL * sum(map(abs, init))
+    for name, x in zip(names, init):
+        if x < floor:
+            raise RangeError(f"init {name} must be at least {floor}, got {x!r}")
 
 
 def integrate(
@@ -503,15 +548,17 @@ def integrate(
     The state is recorded at t0, then after every record_every-th step, and
     always at t1 (a final partial step covers any remainder of t1 - t0 that
     is not a whole multiple of dt).  The first record is init itself; the
-    later ones are plain tuples of the components in init's field order,
-    which simulate turns into named states.  Each recorded state is checked
-    to keep the initial total population within 1e-9 * N before it is
-    yielded.  A failure raises a NumericError with its time and step
-    number (from 1 at t0), and a step failure names its compartment.
+    later ones are plain tuples of the components in init's field order.
+    Each recorded state is checked to keep the initial total population
+    within 1e-9 * N before it is yielded.  A failure raises a NumericError
+    with its time and step number (from 1 at t0), and a step failure names
+    its compartment.
 
     Raises RangeError (see check_times, a model that is not a ModelKind,
-    a record_every that is not an int >= 1, and an init whose length is not
-    the model's state size) at the call, before the first step.
+    a record_every that is not an int >= 1, an init whose length is not
+    the model's state size, and an init component that is not a finite
+    number at or above the negativity floor, -1e-9 times the sum of the
+    magnitudes) at the call, before the first step.
     """
     check_times(t0, t1, dt)
     t0, dt = float(t0), float(dt)  # so every grid time t0 + k*dt is a float
@@ -520,13 +567,14 @@ def integrate(
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
     state, total = _layout(model)[:2]
-    size = len(state._fields)
-    if len(init) != size:
+    names = state._fields
+    if len(init) != len(names):
         raise RangeError(
-            f"{model.name} takes {size} state components, got {len(init)}"
+            f"{model.name} takes {len(names)} state components, got {len(init)}"
         )
+    _check_init(names, init)
     n_expected = total(init)
-    run = _run6 if size == 6 else _run5
+    run = _run6 if len(names) == 6 else _run5
     return run(p, init, t0, t1, dt, record_every, n_expected, 1e-9 * abs(n_expected))
 
 
@@ -541,33 +589,54 @@ def simulate(
 ) -> Trajectory:
     """Integrate the model from t0 to t1 and record the trajectory.
 
-    Records and raises exactly as integrate does, and stores each record
-    as the model's state type, so init may be a plain tuple of the
-    components.
+    Records and raises exactly as integrate does.  The trajectory keeps
+    integrate's records; its states reads them as the model's state type,
+    so init may be a plain tuple of the components.
     """
-    make = _layout(model).state._make
     times: list[float] = []
-    states: list[State] = []
+    records: list[Sequence[float]] = []
     for t, s in integrate(model, p, init, t0, t1, dt, record_every):
         times.append(t)
-        states.append(make(s))
+        records.append(s)
+    records[0] = tuple(init)  # init may be a list
     return Trajectory(
         model=model,
         times=tuple(times),
-        states=tuple(states),
+        states=tuple(records),
         params_used=p,
         dt=float(dt),
     )
+
+
+def _column(model: ModelKind, records: Sequence[Sequence[float]], name: str) -> list[float]:
+    """The observable name (see observables_for) of each record, read from
+    its components by position.  I and N are summed as StateMA.I,
+    StateMB.I, total5 and total6 group them, so the values are the
+    observables' bits; run summaries and the SVG writer read them."""
+    fields = _layout(model).state._fields
+    if name in fields:
+        return list(map(itemgetter(fields.index(name)), records))
+    if len(fields) == 5:
+        if name == "I":
+            return [ia + i_s for _, _, i_s, ia, _ in records]
+        return [((s1 + s2) + ia) + i_s + r for s1, s2, i_s, ia, r in records]
+    if name == "I":
+        return [(a1 + a2) + i_s for _, _, a1, a2, i_s, _ in records]
+    return [((s1 + s2) + (a1 + a2)) + i_s + r for s1, s2, a1, a2, i_s, r in records]
+
+
+def _first_max(times: Sequence[float], values: list[float]) -> tuple[float, float]:
+    """Time and value of the first maximum of values, which match times."""
+    # max keeps the first of equal maxima (-0.0 before 0.0).  It returns
+    # NaN only for a NaN first value, which index cannot find.
+    best = max(values)
+    if best != best:
+        return times[0], best
+    return times[values.index(best)], best
 
 
 def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
     """Time and value of the first recorded maximum of an observable."""
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
-    extract, states = obs.extract, traj.states
-    # max keeps the first of equal maxima (-0.0 before 0.0).  It returns
-    # NaN only for a NaN first value, which indexOf cannot find.
-    best = max(map(extract, states))
-    if best != best:
-        return traj.times[0], best
-    return traj.times[indexOf(map(extract, states), best)], best
+    return _first_max(traj.times, list(map(obs.extract, traj.states)))

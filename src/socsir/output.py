@@ -15,12 +15,11 @@ caller can stream it to a file; write_csv and render_svg join them.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .core import ModelKind, _layout
 from .errors import EmptyTrajectoryError, RangeError
-from .integrator import Trajectory, observables_for
+from .integrator import Trajectory, _column, observables_for
 
 __all__ = [
     "write_csv",
@@ -45,6 +44,11 @@ DEFAULT_SVG_HEIGHT = 480.0
 # document's.
 _PIECE_RECORDS = 1024
 
+# Most ticks svg_pieces draws on one axis.  An axis has about six; more
+# than this only where its span is below about 5e-12 of max(|end|, 1), as
+# _ticks runs on up to 1e-9 of that past the end.
+_MAX_TICKS = 1000
+
 # Margins leave room for tick labels (left/bottom) and the legend (top).
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 24.0
@@ -67,21 +71,28 @@ def csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The CSV text of a trajectory in pieces: the header line, then the
     rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
     are write_csv's text."""
-    layout = _layout(traj.model)
-    names = ("t", *layout.observables)
-    columns, total = attrgetter(*names[1:-1]), layout.total
+    names = ("t", *_layout(traj.model).observables)
     # "%.9g" % x is the same text as f"{x:.9g}".
     row = ",".join(["%.9g"] * len(names)) + "\n"
     yield ",".join(names) + "\n"
-    times, states = traj.times, traj.states
+    # Each row reads its record by position; I and N are grouped as
+    # StateMA.I/StateMB.I and total5/total6 group them.
+    times, records = traj.times, traj._records
+    five = len(names) == 8
     for lo in range(0, len(times), _PIECE_RECORDS):
         hi = lo + _PIECE_RECORDS
-        yield "".join(
-            [
-                row % (t, *columns(s), total(s))
-                for t, s in zip(times[lo:hi], states[lo:hi])
+        if five:
+            rows = [
+                row % (t, s1, s2, ia, i_s, r, ia + i_s, ((s1 + s2) + ia) + i_s + r)
+                for t, (s1, s2, i_s, ia, r) in zip(times[lo:hi], records[lo:hi])
             ]
-        )
+        else:
+            rows = [
+                row % (t, s1, s2, a1, a2, i_s, r, (a1 + a2) + i_s,
+                       ((s1 + s2) + (a1 + a2)) + i_s + r)
+                for t, (s1, s2, a1, a2, i_s, r) in zip(times[lo:hi], records[lo:hi])
+            ]
+        yield "".join(rows)
 
 
 def write_csv(traj: Trajectory) -> str:
@@ -102,11 +113,22 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
+    """The 1-2-5 ticks from lo to hi; RangeError when there would be more
+    than _MAX_TICKS, as on an axis whose span is tiny beside its ends."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
+    end = hi + 1e-9 * max(abs(hi), 1.0)
+    # The loop adds step to v until v passes end.  Where step is below
+    # about an ulp of v, v stops moving; far sooner, end - first spans
+    # more than _MAX_TICKS steps.
+    if not (end - first) / step <= _MAX_TICKS:
+        raise RangeError(
+            f"cannot draw axis ticks from {lo} to {hi}: a tick step of {step} "
+            f"makes more than {_MAX_TICKS} ticks up to {end}"
+        )
     out = []
     v = first
-    while v <= hi + 1e-9 * max(abs(hi), 1.0):
+    while v <= end:
         out.append(0.0 if abs(v) < step * 1e-9 else v)
         v += step
     return out
@@ -125,8 +147,9 @@ def svg_pieces(
 ) -> Iterator[str]:
     """The SVG text of render_svg in pieces.
 
-    A generator whose checks, series and axis ranges (which need every
-    value) come before its first piece, so a rejected plot raises there.
+    A generator whose checks, series, axis ranges (which need every value)
+    and ticks come before its first piece, so a rejected plot raises
+    there.
     It yields the axes, then each polyline in pieces of at most
     _PIECE_RECORDS points, then the legend.
     """
@@ -147,18 +170,22 @@ def svg_pieces(
                 f"known: {sorted(known)}"
             )
 
-    xs = traj.times
-    series = {
-        name: [known[name].extract(s) for s in traj.states] for name in observables
-    }
-
+    model, xs, records = traj.model, traj.times, traj._records
+    # Each series is read off the records for its range here and again
+    # per piece below, so no list of a whole series is held while the
+    # pieces are written.
+    bounds = [
+        (min(values), max(values))
+        for values in (_column(model, records, name) for name in observables)
+    ]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    y_lo = min(0.0, min(min(vals) for vals in series.values()))
-    y_hi = max(max(vals) for vals in series.values())
+    y_lo = min(0.0, min(low for low, _ in bounds))
+    y_hi = max(high for _, high in bounds)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
 
     px0, px1 = _MARGIN_LEFT, width - _MARGIN_RIGHT
     py0, py1 = height - _MARGIN_BOTTOM, _MARGIN_TOP  # y axis points up
@@ -175,7 +202,7 @@ def svg_pieces(
         f'<line x1="{px0:.2f}" y1="{py0:.2f}" x2="{px0:.2f}" y2="{py1:.2f}" '
         f'stroke="#000000" stroke-width="1"/>\n'
     )
-    for v in _ticks(x_lo, x_hi):
+    for v in x_ticks:
         x = px0 + (v - x_lo) / x_span * px_span
         yield (
             f'<line x1="{x:.2f}" y1="{py0:.2f}" x2="{x:.2f}" y2="{py0 + 5:.2f}" '
@@ -183,7 +210,7 @@ def svg_pieces(
             f'<text x="{x:.2f}" y="{py0 + 18:.2f}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{_tick_label(v)}</text>\n'
         )
-    for v in _ticks(y_lo, y_hi):
+    for v in y_ticks:
         y = py0 + (v - y_lo) / y_span * py_span
         yield (
             f'<line x1="{px0 - 5:.2f}" y1="{y:.2f}" x2="{px0:.2f}" y2="{y:.2f}" '
@@ -196,22 +223,25 @@ def svg_pieces(
         f'font-family="sans-serif" font-size="12" text-anchor="middle">t</text>\n'
     )
 
+    # Every polyline has a point per record at the same x, so each x is
+    # formatted once, into a template per piece that takes the piece's y
+    # values: "%.2f,%%.2f" % x % y is "%.2f,%.2f" % (x, y).
+    pieces = range(0, len(xs), _PIECE_RECORDS)
+    templates = [
+        " ".join(
+            ["%.2f,%%.2f" % (px0 + (x - x_lo) / x_span * px_span)
+             for x in xs[lo:lo + _PIECE_RECORDS]]
+        )
+        for lo in pieces
+    ]
     for idx, name in enumerate(observables):
         color = _PALETTE[idx % len(_PALETTE)]
         yield f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-        ys = series[name]
         sep = ""
-        for lo in range(0, len(xs), _PIECE_RECORDS):
-            hi = lo + _PIECE_RECORDS
-            yield sep + " ".join(
-                [
-                    "%.2f,%.2f"
-                    % (
-                        px0 + (x - x_lo) / x_span * px_span,
-                        py0 + (y - y_lo) / y_span * py_span,
-                    )
-                    for x, y in zip(xs[lo:hi], ys[lo:hi])
-                ]
+        for lo, template in zip(pieces, templates):
+            ys = _column(model, records[lo:lo + _PIECE_RECORDS], name)
+            yield sep + template % tuple(
+                [py0 + (y - y_lo) / y_span * py_span for y in ys]
             )
             sep = " "
         yield '"/>\n'

@@ -30,10 +30,10 @@ from .errors import RangeError, ValidationError
 from .integrator import (
     SwitchRecord,
     Trajectory,
+    _column,
+    _first_max,
     check_times,
     integrate,
-    observables_for,
-    peak_of,
     simulate,
 )
 from .ngm import checked_r0
@@ -156,12 +156,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 def _summarize(traj: Trajectory, p: Params) -> RunSummary:
     """Raises NumericError when R0 is not finite (see ngm.checked_r0)."""
-    obs = observables_for(traj.model)
+    model, times, records = traj.model, traj.times, traj._records
     return RunSummary(
         r0=checked_r0(p)[0],
-        peak_I=peak_of(traj, obs["I"]),
-        peak_Is=peak_of(traj, obs["Is"]),
-        final_R=traj.states[-1].R,
+        peak_I=_first_max(times, _column(model, records, "I")),
+        peak_Is=_first_max(times, _column(model, records, "Is")),
+        final_R=records[-1][-1],  # R is the last component of both layouts
     )
 
 
@@ -199,25 +199,25 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     # empty.  The single-class field never reads rho.  Its last record, at
     # t_switch, is the pre-switch state, which the split replaces.
     times: list[float] = []
-    states: list[StateMB] = []
+    records: list[Sequence[float]] = []
     for t, (s1, s2, i_s, i_a, r) in integrate(
         ModelKind.SINGLE, p, init, cfg.t0, spec.t_switch, cfg.dt, cfg.record_every
     ):
         times.append(t)
-        states.append(StateMB(s1, s2, i_a, 0.0, i_s, r))
+        records.append((s1, s2, i_a, 0.0, i_s, r))
     times.pop()
-    pre = states.pop()
+    pre = StateMB._make(records.pop())
     post = _split_state(pre, spec.rho_split)
     for t, s in integrate(
         ModelKind.MB, p, post, spec.t_switch, cfg.t1, cfg.dt, cfg.record_every
     ):
         times.append(t)
-        states.append(StateMB._make(s))
+        records.append(s)
 
     traj = Trajectory(
         model=ModelKind.MB,
         times=tuple(times),
-        states=tuple(states),
+        states=tuple(records),
         params_used=p,
         dt=cfg.dt,
         switch_record=SwitchRecord(

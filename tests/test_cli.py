@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -468,6 +469,68 @@ def test_cli_import_loads_no_process_machinery():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_simulate_and_mixed_load_no_analysis_modules(tmp_path):
+    # the feasibility and sensitivity handlers import their modules, so a
+    # run never compiles them
+    out = tmp_path / "report.txt"
+    code = (
+        "import sys\n"
+        "from socsir.cli import main\n"
+        f"assert main(['simulate', '--config', {MA_CFG!r}, '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['mixed', '--config', {MIXED_CFG!r}, '--out', {str(out)!r}]) == 0\n"
+        "print(sorted(m for m in ('socsir.feasibility', 'socsir.sensitivity') "
+        "if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize(
+    "time_block, init, outputs",
+    [
+        # the tick step 5 is below half an ulp (16) of the axis
+        ({"t0": 1e17, "t1": 1e17 + 16, "dt": 16.0}, None, None),
+        # the tick step 2e-301 is far below the 1e-9 the ticks run past t1
+        ({"t0": 0.0, "t1": 1e-300, "dt": 1e-300}, None, None),
+        # likewise on the y axis, for an Is that stays near 1e-300
+        (None, {"S1": 100.0, "S2": 0.0, "Is": 1e-300, "Ia": 0.0, "R": 0.0}, ["Is"]),
+    ],
+    ids=["huge-t0", "tiny-window", "tiny-values"],
+)
+def test_unplottable_axis_exits_2_without_a_file(tmp_path, time_block, init, outputs):
+    # the tick loop never ended and took memory until a raw MemoryError;
+    # a build without the check fails here under the address-space limit
+    doc = json.loads(pathlib.Path(MA_CFG).read_text())
+    for key, value in (("time", time_block), ("init", init), ("outputs", outputs)):
+        if value is not None:
+            doc[key] = value
+    cfg = tmp_path / "axis.json"
+    cfg.write_text(json.dumps(doc))
+    svg = tmp_path / "run.svg"
+    done = subprocess.run(
+        [sys.executable, "-m", "socsir", "simulate", "--config", str(cfg), "--svg", str(svg)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: cannot draw axis ticks from ")
+    assert done.stdout == "" and not svg.exists()
 
 
 @pytest.mark.skipif(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -45,7 +46,8 @@ from socsir.integrator import (
     simulate,
     step_rk4,
 )
-from socsir.scenarios import INIT_RULE_DFE_PLUS_ONE, resolve_init
+from socsir.config import load_config
+from socsir.scenarios import INIT_RULE_DFE_PLUS_ONE, resolve_init, run_scenario
 from tests._samplers import draw_raw_params
 
 FIG_A = validate_params(
@@ -66,6 +68,7 @@ FIG_A_MB = validate_params(
     dict(FIG_A.as_dict(), alpha1=0.1, alpha2=0.01), ModelKind.MB
 )
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_step_rk4_exponential_decay():
@@ -464,6 +467,53 @@ def test_check_times_caps_the_step_count():
         check_times(-1e308, 1e308, 1.0)  # t1 - t0 overflows to inf
 
 
+@pytest.mark.parametrize(
+    "t0, t1, dt",
+    [(0, 10**400, 1), (-(10**400), 0, 1), (0, 10, 10**400)],
+    ids=["t1", "t0", "dt"],
+)
+def test_times_beyond_the_float_range_raise_range_error(t0, t1, dt):
+    # math.isfinite raised OverflowError on an int beyond the float range
+    with pytest.raises(RangeError, match="must be finite"):
+        check_times(t0, t1, dt)
+    with pytest.raises(RangeError, match="must be finite"):
+        integrate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
+    with pytest.raises(RangeError, match="must be finite"):
+        simulate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
+
+
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("S1", math.nan, "S1 must be finite"),
+        ("Ia", math.inf, "Ia must be finite"),
+        ("R", 10**400, "R must be finite"),
+        ("Is", -1.0, "Is must be at least"),
+        ("S2", "24.75", "S2 must be a number"),
+        ("S2", None, "S2 must be a number"),
+        ("Is", True, "Is must be a number"),
+    ],
+    ids=["nan", "inf", "huge-int", "negative", "str", "none", "bool"],
+)
+def test_integrate_rejects_a_bad_init_component(field, value, why):
+    # NaN failed at "step 1", Is = -1 was blamed on dt ("reduce dt"), and a
+    # string raised a raw TypeError from the kernel
+    init = FIG_A_INIT._replace(**{field: value})
+    with pytest.raises(RangeError, match=f"^init {why}"):
+        integrate(ModelKind.MA, FIG_A, init, 0.0, 5.0, 1.0)
+
+
+def test_integrate_takes_an_init_just_below_zero():
+    # run_mixed's second phase starts where the first ended, which the
+    # step check lets lie down to -1e-9 times the sum of the magnitudes
+    floor = -1e-9 * 100.0
+    init = StateMB(74.25, 24.75 - floor, floor, 0.0, 1.0, 0.0)
+    traj = simulate(ModelKind.MB, FIG_A_MB, init, 0.0, 5.0, 1.0)
+    assert traj.states[0] == init
+    with pytest.raises(RangeError, match="^init A1 must be at least"):
+        integrate(ModelKind.MB, FIG_A_MB, init._replace(A1=2 * floor), 0.0, 5.0)
+
+
 _BAD_TIME_RUN = textwrap.dedent(
     """
     import math
@@ -539,6 +589,70 @@ def test_simulate_takes_its_record_type_from_the_model(model):
     assert traj == simulate(model, p, named, 0.0, 10.0)
     state_type = StateMB if model is ModelKind.MB else StateMA
     assert all(type(s) is state_type for s in traj.states)
+
+
+def _stored_runs(case):
+    """simulate runs on sampler draws of one model, or one mixed run."""
+    if case == "mixed":
+        cfg = load_config(str(DATA / "mixed_switch.json"))._replace(t1=1500.0)
+        return [run_scenario(cfg).trajectory]
+    model = ModelKind[case]
+    rng = random.Random(f"stored-{case}")
+    runs = []
+    for _ in range(10):
+        raw = draw_raw_params(rng, model)
+        if model is ModelKind.SINGLE:
+            raw["rho"] = 1.0
+        p = validate_params(raw, model)
+        init = resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE)
+        runs.append(simulate(model, p, init, 0.0, 10.0, rng.choice([0.1, 0.25]),
+                             rng.choice([1, 3])))
+    return runs
+
+
+@pytest.mark.parametrize("case", ["MA", "SINGLE", "MB", "mixed"])
+def test_stored_records_equal_a_trajectory_of_named_states(case):
+    # simulate and run_mixed keep the kernels' plain tuples; the public
+    # constructor takes named states, and both must be the same value
+    for traj in _stored_runs(case):
+        state_type = STATE_OF[traj.model]
+        rebuilt = Trajectory(traj.model, traj.times, traj.states, traj.params_used,
+                             traj.dt, traj.switch_record)
+        assert all(type(s) is state_type for s in traj.states)
+        assert all(type(t) is float for t in traj.times)
+        assert traj.states is traj.states and rebuilt.states == traj.states
+        fresh = pickle.loads(pickle.dumps(traj))
+        assert fresh == traj == rebuilt and hash(fresh) == hash(traj) == hash(rebuilt)
+        assert repr(fresh) == repr(traj) == repr(rebuilt)
+        assert all(type(s) is state_type for s in fresh.states)
+        # the named states read the records' bits
+        assert _hex_bits(fresh.states) == _hex_bits(traj.states)
+
+
+def _hex_bits(states):
+    return [tuple(map(float.hex, s)) for s in states]
+
+
+def test_runs_build_no_named_state_per_record(monkeypatch):
+    # the records stay the kernels' tuples until states is read; run_mixed
+    # names only its pre-switch and post-split states
+    made = []
+    for state_type in (StateMA, StateMB):
+        make, new = state_type._make.__func__, state_type.__new__
+        monkeypatch.setattr(state_type, "_make", classmethod(
+            lambda cls, it, make=make: made.append(cls) or make(cls, it)))
+        monkeypatch.setattr(state_type, "__new__",
+                            lambda cls, *a, new=new, **k: made.append(cls) or new(cls, *a, **k))
+    traj = simulate(ModelKind.MB, FIG_A_MB, tuple(resolve_init(
+        ModelKind.MB, FIG_A_MB, INIT_RULE_DFE_PLUS_ONE)), 0.0, 200.0, 2.0)
+    assert len(traj) == 101 and made == [StateMB]  # resolve_init's one state
+    made.clear()
+    cfg = load_config(str(DATA / "mixed_switch.json"))
+    made.clear()
+    mixed = run_scenario(cfg).trajectory
+    assert len(mixed) > 1000 and len(made) == 2
+    made.clear()
+    assert len(mixed.states) == len(mixed) and made == [StateMB] * len(mixed)
 
 
 def test_observables_cover_model_fields():

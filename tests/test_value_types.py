@@ -83,7 +83,7 @@ def pairs():
 
 def _fields(value) -> tuple[str, ...]:
     cls = type(value)
-    return cls.__slots__ if cls is Trajectory else cls._fields
+    return cls.__match_args__ if cls is Trajectory else cls._fields
 
 
 def test_all_sixteen_types_are_public(pairs):
