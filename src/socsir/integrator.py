@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from math import inf
-from operator import attrgetter, indexOf, itemgetter
+from operator import attrgetter, indexOf
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -606,23 +606,6 @@ def simulate(
         params_used=p,
         dt=float(dt),
     )
-
-
-def _column(model: ModelKind, records: Sequence[Sequence[float]], name: str) -> list[float]:
-    """The observable name (see observables_for) of each record, read from
-    its components by position.  I and N are summed as StateMA.I,
-    StateMB.I, total5 and total6 group them, so the values are the
-    observables' bits; run summaries and the SVG writer read them."""
-    fields = _layout(model).state._fields
-    if name in fields:
-        return list(map(itemgetter(fields.index(name)), records))
-    if len(fields) == 5:
-        if name == "I":
-            return [ia + i_s for _, _, i_s, ia, _ in records]
-        return [((s1 + s2) + ia) + i_s + r for s1, s2, i_s, ia, r in records]
-    if name == "I":
-        return [(a1 + a2) + i_s for _, _, a1, a2, i_s, _ in records]
-    return [((s1 + s2) + (a1 + a2)) + i_s + r for s1, s2, a1, a2, i_s, r in records]
 
 
 def _first_max(times: Sequence[float], values: list[float]) -> tuple[float, float]:

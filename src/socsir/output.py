@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import ModelKind, _layout
+from .core import ModelKind, _column, _layout
 from .errors import EmptyTrajectoryError, RangeError
-from .integrator import Trajectory, _column, observables_for
+from .integrator import Trajectory, observables_for
 
 __all__ = [
     "write_csv",
@@ -71,14 +71,15 @@ def csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The CSV text of a trajectory in pieces: the header line, then the
     rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
     are write_csv's text."""
-    names = ("t", *_layout(traj.model).observables)
+    layout = _layout(traj.model)
+    names = ("t", *layout.observables)
     # "%.9g" % x is the same text as f"{x:.9g}".
     row = ",".join(["%.9g"] * len(names)) + "\n"
     yield ",".join(names) + "\n"
     # Each row reads its record by position; I and N are grouped as
     # StateMA.I/StateMB.I and total5/total6 group them.
     times, records = traj.times, traj._records
-    five = len(names) == 8
+    five = len(layout.state._fields) == 5
     for lo in range(0, len(times), _PIECE_RECORDS):
         hi = lo + _PIECE_RECORDS
         if five:

@@ -22,6 +22,7 @@ from .core import (
     State,
     StateMA,
     StateMB,
+    _column,
     _layout,
     split_share,
     validate_params,
@@ -30,7 +31,6 @@ from .errors import RangeError, ValidationError
 from .integrator import (
     SwitchRecord,
     Trajectory,
-    _column,
     _first_max,
     check_times,
     integrate,
