@@ -521,7 +521,8 @@ def test_unplottable_axis_exits_2_without_a_file(tmp_path, time_block, init, out
     cfg.write_text(json.dumps(doc))
     svg = tmp_path / "run.svg"
     done = subprocess.run(
-        [sys.executable, "-m", "socsir", "simulate", "--config", str(cfg), "--svg", str(svg)],
+        [sys.executable, "-m", "socsir", "simulate", "--config", str(cfg),
+         "--svg", str(svg)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,

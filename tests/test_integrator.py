@@ -637,12 +637,17 @@ def test_runs_build_no_named_state_per_record(monkeypatch):
     # the records stay the kernels' tuples until states is read; run_mixed
     # names only its pre-switch and post-split states
     made = []
+
+    def counted(build):
+        def wrapper(cls, *args, **kwargs):
+            made.append(cls)
+            return build(cls, *args, **kwargs)
+        return wrapper
+
     for state_type in (StateMA, StateMB):
-        make, new = state_type._make.__func__, state_type.__new__
-        monkeypatch.setattr(state_type, "_make", classmethod(
-            lambda cls, it, make=make: made.append(cls) or make(cls, it)))
-        monkeypatch.setattr(state_type, "__new__",
-                            lambda cls, *a, new=new, **k: made.append(cls) or new(cls, *a, **k))
+        make = state_type._make.__func__
+        monkeypatch.setattr(state_type, "_make", classmethod(counted(make)))
+        monkeypatch.setattr(state_type, "__new__", counted(state_type.__new__))
     traj = simulate(ModelKind.MB, FIG_A_MB, tuple(resolve_init(
         ModelKind.MB, FIG_A_MB, INIT_RULE_DFE_PLUS_ONE)), 0.0, 200.0, 2.0)
     assert len(traj) == 101 and made == [StateMB]  # resolve_init's one state
