@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import MissingFieldError, NumericError, OrderError, RangeError
 
@@ -336,21 +336,22 @@ def _layout(model: ModelKind) -> _Layout:
 
 def _column(
     model: ModelKind, records: Sequence[Sequence[float]], name: str
-) -> list[float]:
-    """The observable name (one of the layout's observables) of each
-    record, read from its components by position.  I and N are summed as
-    StateMA.I, StateMB.I, total5 and total6 group them, so the values are
-    the observables' bits; run summaries and the SVG writer read them."""
+) -> Iterator[float]:
+    """An iterator over the observable name (one of the layout's
+    observables) of each record, read from its components by position.
+    I and N are summed as StateMA.I, StateMB.I, total5 and total6 group
+    them, so the values are the observables' bits.  Run summaries and the
+    SVG writer read them without holding a list of a whole run."""
     fields = _layout(model).state._fields
     if name in fields:
-        return list(map(itemgetter(fields.index(name)), records))
+        return map(itemgetter(fields.index(name)), records)
     if len(fields) == 5:
         if name == "I":
-            return [ia + i_s for _, _, i_s, ia, _ in records]
-        return [((s1 + s2) + ia) + i_s + r for s1, s2, i_s, ia, r in records]
+            return (ia + i_s for _, _, i_s, ia, _ in records)
+        return (((s1 + s2) + ia) + i_s + r for s1, s2, i_s, ia, r in records)
     if name == "I":
-        return [(a1 + a2) + i_s for _, _, a1, a2, i_s, _ in records]
-    return [((s1 + s2) + (a1 + a2)) + i_s + r for s1, s2, a1, a2, i_s, r in records]
+        return ((a1 + a2) + i_s for _, _, a1, a2, i_s, _ in records)
+    return (((s1 + s2) + (a1 + a2)) + i_s + r for s1, s2, a1, a2, i_s, r in records)
 
 
 def total_population(state: State | Sequence[float]) -> float:

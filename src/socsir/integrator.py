@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from math import inf
 from operator import attrgetter, indexOf
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     ModelKind,
@@ -608,18 +608,22 @@ def simulate(
     )
 
 
-def _first_max(times: Sequence[float], values: list[float]) -> tuple[float, float]:
-    """Time and value of the first maximum of values, which match times."""
+def _first_max(
+    times: Sequence[float], values: Callable[[], Iterable[float]]
+) -> tuple[float, float]:
+    """Time and value of the first maximum of values(), which iterates the
+    values that match times (it is called twice)."""
     # max keeps the first of equal maxima (-0.0 before 0.0).  It returns
-    # NaN only for a NaN first value, which index cannot find.
-    best = max(values)
+    # NaN only for a NaN first value, which indexOf cannot find.
+    best = max(values())
     if best != best:
         return times[0], best
-    return times[values.index(best)], best
+    return times[indexOf(values(), best)], best
 
 
 def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
     """Time and value of the first recorded maximum of an observable."""
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
-    return _first_max(traj.times, list(map(obs.extract, traj.states)))
+    extract, states = obs.extract, traj.states
+    return _first_max(traj.times, lambda: map(extract, states))

@@ -173,11 +173,10 @@ def svg_pieces(
 
     model, xs, records = traj.model, traj.times, traj._records
     # Each series is read off the records for its range here and again
-    # per piece below, so no list of a whole series is held while the
-    # pieces are written.
+    # per piece below, so no list of a whole series is held.
     bounds = [
-        (min(values), max(values))
-        for values in (_column(model, records, name) for name in observables)
+        (min(_column(model, records, name)), max(_column(model, records, name)))
+        for name in observables
     ]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:

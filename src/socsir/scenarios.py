@@ -159,8 +159,8 @@ def _summarize(traj: Trajectory, p: Params) -> RunSummary:
     model, times, records = traj.model, traj.times, traj._records
     return RunSummary(
         r0=checked_r0(p)[0],
-        peak_I=_first_max(times, _column(model, records, "I")),
-        peak_Is=_first_max(times, _column(model, records, "Is")),
+        peak_I=_first_max(times, lambda: _column(model, records, "I")),
+        peak_Is=_first_max(times, lambda: _column(model, records, "Is")),
         final_R=records[-1][-1],  # R is the last component of both layouts
     )
 

@@ -721,6 +721,15 @@ def test_cli_svg_write_holds_its_series_and_one_piece(monkeypatch, tmp_path, cap
     assert peak < _series_bytes(traj, observables) + _ONE_PIECE_BYTES
 
 
+def test_cli_svg_write_holds_no_whole_series(monkeypatch, tmp_path, capsys):
+    # each series is read off the records per piece; what grows with the
+    # record count is one "x,%.2f" template per point, under 16 bytes each
+    cfg, traj = _long_run(monkeypatch, tmp_path, ["I", "Is", "R"])
+    svg_path = tmp_path / "long.svg"
+    peak = _traced_peak(["simulate", "--config", cfg, "--svg", str(svg_path)])
+    assert peak < 16 * len(traj) + _ONE_PIECE_BYTES
+
+
 def test_rejected_plot_leaves_no_file(monkeypatch, tmp_path, capsys):
     # svg_pieces checks the plot before its first piece, and _write takes
     # the first piece before it opens the file; opening first would leave
