@@ -62,9 +62,9 @@ NEGATIVE_TOL = 1e-9
 # recorded MB run of 10**5 steps takes about 0.35 s and 26 MB (Python 3.11,
 # 2-vCPU host), so the cap bounds one run near 3.5 s and 260 MB.  A CLI
 # simulate of an MB run that also writes --csv and a four-curve --svg
-# peaked, by the child's own ru_maxrss from os.wait4, at 52 MB in 1.0 s
-# for 10**5 steps and at 126 MB in 3.1 s for 3 * 10**5, about 37 MB per
-# 10**5 records; at the cap such a run would take about 10 s and 390 MB.
+# peaked, by the child's own ru_maxrss from os.wait4, at 49 MB in 1.0 s
+# for 10**5 steps and at 117 MB in 2.7 s for 3 * 10**5, about 34 MB per
+# 10**5 records; at the cap such a run would take about 9 s and 360 MB.
 MAX_STEPS = 10**6
 
 

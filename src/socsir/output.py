@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .core import ModelKind, _column, _layout
 from .errors import EmptyTrajectoryError, RangeError
-from .integrator import Trajectory, observables_for
+from .integrator import Trajectory
 
 __all__ = [
     "write_csv",
@@ -148,9 +148,8 @@ def svg_pieces(
 ) -> Iterator[str]:
     """The SVG text of render_svg in pieces.
 
-    A generator whose checks, series, axis ranges (which need every value)
-    and ticks come before its first piece, so a rejected plot raises
-    there.
+    A generator whose checks, axis ranges (which need every value) and
+    ticks come before its first piece, so a rejected plot raises there.
     It yields the axes, then each polyline in pieces of at most
     _PIECE_RECORDS points, then the legend.
     """
@@ -163,7 +162,7 @@ def svg_pieces(
     if len(traj) == 0:
         raise EmptyTrajectoryError("cannot plot an empty trajectory")
 
-    known = observables_for(traj.model)
+    known = _layout(traj.model).observables
     for name in observables:
         if name not in known:
             raise RangeError(
