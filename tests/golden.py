@@ -16,7 +16,14 @@ Each part is one sha256 hex digest:
 * ``scan/<preset>`` and ``scan/<preset>/serial``: the ``float.hex`` of
   every ``participation_scan`` peak of a mitigation preset on a coarse
   grid, forked as the public call runs on a multi-CPU host, and in this
-  process alone.
+  process alone;
+* ``field/<case>/hex``: the ``float.hex`` of ``vector_field`` on seeded
+  sampler parameters and states, for MA, SINGLE and MB under both
+  transition normalizations;
+* ``kernel/<case>/hex``: the records of seeded short ``integrate`` runs
+  of the same cases as ``float.hex``, or the error a run ends in (class,
+  message, time, compartment and step); a fifth of the runs take a dt
+  large enough to fail often.
 
 Standard library only, so any interpreter can run it:
 
@@ -33,6 +40,7 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -68,6 +76,16 @@ NGM_UNIFORM = tuple(
 )
 SCAN_GRID = tuple(i / 10 for i in range(1, 10))
 SCAN_CAPACITY = 10.0
+# The field and kernel cases: a model name and the parameters that override
+# a sampler draw.
+BIT_CASES = {
+    "MA": ("MA", {}),
+    "SINGLE": ("SINGLE", {"rho": 1.0}),
+    "MB-asymmetric": ("MB", {}),
+    "MB-uniform": ("MB", {"transition_normalization": "uniform"}),
+}
+FIELD_DRAWS = 200
+KERNEL_RUNS = 100
 
 
 def _sha(data: bytes) -> str:
@@ -89,6 +107,46 @@ def _hex(values) -> str:
     return " ".join(
         _hex(v) if isinstance(v, tuple) else float.hex(v) for v in values
     )
+
+
+def _field_hex(rng: random.Random, model, extra: dict) -> str:
+    """vector_field on FIELD_DRAWS sampler draws, each at a state whose
+    components lie in [0, N], a fifth of them 0."""
+    from socsir.core import _layout, validate_params
+    from socsir.dynamics import vector_field
+    from tests._samplers import draw_raw_params
+
+    size = len(_layout(model).state._fields)
+    out = []
+    for _ in range(FIELD_DRAWS):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        s = [0.0 if rng.random() < 0.2 else rng.uniform(0.0, p.N) for _ in range(size)]
+        out.append(_hex(vector_field(model, p)(*s)))
+    return "\n".join(out)
+
+
+def _kernel_hex(rng: random.Random, model, extra: dict) -> str:
+    """KERNEL_RUNS short integrate runs from the DFE+1 state, each ending in a
+    partial step, at record_every 1 or 3."""
+    from socsir import NumericError, resolve_init, validate_params
+    from socsir.integrator import integrate
+    from tests._samplers import draw_raw_params
+
+    out = []
+    for _ in range(KERNEL_RUNS):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        init = resolve_init(model, p, "dfe_plus_one_symptomatic")
+        dt = rng.uniform(0.1, 2.0) if rng.random() < 0.8 else rng.uniform(2.0, 60.0)
+        t1 = dt * (rng.randint(3, 12) + rng.random())
+        run = integrate(model, p, init, 0.0, t1, dt, rng.choice((1, 3)))
+        try:
+            for t, s in run:
+                out.append(_hex((t, tuple(s))))
+        except NumericError as exc:
+            out.append(repr((type(exc).__name__, str(exc), exc.time,
+                             exc.compartment, exc.step)))
+        out.append("")
+    return "\n".join(out)
 
 
 def _uniform_doc() -> dict:
@@ -148,9 +206,16 @@ def digests() -> dict[str, str]:
                 scenarios._usable_cpus = usable_cpus
             peaks = " ".join(map(float.hex, result.peak_I))
             out[f"scan/{preset.name}{suffix}"] = _sha(peaks.encode())
+    for seed, (case, (name, extra)) in enumerate(BIT_CASES.items()):
+        model = ModelKind[name]
+        out[f"field/{case}/hex"] = _sha(_field_hex(random.Random(seed), model, extra).encode())
+        out[f"kernel/{case}/hex"] = _sha(
+            _kernel_hex(random.Random(100 + seed), model, extra).encode()
+        )
     return out
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sys.path[:0] = [str(root / "src"), str(root)]
     sys.stdout.write(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
