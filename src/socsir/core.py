@@ -174,15 +174,21 @@ def to_float(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _number(key: str, value: object) -> float:
-    """value as a finite float, or RangeError naming the parameter."""
+def _finite(name: str, value: object) -> float:
+    """value as a finite float: RangeError "<name> must be a number" for a
+    bool or a non-number (a numeric string too), "must be finite" else."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RangeError(f"parameter {key!r} must be a number, got {value!r}")
+            raise RangeError(f"{name} must be a number, got {value!r}")
         value = to_float(value)
     if not math.isfinite(value):
-        raise RangeError(f"parameter {key!r} must be finite, got {value!r}")
+        raise RangeError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _number(key: str, value: object) -> float:
+    """value as a finite float, or RangeError naming the parameter."""
+    return _finite(f"parameter {key!r}", value)
 
 
 def _require(raw: Mapping[str, object], key: str) -> float:

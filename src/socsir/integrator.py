@@ -10,21 +10,16 @@ conservation, while the error tells the caller to shrink dt.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from math import inf
 from operator import attrgetter, indexOf
+from textwrap import indent
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (
-    ModelKind,
-    Params,
-    State,
-    StateMA,
-    StateMB,
-    _layout,
-    _switch_rates,
-    to_float,
-)
+from .core import ModelKind, Params, State, _finite, _layout
+from .dynamics import _define, _text, _Text
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -47,9 +42,7 @@ __all__ = [
 ]
 
 # step_rk4's vector field maps (time, state-tuple) to a derivative tuple of
-# the same length.  The model fields are autonomous and take the components
-# positionally instead (dynamics.vector_field); integrate's kernels have
-# them written in.
+# the same length; dynamics.vector_field's take the components instead.
 VectorField = Callable[[float, Sequence[float]], Sequence[float]]
 
 # Tolerance for "a compartment went negative": one part in 1e9 of the
@@ -102,7 +95,9 @@ class Trajectory:
     An immutable value like the NamedTuple types, but a slotted class:
     len() is the record count, which a tuple's len() cannot be.
 
-    The records are kept as given: simulate and run_mixed pass the
+    RangeError at construction for a model that is not a ModelKind, or
+    records that do not match the times in number or the model's state
+    size.  The records are kept as given: simulate and run_mixed pass the
     kernels' plain component tuples, which compare and hash as the named
     states do.  states builds the named states on first read and keeps
     them in place of the plain tuples.
@@ -127,6 +122,14 @@ class Trajectory:
         dt: float,
         switch_record: SwitchRecord | None = None,
     ) -> None:
+        size = len(_layout(model).state._fields)
+        lengths = set(map(len, states))
+        if len(times) != len(states) or not lengths <= {size}:
+            raise RangeError(
+                f"{model.name} trajectories take one record of {size} components "
+                f"per time, got {len(times)} times and {len(states)} records of "
+                f"lengths {sorted(lengths)}"
+            )
         values = (model, times, states, params_used, dt, switch_record, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -222,8 +225,9 @@ def _step(
     """One classical RK4 step of the field f(t, components).
 
     f receives each stage's components as a plain tuple.  Works for any
-    number of components; _run5 and _run6 are the same arithmetic written
-    out per component.  step and names label a failure (_checked_step).
+    number of components; integrate's kernels (_kernel) are the same
+    arithmetic written out per component.  step and names label a failure
+    (_checked_step).
     """
     half = 0.5 * dt
     k1 = f(t, tuple(s))
@@ -243,131 +247,24 @@ def _step(
     return _checked_step(new, s, t, step, names)
 
 
-# _run5 and _run6 are integrate's whole-run kernels, one per state size.
-# Each is _step on dynamics.vector_field, with the model's field written
-# into the four stages: every expression keeps the operands and their order
-# of _step and of dynamics._field_ma/_field_mb, so the results are
-# bit-identical.  The stage inputs of R are left out, as neither field
-# reads R.  The time grid is integrate's: step k ends at t0 + k*dt, except
-# that a step that would reach t1 ends at t1 exactly.  A result whose
-# every component lies in [0, inf) passes _checked_step untouched (NaN
-# fails every comparison), so the kernels test that first and call
-# _checked_step only otherwise.  Each record's total is grouped as
-# core.total5/total6 group it and checked against n_expected before the
-# record is yielded.
-
-
-def _run5(p, s, t0, t1, dt, every, n_expected, tol):
-    """integrate's run for five components (MA, SINGLE).
-
-    The field written in is dynamics._field_ma, its reference.
-    """
-    beta1, beta2, lam, gamma, kappa, N = (
-        p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.N
-    )
-    asym_share = 1.0 - lam
-    leave_ia = gamma + kappa
-    names = StateMA._fields
+# integrate's whole-run kernel of a model is _step on its vector field,
+# written out: _kernel puts the field's text (dynamics._Text) into the four
+# RK4 stages of _KERNEL, components renamed x1, x2, ... in the first stage
+# and y1, y2, ... after it, derivatives a1, a2, ... to d1, d2, ....  Every
+# expression keeps the operands and their order of _step and of the field,
+# so the records are bit-identical, and a component that no expression
+# reads (R) gets no stage inputs.  A field text must not use the template's
+# own names.  Step k ends at t0 + k*dt (no additive rounding over a long
+# run), or at t1 exactly.  A result in [0, inf) passes _checked_step
+# untouched (NaN fails every comparison), so only another result is sent
+# there.  Each record's total, grouped as core.total5/total6 group it, is
+# checked against n_expected before the record is yielded.
+_KERNEL = """\
+def run(p, s, t0, t1, dt, every, n_expected, tol):
+{prelude}
     t = t0
     yield t, s
-    x1, x2, x3, x4, x5 = s
-    h = dt
-    half = 0.5 * h
-    sixth = h / 6.0
-    k = 0
-    while t < t1:
-        k += 1
-        # The grid time comes from the step index so long runs do not
-        # accumulate additive rounding.
-        t_next = t0 + k * dt
-        if t_next >= t1:
-            t_next = float(t1)
-            h = t1 - t
-            half = 0.5 * h
-            sixth = h / 6.0
-        # Components in StateMA order: S1, S2, Is, Ia, R.
-        i_a = x4 + x3
-        f1 = beta1 * x1 / N
-        f2 = beta2 * x2 / N
-        inc = (f1 + f2) * i_a
-        a1 = -f1 * i_a
-        a2 = -f2 * i_a
-        a3 = lam * inc + gamma * x4 - kappa * x3
-        a4 = asym_share * inc - leave_ia * x4
-        y1 = x1 + half * a1
-        y2 = x2 + half * a2
-        y3 = x3 + half * a3
-        y4 = x4 + half * a4
-        i_b = y4 + y3
-        f1 = beta1 * y1 / N
-        f2 = beta2 * y2 / N
-        inc = (f1 + f2) * i_b
-        b1 = -f1 * i_b
-        b2 = -f2 * i_b
-        b3 = lam * inc + gamma * y4 - kappa * y3
-        b4 = asym_share * inc - leave_ia * y4
-        y1 = x1 + half * b1
-        y2 = x2 + half * b2
-        y3 = x3 + half * b3
-        y4 = x4 + half * b4
-        i_c = y4 + y3
-        f1 = beta1 * y1 / N
-        f2 = beta2 * y2 / N
-        inc = (f1 + f2) * i_c
-        c1 = -f1 * i_c
-        c2 = -f2 * i_c
-        c3 = lam * inc + gamma * y4 - kappa * y3
-        c4 = asym_share * inc - leave_ia * y4
-        y1 = x1 + h * c1
-        y2 = x2 + h * c2
-        y3 = x3 + h * c3
-        y4 = x4 + h * c4
-        i_d = y4 + y3
-        f1 = beta1 * y1 / N
-        f2 = beta2 * y2 / N
-        inc = (f1 + f2) * i_d
-        n1 = x1 + sixth * (a1 + 2.0 * (b1 + c1) + -f1 * i_d)
-        n2 = x2 + sixth * (a2 + 2.0 * (b2 + c2) + -f2 * i_d)
-        n3 = x3 + sixth * (
-            a3 + 2.0 * (b3 + c3) + (lam * inc + gamma * y4 - kappa * y3)
-        )
-        n4 = x4 + sixth * (
-            a4 + 2.0 * (b4 + c4) + (asym_share * inc - leave_ia * y4)
-        )
-        n5 = x5 + sixth * (
-            kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
-        )
-        new = (n1, n2, n3, n4, n5)
-        if not (
-            0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
-            and 0.0 <= n4 < inf and 0.0 <= n5 < inf
-        ):
-            _checked_step(new, (x1, x2, x3, x4, x5), t, k, names)
-        x1, x2, x3, x4, x5 = new
-        t = t_next
-        if k % every == 0 or t >= t1:
-            drift = abs(((x1 + x2) + x4) + x3 + x5 - n_expected)
-            if drift > tol:
-                raise _drifted(drift, t, k)
-            yield t, new
-
-
-def _run6(p, s, t0, t1, dt, every, n_expected, tol):
-    """integrate's run for six components (MB).
-
-    The field written in is dynamics._field_mb, its reference.
-    """
-    beta1, beta2, lam, gamma, kappa, alpha1, alpha2, N = (
-        p.beta1, p.beta2, p.lam, p.gamma, p.kappa, p.alpha1, p.alpha2, p.N
-    )
-    sw1, sw2 = _switch_rates(p)
-    asym_rate1 = (1.0 - lam) * beta1
-    asym_rate2 = (1.0 - lam) * beta2
-    leave_a = gamma + kappa
-    names = StateMB._fields
-    t = t0
-    yield t, s
-    x1, x2, x3, x4, x5, x6 = s
+    {xs} = s
     h = dt
     half = 0.5 * h
     sixth = h / 6.0
@@ -376,102 +273,55 @@ def _run6(p, s, t0, t1, dt, every, n_expected, tol):
         k += 1
         t_next = t0 + k * dt
         if t_next >= t1:
-            t_next = float(t1)
+            t_next = t1
             h = t1 - t
             half = 0.5 * h
             sixth = h / 6.0
-        # Components in StateMB order: S1, S2, A1, A2, Is, R.
-        asympt = x3 + x4
-        i_a = asympt + x5
-        s1n = x1 / N
-        s2n = x2 / N
-        sw_in = sw2 * x4
-        sw_out = sw1 * x3
-        a1 = alpha2 * x2 / N - (alpha1 + beta1 * i_a) * s1n
-        a2 = alpha1 * x1 / N - (alpha2 + beta2 * i_a) * s2n
-        a3 = asym_rate1 * i_a * s1n + sw_in - sw_out - leave_a * x3
-        a4 = asym_rate2 * i_a * s2n + sw_out - sw_in - leave_a * x4
-        a5 = lam * (beta1 * s1n + beta2 * s2n) * i_a + gamma * asympt - kappa * x5
-        y1 = x1 + half * a1
-        y2 = x2 + half * a2
-        y3 = x3 + half * a3
-        y4 = x4 + half * a4
-        y5 = x5 + half * a5
-        asympt = y3 + y4
-        i_b = asympt + y5
-        s1n = y1 / N
-        s2n = y2 / N
-        sw_in = sw2 * y4
-        sw_out = sw1 * y3
-        b1 = alpha2 * y2 / N - (alpha1 + beta1 * i_b) * s1n
-        b2 = alpha1 * y1 / N - (alpha2 + beta2 * i_b) * s2n
-        b3 = asym_rate1 * i_b * s1n + sw_in - sw_out - leave_a * y3
-        b4 = asym_rate2 * i_b * s2n + sw_out - sw_in - leave_a * y4
-        b5 = lam * (beta1 * s1n + beta2 * s2n) * i_b + gamma * asympt - kappa * y5
-        y1 = x1 + half * b1
-        y2 = x2 + half * b2
-        y3 = x3 + half * b3
-        y4 = x4 + half * b4
-        y5 = x5 + half * b5
-        asympt = y3 + y4
-        i_c = asympt + y5
-        s1n = y1 / N
-        s2n = y2 / N
-        sw_in = sw2 * y4
-        sw_out = sw1 * y3
-        c1 = alpha2 * y2 / N - (alpha1 + beta1 * i_c) * s1n
-        c2 = alpha1 * y1 / N - (alpha2 + beta2 * i_c) * s2n
-        c3 = asym_rate1 * i_c * s1n + sw_in - sw_out - leave_a * y3
-        c4 = asym_rate2 * i_c * s2n + sw_out - sw_in - leave_a * y4
-        c5 = lam * (beta1 * s1n + beta2 * s2n) * i_c + gamma * asympt - kappa * y5
-        y1 = x1 + h * c1
-        y2 = x2 + h * c2
-        y3 = x3 + h * c3
-        y4 = x4 + h * c4
-        y5 = x5 + h * c5
-        asympt = y3 + y4
-        i_d = asympt + y5
-        s1n = y1 / N
-        s2n = y2 / N
-        sw_in = sw2 * y4
-        sw_out = sw1 * y3
-        n1 = x1 + sixth * (
-            a1 + 2.0 * (b1 + c1)
-            + (alpha2 * y2 / N - (alpha1 + beta1 * i_d) * s1n)
-        )
-        n2 = x2 + sixth * (
-            a2 + 2.0 * (b2 + c2)
-            + (alpha1 * y1 / N - (alpha2 + beta2 * i_d) * s2n)
-        )
-        n3 = x3 + sixth * (
-            a3 + 2.0 * (b3 + c3)
-            + (asym_rate1 * i_d * s1n + sw_in - sw_out - leave_a * y3)
-        )
-        n4 = x4 + sixth * (
-            a4 + 2.0 * (b4 + c4)
-            + (asym_rate2 * i_d * s2n + sw_out - sw_in - leave_a * y4)
-        )
-        n5 = x5 + sixth * (
-            a5 + 2.0 * (b5 + c5)
-            + (lam * (beta1 * s1n + beta2 * s2n) * i_d + gamma * asympt
-               - kappa * y5)
-        )
-        n6 = x6 + sixth * (
-            kappa * i_a + 2.0 * (kappa * i_b + kappa * i_c) + kappa * i_d
-        )
-        new = (n1, n2, n3, n4, n5, n6)
-        if not (
-            0.0 <= n1 < inf and 0.0 <= n2 < inf and 0.0 <= n3 < inf
-            and 0.0 <= n4 < inf and 0.0 <= n5 < inf and 0.0 <= n6 < inf
-        ):
-            _checked_step(new, (x1, x2, x3, x4, x5, x6), t, k, names)
-        x1, x2, x3, x4, x5, x6 = new
+{steps}
+        new = ({ns})
+        if not ({fast}):
+            _checked_step(new, ({xs}), t, k, names)
+        {xs} = new
         t = t_next
         if k % every == 0 or t >= t1:
-            drift = abs(((x1 + x2) + (x3 + x4)) + x5 + x6 - n_expected)
+            drift = abs({total} - n_expected)
             if drift > tol:
                 raise _drifted(drift, t, k)
             yield t, new
+"""
+
+# core.total5 and total6 on the kernel's components.
+_TOTAL = {5: "((x1 + x2) + x4) + x3 + x5", 6: "((x1 + x2) + (x3 + x4)) + x5 + x6"}
+
+
+@functools.cache
+def _kernel(text: _Text):
+    """integrate's whole-run generator for a field text, built on its
+    first use and registered with linecache as <socsir kernel NAME>."""
+    n = range(1, len(text.fields) + 1)
+    read = [i for i, name in zip(n, text.fields) if re.search(rf"\b{name}\b", text.body)]
+    steps = []
+    for letter, inputs, then in (
+        ("a", "x", "half"), ("b", "y", "half"), ("c", "y", "h"), ("d", "y", None)
+    ):
+        rename = dict(zip(text.fields, (f"{inputs}{i}" for i in n)))
+        rename.update(("d" + name, f"{letter}{i}") for i, name in zip(n, text.fields))
+        steps.append(re.sub(r"\w+", lambda m: rename.get(m[0], m[0]), text.body))
+        if then:
+            steps.extend(f"y{i} = x{i} + {then} * {letter}{i}\n" for i in read)
+    steps.extend(f"n{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n" for i in n)
+    source = _KERNEL.format(
+        prelude=indent(text.prelude, " " * 4).rstrip("\n"),
+        steps=indent("".join(steps), " " * 8).rstrip("\n"),
+        xs=", ".join(f"x{i}" for i in n),
+        ns=", ".join(f"n{i}" for i in n),
+        fast=" and ".join(f"0.0 <= n{i} < inf" for i in n),
+        total=_TOTAL[len(n)],
+    )
+    return _define(
+        f"<socsir kernel {text.name}>", source, inf=inf, _checked_step=_checked_step,
+        _drifted=_drifted, names=text.fields,
+    )["run"]
 
 
 def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
@@ -481,34 +331,29 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     Deterministic: identical inputs give bit-identical outputs.  The result
     has the same type as s (named state tuples stay named state tuples).
 
-    Raises RangeError if dt is not finite or dt <= 0 or if f's first stage
+    Raises RangeError if dt is not a finite number > 0 or if f's first stage
     has another length than s, NonFiniteError if the step produces
     NaN/inf, NegativeStateError if any component falls below -1e-9 times
     the state's magnitude.  Either error is step 1 and names the component
     by the state type's field name, or by its position in a plain tuple.
     """
-    if not math.isfinite(dt):
-        raise RangeError(f"dt must be finite, got {dt}")
-    if dt <= 0:
+    if _finite("dt", dt) <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
     cls = type(s)
     new = _step(f, s, t, dt, 1, getattr(cls, "_fields", None))
     return cls._make(new) if hasattr(cls, "_make") else cls(new)
 
 
-def check_times(t0: float, t1: float, dt: float) -> None:
-    """Raise RangeError unless t0, t1 and dt are finite, dt > 0, t1 > t0
-    and the window takes at most MAX_STEPS steps of dt."""
-    # to_float maps an int beyond the float range to +-inf, where
-    # math.isfinite would raise OverflowError.
-    if not (
-        math.isfinite(to_float(t0))
-        and math.isfinite(to_float(t1))
-        and math.isfinite(to_float(dt))
-    ):
-        raise RangeError(
-            f"t0, t1 and dt must be finite, got t0={t0}, t1={t1}, dt={dt}"
-        )
+def check_times(t0: float, t1: float, dt: float) -> tuple[float, float, float]:
+    """t0, t1 and dt as floats.  Raise RangeError unless each is a finite
+    number (core._finite), dt > 0, t1 > t0 and the window takes at most
+    MAX_STEPS steps of dt."""
+    window = (t0, t1, dt)
+    try:
+        t0, t1, dt = map(_finite, ("t0", "t1", "dt"), window)
+    except RangeError as exc:
+        t0, t1, dt = window
+        raise RangeError(f"{exc}; t0={t0}, t1={t1}, dt={dt}") from None
     if dt <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
     if t1 <= t0:
@@ -518,16 +363,14 @@ def check_times(t0: float, t1: float, dt: float) -> None:
             f"t0={t0}, t1={t1}, dt={dt} needs more than {MAX_STEPS} steps; "
             f"shorten the window or raise dt"
         )
+    return t0, t1, dt
 
 
 def _check_init(names: Sequence[str], init: Sequence[float]) -> None:
     """Raise RangeError naming the first component of init that is not a
     finite number, or that lies below _checked_step's negativity floor."""
     for name, x in zip(names, init):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise RangeError(f"init {name} must be a number, got {x!r}")
-        if not math.isfinite(to_float(x)):
-            raise RangeError(f"init {name} must be finite, got {x!r}")
+        _finite(f"init {name}", x)
     floor = -NEGATIVE_TOL * sum(map(abs, init))
     for name, x in zip(names, init):
         if x < floor:
@@ -560,8 +403,7 @@ def integrate(
     number at or above the negativity floor, -1e-9 times the sum of the
     magnitudes) at the call, before the first step.
     """
-    check_times(t0, t1, dt)
-    t0, dt = float(t0), float(dt)  # so every grid time t0 + k*dt is a float
+    t0, t1, dt = check_times(t0, t1, dt)  # every grid time t0 + k*dt is a float
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
@@ -574,7 +416,7 @@ def integrate(
         )
     _check_init(names, init)
     n_expected = total(init)
-    run = _run6 if len(names) == 6 else _run5
+    run = _kernel(_text(model))
     return run(p, init, t0, t1, dt, record_every, n_expected, 1e-9 * abs(n_expected))
 
 

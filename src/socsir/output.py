@@ -115,13 +115,13 @@ def _nice_step(span: float) -> float:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     """The 1-2-5 ticks from lo to hi; RangeError when there would be more
-    than _MAX_TICKS, as on an axis whose span is tiny beside its ends."""
+    than _MAX_TICKS, or when a tick step does not move a tick (a step
+    below half an ulp of the axis)."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
-    end = hi + 1e-9 * max(abs(hi), 1.0)
-    # The loop adds step to v until v passes end.  Where step is below
-    # about an ulp of v, v stops moving; far sooner, end - first spans
-    # more than _MAX_TICKS steps.
+    # The ticks run past hi by 1e-9 of the step, or of 1 for a step below
+    # 1, so an axis whose step is far below 1e-9 takes too many ticks.
+    end = hi + 1e-9 * max(step, 1.0)
     if not (end - first) / step <= _MAX_TICKS:
         raise RangeError(
             f"cannot draw axis ticks from {lo} to {hi}: a tick step of {step} "
@@ -131,6 +131,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= end:
         out.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:
+            raise RangeError(
+                f"cannot draw axis ticks from {lo} to {hi}: a tick step of "
+                f"{step} does not move the tick at {v}"
+            )
         v += step
     return out
 

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import traceback
 
 import pytest
 
@@ -24,7 +25,7 @@ from socsir.core import (
     total_population,
     validate_params,
 )
-from socsir.dynamics import vector_field
+from socsir.dynamics import _text, vector_field
 from socsir.errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -36,8 +37,7 @@ from socsir.integrator import (
     MAX_STEPS,
     Observable,
     Trajectory,
-    _run5,
-    _run6,
+    _kernel,
     _step,
     check_times,
     integrate,
@@ -120,8 +120,9 @@ def test_step_rk4_raises_on_nonfinite():
     assert exc.value.time == 3.0
 
 
-# integrate's kernel and named state type for each model
-KERNEL_OF = {ModelKind.MA: _run5, ModelKind.SINGLE: _run5, ModelKind.MB: _run6}
+# integrate's kernel, built from the model's field text, and named state
+# type for each model
+KERNEL_OF = {model: _kernel(_text(model)) for model in ModelKind}
 STATE_OF = {ModelKind.MA: StateMA, ModelKind.SINGLE: StateMA, ModelKind.MB: StateMB}
 
 
@@ -141,13 +142,13 @@ def _one_step(run, p, s, t, h):
 
 
 def _step5(p, s, t, h):
-    """One step of _run5 (MA)."""
-    return _one_step(_run5, p, s, t, h)
+    """One step of the MA kernel."""
+    return _one_step(KERNEL_OF[ModelKind.MA], p, s, t, h)
 
 
 def _step6(p, s, t, h):
-    """One step of _run6 (MB)."""
-    return _one_step(_run6, p, s, t, h)
+    """One step of the MB kernel."""
+    return _one_step(KERNEL_OF[ModelKind.MB], p, s, t, h)
 
 
 def _generic_step(p, s, t, h):
@@ -387,7 +388,7 @@ def test_integrate_checks_drift_against_the_initial_total(monkeypatch, model):
     init = resolve_init(model, FIG_A_MB, INIT_RULE_DFE_PLUS_ONE)
     seen = []
     monkeypatch.setattr(
-        integrator, KERNEL_OF[model].__name__, lambda *args: seen.append(args[-2:])
+        integrator, "_kernel", lambda text: lambda *args: seen.append(args[-2:])
     )
     integrate(model, FIG_A_MB, init, 0.0, 5.0, 1.0)
     n0 = total_population(init)
@@ -480,6 +481,18 @@ def test_times_beyond_the_float_range_raise_range_error(t0, t1, dt):
         integrate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
     with pytest.raises(RangeError, match="must be finite"):
         simulate(ModelKind.MA, FIG_A, FIG_A_INIT, t0, t1, dt)
+
+
+@pytest.mark.parametrize("which", ["t0", "t1", "dt"])
+def test_numeric_strings_as_times_raise_range_error(which):
+    # to_float("1") is 1.0, so a string passed the finiteness check and
+    # met dt <= 0 as a raw TypeError
+    times = {"t0": 0.0, "t1": 10.0, "dt": 1.0}
+    times[which] = "1"
+    with pytest.raises(RangeError, match=f"^{which} must be a number, got '1'"):
+        check_times(*times.values())
+    with pytest.raises(RangeError, match=f"^{which} must be a number"):
+        simulate(ModelKind.MA, FIG_A, FIG_A_INIT, **times)
 
 
 @pytest.mark.parametrize(
@@ -629,6 +642,18 @@ def test_stored_records_equal_a_trajectory_of_named_states(case):
         assert _hex_bits(fresh.states) == _hex_bits(traj.states)
 
 
+@pytest.mark.parametrize(
+    "times, states",
+    [((0.0,), ((1.0, 2.0),)), ((0.0, 1.0), (FIG_A_INIT,)), ((0.0,), (FIG_A_INIT, FIG_A_INIT))],
+    ids=["short-record", "fewer-records", "more-records"],
+)
+def test_trajectory_rejects_records_that_do_not_fit(times, states):
+    # a short record failed late, with a raw TypeError from .states and a
+    # raw ValueError from write_csv
+    with pytest.raises(RangeError, match="^MA trajectories take one record of 5"):
+        Trajectory(ModelKind.MA, times, states, FIG_A, 1.0)
+
+
 def _hex_bits(states):
     return [tuple(map(float.hex, s)) for s in states]
 
@@ -658,6 +683,40 @@ def test_runs_build_no_named_state_per_record(monkeypatch):
     assert len(mixed) > 1000 and len(made) == 2
     made.clear()
     assert len(mixed.states) == len(mixed) and made == [StateMB] * len(mixed)
+
+
+def test_kernel_failure_shows_the_generated_line():
+    # the kernels are built by exec, and linecache holds their source
+    p = _raw_params(gamma=-3.0)
+    with pytest.raises(NegativeStateError) as exc:
+        list(KERNEL_OF[ModelKind.MB](p, (1.0,) * 6, 0.0, 3.0, 1.0, 1, 6.0, 1.0))
+    text = "".join(traceback.format_exception(exc.value))
+    assert 'File "<socsir kernel MB>", line ' in text
+    assert "_checked_step(new, (x1, x2, x3, x4, x5, x6), t, k, names)" in text
+
+
+def test_import_and_r0_build_no_kernel():
+    # kernels and fields are built on first use, so the CLI's import and
+    # the analysis path compile none
+    code = (
+        "import linecache, socsir.cli, socsir\n"
+        "p = socsir.validate_params({'beta1': 0.42, 'beta2': 0.09, 'lambda': 0.65,"
+        " 'gamma': 0.02, 'kappa': 0.05, 'rho': 0.75, 'N': 100.0}, socsir.ModelKind.MA)\n"
+        "socsir.r0(p.beta1, p.beta2, p.rho, p.kappa)\n"
+        "socsir.stability(socsir.ModelKind.MA, p)\n"
+        "from socsir import integrator\n"
+        "assert integrator._kernel.cache_info().currsize == 0\n"
+        "print(sorted(f for f in linecache.cache if f.startswith('<socsir')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_observables_cover_model_fields():

@@ -10,6 +10,7 @@ from socsir.integrator import Trajectory, simulate
 from socsir.output import (
     CSV_HEADER_MA,
     CSV_HEADER_MB,
+    _ticks,
     render_svg,
     write_csv,
 )
@@ -239,3 +240,15 @@ def test_svg_deterministic():
 def test_svg_custom_dimensions():
     svg = render_svg(_traj_ma(), ["I"], width=400.0, height=300.0)
     assert 'width="400.00"' in svg and 'height="300.00"' in svg
+
+
+def test_ticks_stop_at_the_axis_end():
+    # the ticks ran 1e-9 * |hi| past the end, 500 of 506 of them here
+    assert _ticks(1e12, 1e12 + 10) == [1e12 + 2.0 * k for k in range(6)]
+    assert _ticks(-1e12 - 10, -1e12) == [-1e12 - 10 + 2.0 * k for k in range(6)]
+
+
+def test_ticks_reject_a_step_that_does_not_move_a_tick():
+    # the step 5 is below half an ulp (8) of 1e17, where v + step == v
+    with pytest.raises(RangeError, match="does not move the tick at 1e"):
+        _ticks(1e17, 1e17 + 16)
