@@ -249,8 +249,9 @@ def _step(
 
 # integrate's whole-run kernel of a model is _step on its vector field,
 # written out: _kernel puts the field's text (dynamics._Text) into the four
-# RK4 stages of _KERNEL, components renamed x1, x2, ... in the first stage
-# and y1, y2, ... after it, derivatives a1, a2, ... to d1, d2, ....  Every
+# RK4 stages of _KERNEL, the components renamed x1, x2, ... in the first
+# stage and y1, y2, ... after it, and the derivatives a1, a2, ... in the
+# first stage through d1, d2, ... in the fourth.  Every
 # expression keeps the operands and their order of _step and of the field,
 # so the records are bit-identical, and a component that no expression
 # reads (R) gets no stage inputs.  A field text must not use the template's
@@ -299,7 +300,9 @@ def _kernel(text: _Text):
     """integrate's whole-run generator for a field text, built on its
     first use and registered with linecache as <socsir kernel NAME>."""
     n = range(1, len(text.fields) + 1)
-    read = [i for i, name in zip(n, text.fields) if re.search(rf"\b{name}\b", text.body)]
+    read = [
+        i for i, name in zip(n, text.fields) if re.search(rf"\b{name}\b", text.body)
+    ]
     steps = []
     for letter, inputs, then in (
         ("a", "x", "half"), ("b", "y", "half"), ("c", "y", "h"), ("d", "y", None)
@@ -309,7 +312,9 @@ def _kernel(text: _Text):
         steps.append(re.sub(r"\w+", lambda m: rename.get(m[0], m[0]), text.body))
         if then:
             steps.extend(f"y{i} = x{i} + {then} * {letter}{i}\n" for i in read)
-    steps.extend(f"n{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n" for i in n)
+    steps.extend(
+        f"n{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n" for i in n
+    )
     source = _KERNEL.format(
         prelude=indent(text.prelude, " " * 4).rstrip("\n"),
         steps=indent("".join(steps), " " * 8).rstrip("\n"),

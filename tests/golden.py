@@ -208,10 +208,10 @@ def digests() -> dict[str, str]:
             out[f"scan/{preset.name}{suffix}"] = _sha(peaks.encode())
     for seed, (case, (name, extra)) in enumerate(BIT_CASES.items()):
         model = ModelKind[name]
-        out[f"field/{case}/hex"] = _sha(_field_hex(random.Random(seed), model, extra).encode())
-        out[f"kernel/{case}/hex"] = _sha(
-            _kernel_hex(random.Random(100 + seed), model, extra).encode()
-        )
+        fields = _field_hex(random.Random(seed), model, extra)
+        runs = _kernel_hex(random.Random(100 + seed), model, extra)
+        out[f"field/{case}/hex"] = _sha(fields.encode())
+        out[f"kernel/{case}/hex"] = _sha(runs.encode())
     return out
 
 

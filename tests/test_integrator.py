@@ -644,7 +644,11 @@ def test_stored_records_equal_a_trajectory_of_named_states(case):
 
 @pytest.mark.parametrize(
     "times, states",
-    [((0.0,), ((1.0, 2.0),)), ((0.0, 1.0), (FIG_A_INIT,)), ((0.0,), (FIG_A_INIT, FIG_A_INIT))],
+    [
+        ((0.0,), ((1.0, 2.0),)),
+        ((0.0, 1.0), (FIG_A_INIT,)),
+        ((0.0,), (FIG_A_INIT, FIG_A_INIT)),
+    ],
     ids=["short-record", "fewer-records", "more-records"],
 )
 def test_trajectory_rejects_records_that_do_not_fit(times, states):
@@ -701,7 +705,8 @@ def test_import_and_r0_build_no_kernel():
     code = (
         "import linecache, socsir.cli, socsir\n"
         "p = socsir.validate_params({'beta1': 0.42, 'beta2': 0.09, 'lambda': 0.65,"
-        " 'gamma': 0.02, 'kappa': 0.05, 'rho': 0.75, 'N': 100.0}, socsir.ModelKind.MA)\n"
+        " 'gamma': 0.02, 'kappa': 0.05, 'rho': 0.75, 'N': 100.0},"
+        " socsir.ModelKind.MA)\n"
         "socsir.r0(p.beta1, p.beta2, p.rho, p.kappa)\n"
         "socsir.stability(socsir.ModelKind.MA, p)\n"
         "from socsir import integrator\n"
