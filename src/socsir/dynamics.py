@@ -15,9 +15,8 @@ no time argument.
 from __future__ import annotations
 
 import functools
-import linecache
 import math
-from textwrap import indent
+import re
 from typing import NamedTuple
 
 from .core import ModelKind, Params, StateMA, StateMB, _layout, _switch_rates
@@ -119,14 +118,19 @@ dR = kappa * infectives
 )
 
 
-def _text(model: ModelKind) -> _Text:
-    """The field text of a model; RangeError for anything not a ModelKind."""
-    return _MB if _layout(model).state is StateMB else _MA
+# The field text of each layout's state type.
+_TEXTS = {StateMA: _MA, StateMB: _MB}
+
+
+def _indent(text: str, pad: str) -> str:
+    # textwrap.indent, whose import costs about as much as building a kernel
+    return re.sub("(?m)^(?=.)", pad, text)
 
 
 def _define(filename: str, source: str, **scope: object) -> dict:
     """The names that source defines, run with _switch_rates and scope;
     linecache holds it under filename, so tracebacks show its lines."""
+    import linecache  # with tokenize, on the first build only
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"_switch_rates": _switch_rates, **scope}
     exec(compile(source, filename, "exec"), namespace)
@@ -138,8 +142,8 @@ def _binder(text: _Text):
     """bind(p) -> the positional field of text with the rates of p,
     compiled on a text's first use."""
     source = (
-        f"def bind(p):\n{indent(text.prelude, '    ')}"
-        f"    def f({', '.join(text.fields)}):\n{indent(text.body, ' ' * 8)}"
+        f"def bind(p):\n{_indent(text.prelude, ' ' * 4)}"
+        f"    def f({', '.join(text.fields)}):\n{_indent(text.body, ' ' * 8)}"
         f"        return ({', '.join('d' + name for name in text.fields)})\n"
         f"    return f\n"
     )
@@ -152,7 +156,7 @@ def vector_field(model: ModelKind, p: Params):
     The parameters are bound once.  The field does no checks: a non-finite
     input gives a non-finite output, which the integrator rejects.
     """
-    return _binder(_text(model))(p)
+    return _binder(_TEXTS[_layout(model).state])(p)
 
 
 def _checked(s) -> None:

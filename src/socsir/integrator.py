@@ -15,11 +15,10 @@ import math
 import re
 from math import inf
 from operator import attrgetter, indexOf
-from textwrap import indent
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import ModelKind, Params, State, _finite, _layout
-from .dynamics import _define, _text, _Text
+from .dynamics import _TEXTS, _define, _indent, _Text
 from .errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -95,12 +94,11 @@ class Trajectory:
     An immutable value like the NamedTuple types, but a slotted class:
     len() is the record count, which a tuple's len() cannot be.
 
-    RangeError at construction for a model that is not a ModelKind, or
-    records that do not match the times in number or the model's state
-    size.  The records are kept as given: simulate and run_mixed pass the
-    kernels' plain component tuples, which compare and hash as the named
-    states do.  states builds the named states on first read and keeps
-    them in place of the plain tuples.
+    Records that differ from the times in number, or from the model's state
+    in size, raise RangeError.  The records are kept as given: simulate and
+    run_mixed pass the kernels' plain component tuples, which compare and
+    hash as the named states do.  states builds the named states on first
+    read and keeps them in place of the plain tuples.
     """
 
     __slots__ = ("model", "times", "_records", "params_used", "dt", "switch_record",
@@ -258,8 +256,8 @@ def _step(
 # own names.  Step k ends at t0 + k*dt (no additive rounding over a long
 # run), or at t1 exactly.  A result in [0, inf) passes _checked_step
 # untouched (NaN fails every comparison), so only another result is sent
-# there.  Each record's total, grouped as core.total5/total6 group it, is
-# checked against n_expected before the record is yielded.
+# there.  Each record's total, grouped as core.total5/total6 group it
+# (_TOTAL), is checked against n_expected before the record is yielded.
 _KERNEL = """\
 def run(p, s, t0, t1, dt, every, n_expected, tol):
 {prelude}
@@ -291,7 +289,6 @@ def run(p, s, t0, t1, dt, every, n_expected, tol):
             yield t, new
 """
 
-# core.total5 and total6 on the kernel's components.
 _TOTAL = {5: "((x1 + x2) + x4) + x3 + x5", 6: "((x1 + x2) + (x3 + x4)) + x5 + x6"}
 
 
@@ -300,9 +297,7 @@ def _kernel(text: _Text):
     """integrate's whole-run generator for a field text, built on its
     first use and registered with linecache as <socsir kernel NAME>."""
     n = range(1, len(text.fields) + 1)
-    read = [
-        i for i, name in zip(n, text.fields) if re.search(rf"\b{name}\b", text.body)
-    ]
+    read = [i for i in n if re.search(rf"\b{text.fields[i - 1]}\b", text.body)]
     steps = []
     for letter, inputs, then in (
         ("a", "x", "half"), ("b", "y", "half"), ("c", "y", "h"), ("d", "y", None)
@@ -316,8 +311,8 @@ def _kernel(text: _Text):
         f"n{i} = x{i} + sixth * (a{i} + 2.0 * (b{i} + c{i}) + d{i})\n" for i in n
     )
     source = _KERNEL.format(
-        prelude=indent(text.prelude, " " * 4).rstrip("\n"),
-        steps=indent("".join(steps), " " * 8).rstrip("\n"),
+        prelude=_indent(text.prelude, " " * 4).rstrip("\n"),
+        steps=_indent("".join(steps), " " * 8).rstrip("\n"),
         xs=", ".join(f"x{i}" for i in n),
         ns=", ".join(f"n{i}" for i in n),
         fast=" and ".join(f"0.0 <= n{i} < inf" for i in n),
@@ -421,7 +416,7 @@ def integrate(
         )
     _check_init(names, init)
     n_expected = total(init)
-    run = _kernel(_text(model))
+    run = _kernel(_TEXTS[state])
     return run(p, init, t0, t1, dt, record_every, n_expected, 1e-9 * abs(n_expected))
 
 

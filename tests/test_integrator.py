@@ -25,7 +25,7 @@ from socsir.core import (
     total_population,
     validate_params,
 )
-from socsir.dynamics import _text, vector_field
+from socsir.dynamics import _TEXTS, vector_field
 from socsir.errors import (
     EmptyTrajectoryError,
     NegativeStateError,
@@ -120,10 +120,10 @@ def test_step_rk4_raises_on_nonfinite():
     assert exc.value.time == 3.0
 
 
-# integrate's kernel, built from the model's field text, and named state
-# type for each model
-KERNEL_OF = {model: _kernel(_text(model)) for model in ModelKind}
+# integrate's named state type and kernel, built from the field text of
+# that state type, for each model
 STATE_OF = {ModelKind.MA: StateMA, ModelKind.SINGLE: StateMA, ModelKind.MB: StateMB}
+KERNEL_OF = {model: _kernel(_TEXTS[state]) for model, state in STATE_OF.items()}
 
 
 def _raw_params(**rates) -> Params:
