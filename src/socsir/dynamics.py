@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from typing import NamedTuple
 
 from .core import ModelKind, Params, StateMA, StateMB, _layout, _switch_rates
@@ -124,7 +123,7 @@ _TEXTS = {StateMA: _MA, StateMB: _MB}
 
 def _indent(text: str, pad: str) -> str:
     # textwrap.indent, whose import costs about as much as building a kernel
-    return re.sub("(?m)^(?=.)", pad, text)
+    return "".join(pad + line for line in text.splitlines(True))
 
 
 def _define(filename: str, source: str, **scope: object) -> dict:

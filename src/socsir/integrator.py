@@ -297,7 +297,8 @@ def _kernel(text: _Text):
     """integrate's whole-run generator for a field text, built on its
     first use and registered with linecache as <socsir kernel NAME>."""
     n = range(1, len(text.fields) + 1)
-    read = [i for i in n if re.search(rf"\b{text.fields[i - 1]}\b", text.body)]
+    words = set(re.findall(r"\w+", text.body))
+    read = [i for i in n if text.fields[i - 1] in words]
     steps = []
     for letter, inputs, then in (
         ("a", "x", "half"), ("b", "y", "half"), ("c", "y", "h"), ("d", "y", None)
