@@ -117,7 +117,6 @@ dR = kappa * infectives
 )
 
 
-# The field text of each layout's state type.
 _TEXTS = {StateMA: _MA, StateMB: _MB}
 
 
