@@ -196,7 +196,7 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
     if not isinstance(raw, dict):
         raise ConfigError('"init" must be a rule name or an object of compartments')
 
-    state_type, total_of = _layout(model)[:2]
+    state_type = _layout(model).state
     _reject_unknown(raw, set(state_type._fields), '"init"')
     values = {}
     for name in state_type._fields:
@@ -205,7 +205,7 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
             raise RangeError(f"init.{name} must be nonnegative")
     state = state_type(**values)
 
-    total = total_of(state)
+    total = _layout(model).observables["N"](state)
     if total != params.N:
         raise RangeError(
             f"init compartments must sum to N exactly: got {total!r}, N = {params.N!r}"

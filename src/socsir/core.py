@@ -11,13 +11,15 @@ infectives into symptomatic (Is) and asymptomatic carriers.
 * Model "SINGLE": MA restricted to rho = 1 (everyone in class 1, S2 = 0);
   used as the opening phase of the mixed scenario.
 
-_LAYOUT is the one place a model's layout is decided: its state type,
-population total, observables in CSV order and rho's upper bound.  Every
-function that takes a model looks it up there through _layout, which
-raises RangeError for anything that is not a ModelKind (validate_params
-raises it from its own branches).  Only the physics (parameter rules,
-vector fields, next-generation matrices, sensitivity forms) tests the
-model itself.
+_LAYOUT is the one place a model's layout is decided: its state type, a
+positional reader per observable in CSV order (the stored components, I
+and the population total N) and rho's upper bound.  Every function that
+takes a model looks it up there through _layout, which raises RangeError
+for anything that is not a ModelKind (validate_params raises it from its
+own branches), or through _layout_for, which also checks the model's
+parameters.  Only the physics (parameter rules, vector
+fields, next-generation matrices, sensitivity forms) tests the model
+itself.
 
 All types are immutable values; share them freely across threads.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import MissingFieldError, NumericError, OrderError, RangeError
 
@@ -57,6 +59,27 @@ class ModelKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# The observables I (the infectives) and N (the population total) on
+# positional components, for named states and raw tuples alike.  Combining
+# each pair of classes first keeps the total of a split_share split
+# bit-identical.  integrator._TOTAL writes the totals out again as text for
+# the generated kernel.
+def infected5(s: Sequence[float]) -> float:
+    return s[3] + s[2]
+
+
+def infected6(s: Sequence[float]) -> float:
+    return (s[2] + s[3]) + s[4]
+
+
+def total5(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
+
+
+def total6(s: Sequence[float]) -> float:
+    return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
+
+
 class StateMA(NamedTuple):
     """Compartment vector for model MA (counts, same unit as N)."""
 
@@ -66,10 +89,7 @@ class StateMA(NamedTuple):
     Ia: float
     R: float
 
-    @property
-    def I(self) -> float:  # noqa: E743 - the epidemiological symbol
-        """Total infectives Ia + Is (derived, never stored)."""
-        return self.Ia + self.Is
+    I = property(infected5, doc="Total infectives Ia + Is (derived, never stored).")
 
 
 class StateMB(NamedTuple):
@@ -87,10 +107,9 @@ class StateMB(NamedTuple):
         """Total asymptomatics A1 + A2 (derived, never stored)."""
         return self.A1 + self.A2
 
-    @property
-    def I(self) -> float:  # noqa: E743
-        """Total infectives A1 + A2 + Is (derived, never stored)."""
-        return self.A1 + self.A2 + self.Is
+    I = property(
+        infected6, doc="Total infectives A1 + A2 + Is (derived, never stored)."
+    )
 
 
 State = Union[StateMA, StateMB]
@@ -307,28 +326,24 @@ def validate_params(
     ))
 
 
-# The population total on positional components, for named states and raw
-# tuples alike.  Combining each pair of classes first keeps the total of a
-# split_share split bit-identical.
-def total5(s: Sequence[float]) -> float:
-    return ((s[0] + s[1]) + s[3]) + s[2] + s[4]
-
-
-def total6(s: Sequence[float]) -> float:
-    return ((s[0] + s[1]) + (s[2] + s[3])) + s[4] + s[5]
-
-
 class _Layout(NamedTuple):
     state: type  # its _fields name the components; their count is the size
-    total: Callable[[Sequence[float]], float]
-    observables: tuple[str, ...]  # CSV order after t; N is the total
+    # A positional reader per observable, in CSV order after t.
+    observables: dict[str, Callable[[Sequence[float]], float]]
     rho_max: float  # rho's open upper bound
 
 
 # MA's observables list Ia before Is, unlike StateMA.  MB's rho =
 # alpha2/(alpha1+alpha2) stays below 1/2 because alpha1 > alpha2.
-_MA = _Layout(StateMA, total5, ("S1", "S2", "Ia", "Is", "R", "I", "N"), 1.0)
-_MB = _Layout(StateMB, total6, ("S1", "S2", "A1", "A2", "Is", "R", "I", "N"), 0.5)
+_MA = _Layout(StateMA, {
+    "S1": itemgetter(0), "S2": itemgetter(1), "Ia": itemgetter(3),
+    "Is": itemgetter(2), "R": itemgetter(4), "I": infected5, "N": total5,
+}, 1.0)
+_MB = _Layout(StateMB, {
+    "S1": itemgetter(0), "S2": itemgetter(1), "A1": itemgetter(2),
+    "A2": itemgetter(3), "Is": itemgetter(4), "R": itemgetter(5),
+    "I": infected6, "N": total6,
+}, 0.5)
 _LAYOUT = {ModelKind.MA: _MA, ModelKind.SINGLE: _MA, ModelKind.MB: _MB}
 
 
@@ -340,24 +355,31 @@ def _layout(model: ModelKind) -> _Layout:
         raise RangeError(f"model must be a ModelKind, got {model!r}") from None
 
 
+def _layout_for(model: ModelKind, p: Params) -> _Layout:
+    """The model's layout, for an entry point that takes a model and its
+    parameters.  RangeError for a model that is not a ModelKind, for a p
+    that is not a Params, and for MB with parameters that have no switch
+    rates (validated for MA or SINGLE).  SINGLE takes MB's parameters: a
+    mixed run opens with them."""
+    layout = _layout(model)
+    if not isinstance(p, Params):
+        raise RangeError(f"parameters must be a Params, got {type(p).__name__}")
+    if layout is _MB and (p.alpha1 is None or p.alpha2 is None):
+        raise RangeError(
+            f"model MB needs parameters validated for MB, with switch rates; "
+            f"got alpha1={p.alpha1}, alpha2={p.alpha2}"
+        )
+    return layout
+
+
 def _column(
-    model: ModelKind, records: Sequence[Sequence[float]], name: str
-) -> Iterator[float]:
+    model: ModelKind, records: Iterable[Sequence[float]], name: str
+) -> Iterable[float]:
     """An iterator over the observable name (one of the layout's
-    observables) of each record, read from its components by position.
-    I and N are summed as StateMA.I, StateMB.I, total5 and total6 group
-    them, so the values are the observables' bits.  Run summaries and the
-    SVG writer read them without holding a list of a whole run."""
-    fields = _layout(model).state._fields
-    if name in fields:
-        return map(itemgetter(fields.index(name)), records)
-    if len(fields) == 5:
-        if name == "I":
-            return (ia + i_s for _, _, i_s, ia, _ in records)
-        return (((s1 + s2) + ia) + i_s + r for s1, s2, i_s, ia, r in records)
-    if name == "I":
-        return ((a1 + a2) + i_s for _, _, a1, a2, i_s, _ in records)
-    return (((s1 + s2) + (a1 + a2)) + i_s + r for s1, s2, a1, a2, i_s, r in records)
+    observables) of each record, read by the layout's reader, so the
+    values are the observables' bits.  The writers, run summaries and the
+    scan read them without holding a list of a whole run."""
+    return map(_layout(model).observables[name], records)
 
 
 def total_population(state: State | Sequence[float]) -> float:

@@ -18,7 +18,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, StateMA, StateMB, _layout, _switch_rates
+from .core import ModelKind, Params, StateMA, StateMB, _layout_for, _switch_rates
 from .errors import NonFiniteError
 
 __all__ = ["DerivMA", "DerivMB", "rhs_ma", "rhs_mb", "vector_field"]
@@ -151,10 +151,11 @@ def _binder(text: _Text):
 def vector_field(model: ModelKind, p: Params):
     """The positional vector field f(*components) -> tuple of a model.
 
-    The parameters are bound once.  The field does no checks: a non-finite
-    input gives a non-finite output, which the integrator rejects.
+    The parameters are bound once, after core._layout_for checks them
+    against the model.  The field does no checks: a non-finite input gives
+    a non-finite output, which the integrator rejects.
     """
-    return _binder(_TEXTS[_layout(model).state])(p)
+    return _binder(_TEXTS[_layout_for(model, p).state])(p)
 
 
 def _checked(s) -> None:
@@ -163,12 +164,16 @@ def _checked(s) -> None:
 
 
 def rhs_ma(p: Params, s: StateMA) -> DerivMA:
-    """Model MA right-hand side (_MA); NonFiniteError for a non-finite state."""
+    """Model MA right-hand side (_MA); NonFiniteError for a non-finite state,
+    RangeError for parameters that core._layout_for refuses."""
+    _layout_for(ModelKind.MA, p)
     _checked(s)
     return DerivMA._make(_binder(_MA)(p)(*s))
 
 
 def rhs_mb(p: Params, s: StateMB) -> DerivMB:
-    """Model MB right-hand side (_MB); NonFiniteError for a non-finite state."""
+    """Model MB right-hand side (_MB); NonFiniteError for a non-finite state,
+    RangeError for parameters that core._layout_for refuses."""
+    _layout_for(ModelKind.MB, p)
     _checked(s)
     return DerivMB._make(_binder(_MB)(p)(*s))

@@ -14,10 +14,10 @@ import functools
 import math
 import re
 from math import inf
-from operator import attrgetter, indexOf
+from operator import indexOf
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, _finite, _layout
+from .core import ModelKind, Params, State, _finite, _layout, _layout_for
 from .dynamics import _TEXTS, _define, _indent, _Text
 from .errors import (
     EmptyTrajectoryError,
@@ -68,11 +68,12 @@ class Observable(NamedTuple):
 
 
 def observables_for(model: ModelKind) -> dict[str, Observable]:
-    """The standard observables of a model, keyed by name, in CSV order."""
-    layout = _layout(model)
-    obs = {name: Observable(name, attrgetter(name)) for name in layout.observables[:-1]}
-    obs["N"] = Observable("N", layout.total)
-    return obs
+    """The standard observables of a model, keyed by name, in CSV order.
+    Each reads a state, named or a plain tuple, by position."""
+    return {
+        name: Observable(name, read)
+        for name, read in _layout(model).observables.items()
+    }
 
 
 class SwitchRecord(NamedTuple):
@@ -257,7 +258,8 @@ def _step(
 # run), or at t1 exactly.  A result in [0, inf) passes _checked_step
 # untouched (NaN fails every comparison), so only another result is sent
 # there.  Each record's total, grouped as core.total5/total6 group it
-# (_TOTAL), is checked against n_expected before the record is yielded.
+# (_TOTAL, the kernel's text copy of them), is checked against n_expected
+# before the record is yielded.
 _KERNEL = """\
 def run(p, s, t0, t1, dt, every, n_expected, tol):
 {prelude}
@@ -398,26 +400,26 @@ def integrate(
     with its time and step number (from 1 at t0), and a step failure names
     its compartment.
 
-    Raises RangeError (see check_times, a model that is not a ModelKind,
-    a record_every that is not an int >= 1, an init whose length is not
-    the model's state size, and an init component that is not a finite
-    number at or above the negativity floor, -1e-9 times the sum of the
-    magnitudes) at the call, before the first step.
+    Raises RangeError (see check_times, a model and parameters that
+    core._layout_for refuses, a record_every that is not an int >= 1, an
+    init whose length is not the model's state size, and an init component
+    that is not a finite number at or above the negativity floor, -1e-9
+    times the sum of the magnitudes) at the call, before the first step.
     """
     t0, t1, dt = check_times(t0, t1, dt)  # every grid time t0 + k*dt is a float
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
-    state, total = _layout(model)[:2]
-    names = state._fields
+    names = _layout(model).state._fields
     if len(init) != len(names):
         raise RangeError(
             f"{model.name} takes {len(names)} state components, got {len(init)}"
         )
     _check_init(names, init)
-    n_expected = total(init)
-    run = _kernel(_TEXTS[state])
+    layout = _layout_for(model, p)
+    n_expected = layout.observables["N"](init)
+    run = _kernel(_TEXTS[layout.state])
     return run(p, init, t0, t1, dt, record_every, n_expected, 1e-9 * abs(n_expected))
 
 
@@ -465,7 +467,13 @@ def _first_max(
 
 
 def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
-    """Time and value of the first recorded maximum of an observable."""
+    """Time and value of the first recorded maximum of an observable.
+
+    Raises RangeError for an obs that is not an Observable (a name too:
+    observables_for maps names to them).
+    """
+    if not isinstance(obs, Observable):
+        raise RangeError(f"obs must be an Observable, got {obs!r}")
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
     extract, states = obs.extract, traj.states

@@ -14,7 +14,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, State, _layout, _switch_rates, split_share
+from .core import ModelKind, Params, State, _layout_for, _switch_rates, split_share
 from .errors import NumericError, OrderError, RangeError, SingularMatrixError
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "StabilityReport",
     "StabilityVerdict",
     "r0",
+    "b_rho",
     "rho_from_alphas",
     "dfe_of",
     "ngm",
@@ -97,7 +98,7 @@ def dfe_of(model: ModelKind, p: Params) -> State:
     rates).  split_share makes the state sum to N exactly, so either share
     may differ from literal rho*N or (1-rho)*N by an ulp.
     """
-    state = _layout(model).state
+    state = _layout_for(model, p).state
     s1, s2 = split_share(p.N, p.rho)
     return tuple.__new__(state, (s1, s2) + (0.0,) * (len(state._fields) - 2))
 
@@ -124,13 +125,13 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     the non-dominant eigenvalues are reported as exact zeros and the
     dominant one is the float trace of K.
 
-    Raises RangeError for a model that is not a ModelKind, and
-    SingularMatrixError if Sigma's float determinant is zero.  Its exact
-    value is nonzero for validated parameters (kappa > 0), but it
+    Raises RangeError for a model and parameters that core._layout_for
+    refuses, and SingularMatrixError if Sigma's float determinant is zero.
+    Its exact value is nonzero for validated parameters (kappa > 0), but it
     underflows when the rates on its diagonal are tiny: kappa = 1e-200
     with gamma = 0 (and, for MB, alphas as small) does it.
     """
-    _layout(model)
+    _layout_for(model, p)
     beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
     gamma, kappa = p.gamma, p.kappa
     mixed = b_rho(beta1, beta2, rho)

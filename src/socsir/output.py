@@ -44,10 +44,12 @@ DEFAULT_SVG_HEIGHT = 480.0
 # document's.
 _PIECE_RECORDS = 1024
 
-# Most ticks svg_pieces draws on one axis.  An axis has about six; more
-# than this only where its span is below about 5e-12 of max(|end|, 1), as
-# _ticks runs on up to 1e-9 of that past the end.
-_MAX_TICKS = 1000
+# An axis is too narrow to plot when its span is below this fraction of
+# max(|lo|, |hi|, 1).  A span at least this wide holds about 4,500 floats
+# or more, several per pixel, so its curves are not steps of float
+# rounding; near 0 the floor of 1 takes a span below 1e-12 for rounding
+# noise on the counts and times plotted.
+_MIN_SPAN = 1e-12
 
 # Margins leave room for tick labels (left/bottom) and the legend (top).
 _MARGIN_LEFT = 72.0
@@ -71,29 +73,18 @@ def csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The CSV text of a trajectory in pieces: the header line, then the
     rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
     are write_csv's text."""
-    layout = _layout(traj.model)
-    names = ("t", *layout.observables)
+    model, times, records = traj.model, traj.times, traj._records
+    names = _layout(model).observables
     # "%.9g" % x is the same text as f"{x:.9g}".
-    row = ",".join(["%.9g"] * len(names)) + "\n"
-    yield ",".join(names) + "\n"
-    # Each row reads its record by position; I and N are grouped as
-    # StateMA.I/StateMB.I and total5/total6 group them.
-    times, records = traj.times, traj._records
-    five = len(layout.state._fields) == 5
+    row = ",".join(["%.9g"] * (len(names) + 1)) + "\n"
+    yield ",".join(("t", *names)) + "\n"
     for lo in range(0, len(times), _PIECE_RECORDS):
-        hi = lo + _PIECE_RECORDS
-        if five:
-            rows = [
-                row % (t, s1, s2, ia, i_s, r, ia + i_s, ((s1 + s2) + ia) + i_s + r)
-                for t, (s1, s2, i_s, ia, r) in zip(times[lo:hi], records[lo:hi])
-            ]
-        else:
-            rows = [
-                row % (t, s1, s2, a1, a2, i_s, r, (a1 + a2) + i_s,
-                       ((s1 + s2) + (a1 + a2)) + i_s + r)
-                for t, (s1, s2, a1, a2, i_s, r) in zip(times[lo:hi], records[lo:hi])
-            ]
-        yield "".join(rows)
+        piece = records[lo:lo + _PIECE_RECORDS]
+        columns = [_column(model, piece, name) for name in names]
+        yield "".join([
+            row % values
+            for values in zip(times[lo:lo + _PIECE_RECORDS], *columns)
+        ])
 
 
 def write_csv(traj: Trajectory) -> str:
@@ -114,34 +105,39 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """The 1-2-5 ticks from lo to hi; RangeError when there would be more
-    than _MAX_TICKS, or when a tick step does not move a tick (a step
-    below half an ulp of the axis)."""
+    """The 1-2-5 ticks from lo to hi, up to 1e-9 of the tick step past hi.
+
+    RangeError for an axis too narrow to plot, whose span hi - lo is below
+    _MIN_SPAN times max(|lo|, |hi|, 1).  On any other axis a tick step
+    moves every tick, so there are at most seven.
+    """
+    if hi - lo < _MIN_SPAN * max(abs(lo), abs(hi), 1.0):
+        raise RangeError(
+            f"cannot draw axis ticks from {lo} to {hi}: the span {hi - lo} is "
+            f"below {_MIN_SPAN:g} of max(|{lo}|, |{hi}|, 1)"
+        )
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9) * step
-    # The ticks run past hi by 1e-9 of the step, or of 1 for a step below
-    # 1, so an axis whose step is far below 1e-9 takes too many ticks.
-    end = hi + 1e-9 * max(step, 1.0)
-    if not (end - first) / step <= _MAX_TICKS:
-        raise RangeError(
-            f"cannot draw axis ticks from {lo} to {hi}: a tick step of {step} "
-            f"makes more than {_MAX_TICKS} ticks up to {end}"
-        )
+    end = hi + 1e-9 * step
     out = []
     v = first
     while v <= end:
         out.append(0.0 if abs(v) < step * 1e-9 else v)
-        if v + step == v:
-            raise RangeError(
-                f"cannot draw axis ticks from {lo} to {hi}: a tick step of "
-                f"{step} does not move the tick at {v}"
-            )
         v += step
     return out
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.6g}"
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """The labels of an axis' ticks: "%.6g", or where that gives two
+    adjacent ticks the same label, as many significant digits as the
+    largest tick has down to the leading digit of the tick step."""
+    labels = [f"{v:.6g}" for v in ticks]
+    if any(a == b for a, b in zip(labels, labels[1:])):
+        step = ticks[1] - ticks[0]
+        top = max(map(abs, ticks))
+        digits = math.floor(math.log10(top)) - math.floor(math.log10(step)) + 1
+        labels = [f"{v:.{digits}g}" for v in ticks]
+    return labels
 
 
 def svg_pieces(
@@ -206,21 +202,21 @@ def svg_pieces(
         f'<line x1="{px0:.2f}" y1="{py0:.2f}" x2="{px0:.2f}" y2="{py1:.2f}" '
         f'stroke="#000000" stroke-width="1"/>\n'
     )
-    for v in x_ticks:
+    for v, label in zip(x_ticks, _tick_labels(x_ticks)):
         x = px0 + (v - x_lo) / x_span * px_span
         yield (
             f'<line x1="{x:.2f}" y1="{py0:.2f}" x2="{x:.2f}" y2="{py0 + 5:.2f}" '
             f'stroke="#000000" stroke-width="1"/>\n'
             f'<text x="{x:.2f}" y="{py0 + 18:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_tick_label(v)}</text>\n'
+            f'font-size="11" text-anchor="middle">{label}</text>\n'
         )
-    for v in y_ticks:
+    for v, label in zip(y_ticks, _tick_labels(y_ticks)):
         y = py0 + (v - y_lo) / y_span * py_span
         yield (
             f'<line x1="{px0 - 5:.2f}" y1="{y:.2f}" x2="{px0:.2f}" y2="{y:.2f}" '
             f'stroke="#000000" stroke-width="1"/>\n'
             f'<text x="{px0 - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{_tick_label(v)}</text>\n'
+            f'font-size="11" text-anchor="end">{label}</text>\n'
         )
     yield (
         f'<text x="{(px0 + px1) / 2:.2f}" y="{height - 12:.2f}" '

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from operator import itemgetter
 from typing import BinaryIO, NamedTuple, Sequence
 
 from .core import (
@@ -23,7 +24,7 @@ from .core import (
     StateMA,
     StateMB,
     _column,
-    _layout,
+    _layout_for,
     split_share,
     validate_params,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "covid_mitigation_presets",
     "preset_params",
     "participation_scan",
+    "INIT_RULE_DFE_PLUS_ONE",
     "ParticipationScanResult",
 ]
 
@@ -106,12 +108,12 @@ def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     susceptibles (rho to class 1), plus a single symptomatic individual.
     Class 2 is an exact complement, so the state sums to N exactly.
     """
+    state = _layout_for(model, p).state
     if rule != INIT_RULE_DFE_PLUS_ONE:
         raise RangeError(f"unknown init rule {rule!r}")
     pool = p.N - 1.0
     if pool < 0:
         raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
-    state = _layout(model).state
     values = dict.fromkeys(state._fields, 0.0)
     values["S1"], values["S2"] = split_share(pool, p.rho)
     values["Is"] = 1.0
@@ -304,11 +306,10 @@ def _scan_peaks(p: Params, qs: Sequence[float], t1: float, dt: float) -> list[fl
     for q in qs:
         s2, s1 = split_share(pool, q)
         init = StateMB(S1=s1, S2=s2, A1=0.0, A2=0.0, Is=1.0, R=0.0)
-        # Only the running peak is kept, of I = (A1 + A2) + Is as StateMB.I
-        # groups it, read off the raw components.  max keeps the first of
-        # equal maxima, as in peak_of.
+        # Only the running peak of I is kept, read off each record.  max
+        # keeps the first of equal maxima, as in peak_of.
         run = integrate(ModelKind.MB, p, init, 0.0, t1, dt)
-        peaks.append(max((s[2] + s[3]) + s[4] for _, s in run))
+        peaks.append(max(_column(ModelKind.MB, map(itemgetter(1), run), "I")))
     return peaks
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ModelKind, Params, _layout
+from .core import ModelKind, Params, _layout_for
 from .errors import NumericError, RangeError
 from .ngm import b_rho
 
@@ -102,7 +102,7 @@ def _closed_forms(model: ModelKind, p: Params) -> tuple[float | None, ...]:
 
 def sensitivity_indices(model: ModelKind, p: Params) -> SensitivityIndices:
     """Closed-form indices for the model's parameters."""
-    _layout(model)
+    _layout_for(model, p)
     return tuple.__new__(SensitivityIndices, (model, *_closed_forms(model, p)))
 
 
@@ -122,7 +122,7 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
                                             (rho > beta2/(beta1-beta2))
     BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint.
     """
-    _layout(model)
+    _layout_for(model, p)
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     t_sum = beta2 / (beta1 + beta2)
     t_ratio = beta2 / beta1
@@ -163,7 +163,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     Raises NumericError when the rates are so small that 2*h*r0 or a
     closed-form index underflows to zero.
     """
-    _layout(model)
+    _layout_for(model, p)
     if not 1e-10 < h <= 1e-2:
         raise RangeError(f"h must lie in (1e-10, 1e-2], got {h}")
 
@@ -195,25 +195,19 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
                 (r_up * beta1 + (1.0 - r_up) * beta2) / kappa
                 - (r_down * beta1 + (1.0 - r_down) * beta2) / kappa
             )
-    try:
-        # zip stops at the last diff, so an MA's None alphas are never read.
-        return max(
-            [
-                abs(diff / scale - closed) / abs(closed)
-                for diff, closed in zip(diffs, _closed_forms(model, p))
-            ]
+    # The closed forms divide by B, which is 0 only if scale is.  rho = 1
+    # (model SINGLE) makes U_beta2 = (1-rho)*beta2/B exactly 0, and no other
+    # index can be 0 then; that one is compared by absolute error.
+    closed_forms = _closed_forms(model, p) if scale else ()
+    if not scale or (comp and 0.0 in closed_forms):
+        raise NumericError(
+            f"the rates are too small for a central difference at step "
+            f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
         )
-    except ZeroDivisionError:
-        if not scale or comp:
-            raise NumericError(
-                f"the rates are too small for a central difference at step "
-                f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
-            ) from None
-    # rho = 1 (model SINGLE) makes U_beta2 = (1-rho)*beta2/B exactly 0, and no
-    # other index can be 0 then; that one is compared by absolute error.
+    # zip stops at the last diff, so an MA's None alphas are never read.
     return max(
         [
             abs(diff / scale - closed) / (abs(closed) or 1.0)
-            for diff, closed in zip(diffs, _closed_forms(model, p))
+            for diff, closed in zip(diffs, closed_forms)
         ]
     )

@@ -16,6 +16,7 @@ import pytest
 
 from socsir import integrator
 from socsir.core import (
+    _LAYOUT,
     ModelKind,
     Params,
     StateMA,
@@ -327,14 +328,18 @@ def test_kernels_match_the_reference_run_bit_for_bit(case):
 
 
 @pytest.mark.parametrize(
-    "total, state_type, named",
+    "total, state_type, named, named_i",
     [
-        (total5, StateMA, lambda s: ((s.S1 + s.S2) + s.Ia) + s.Is + s.R),
-        (total6, StateMB, lambda s: ((s.S1 + s.S2) + (s.A1 + s.A2)) + s.Is + s.R),
+        (total5, StateMA, lambda s: ((s.S1 + s.S2) + s.Ia) + s.Is + s.R,
+         lambda s: s.Ia + s.Is),
+        (total6, StateMB, lambda s: ((s.S1 + s.S2) + (s.A1 + s.A2)) + s.Is + s.R,
+         lambda s: s.A1 + s.A2 + s.Is),
     ],
     ids=["total5-StateMA", "total6-StateMB"],
 )
-def test_raw_totals_match_total_population_bit_for_bit(total, state_type, named):
+def test_raw_totals_match_total_population_bit_for_bit(
+    total, state_type, named, named_i
+):
     # the positional groupings, and total_population on raw and named
     # states, against the grouping written with field names
     rng = random.Random(14)
@@ -346,6 +351,23 @@ def test_raw_totals_match_total_population_bit_for_bit(total, state_type, named)
         assert total(s).hex() == want
         assert total_population(s).hex() == want
         assert total_population(state).hex() == want
+    # every reader of the layout table of each model with this state type,
+    # on the records of runs from sampler draws: a plain tuple reads as the
+    # named state's attribute, I as it is grouped with field names, and N
+    # as the total
+    for model in [m for m in ModelKind if _LAYOUT[m].state is state_type]:
+        readers = _LAYOUT[model].observables
+        assert list(readers) == list(observables_for(model))
+        extra = {"rho": 1.0} if model is ModelKind.SINGLE else {}
+        for _ in range(40):
+            p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+            init = resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE)
+            for _, s in integrate(model, p, init, 0.0, 30.0, 0.5, 3):
+                s, state = tuple(s), state_type._make(s)
+                for name, read in readers.items():
+                    want = named(state) if name == "N" else getattr(state, name)
+                    assert read(s).hex() == want.hex(), (model, name)
+                assert readers["I"](s).hex() == named_i(state).hex()
 
 
 @pytest.mark.parametrize("record_every", [1, 5])

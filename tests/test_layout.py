@@ -26,8 +26,9 @@ from socsir import (
     validate_params,
 )
 from socsir.cli import main
-from socsir.core import _LAYOUT, StateMA
-from socsir.integrator import step_rk4
+from socsir.core import _LAYOUT, StateMA, StateMB
+from socsir.dynamics import rhs_ma, rhs_mb, vector_field
+from socsir.integrator import integrate, peak_of, step_rk4
 
 RAW_MA = {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
           "kappa": 0.05, "rho": 0.75, "N": 100.0}
@@ -76,6 +77,70 @@ def test_a_model_that_is_not_a_model_kind_raises_range_error(name, model):
     with pytest.raises(RangeError, match="must be a ModelKind") as exc:
         CALLS[name](model)
     assert repr(model) in str(exc.value)
+
+
+RAW_SINGLE = dict(RAW_MA, rho=1.0)
+P_SINGLE = validate_params(RAW_SINGLE, ModelKind.SINGLE)
+FIVE = (74.0, 24.0, 2.0, 0.0, 0.0)
+
+
+def _state(model):
+    return StateMB(*SIX) if model is ModelKind.MB else StateMA(*FIVE)
+
+
+# Each public callable that takes a model and its parameters, with valid
+# other arguments.
+WITH_PARAMS = {
+    "vector_field": vector_field,
+    "rhs": lambda m, p: (rhs_mb if m is ModelKind.MB else rhs_ma)(p, _state(m)),
+    "integrate": lambda m, p: integrate(m, p, _state(m), 0.0, 5.0),
+    "simulate": lambda m, p: simulate(m, p, _state(m), 0.0, 5.0),
+    "resolve_init": lambda m, p: resolve_init(m, p, INIT_RULE_DFE_PLUS_ONE),
+    "dfe_of": dfe_of,
+    "ngm": ngm,
+    "stability": stability,
+    "sensitivity_indices": sensitivity_indices,
+    "ordering_case": ordering_case,
+    "finite_diff_check": finite_diff_check,
+}
+# Parameters that do not fit the model: raw mappings, and MB with
+# parameters validated without switch rates.
+MISFITS = {
+    "MA-mapping": (ModelKind.MA, RAW_MA),
+    "SINGLE-mapping": (ModelKind.SINGLE, RAW_SINGLE),
+    "MB-mapping": (ModelKind.MB, RAW_MB),
+    "MB-with-MA-params": (ModelKind.MB, P_MA),
+    "MB-with-SINGLE-params": (ModelKind.MB, P_SINGLE),
+}
+_TRAJ_MA = simulate(ModelKind.MA, P_MA, FIVE, 0.0, 3.0)
+
+
+def _misfit_calls():
+    for name, call in WITH_PARAMS.items():
+        for case, (model, p) in MISFITS.items():
+            yield pytest.param(
+                lambda c=call, m=model, p=p: c(m, p), id=f"{name}-{case}"
+            )
+    reader = observables_for(ModelKind.MA)["I"].extract
+    for case, obs in {"name": "I", "reader": reader, "none": None}.items():
+        yield pytest.param(lambda obs=obs: peak_of(_TRAJ_MA, obs), id=f"peak_of-{case}")
+
+
+@pytest.mark.parametrize("call", _misfit_calls())
+def test_inputs_that_do_not_fit_raise_range_error(call):
+    # a mapping raised a raw AttributeError; MB with MA's parameters raised
+    # a raw TypeError (ngm, finite_diff_check, simulate) or gave MB answers
+    # (stability, sensitivity_indices, ordering_case, dfe_of); peak_of with
+    # a name raised AttributeError
+    with pytest.raises(RangeError, match="must be a Params|with switch rates|"
+                                         "must be an Observable"):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PARAMS))
+def test_single_takes_parameters_validated_for_mb(name):
+    # run_mixed opens single-class with the run's MB parameters
+    WITH_PARAMS[name](ModelKind.SINGLE, P_MB)
 
 
 def test_negative_state_names_compartment_and_step():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
@@ -249,6 +251,43 @@ def test_ticks_stop_at_the_axis_end():
 
 
 def test_ticks_reject_a_step_that_does_not_move_a_tick():
-    # the step 5 is below half an ulp (8) of 1e17, where v + step == v
-    with pytest.raises(RangeError, match="does not move the tick at 1e"):
+    # the step 5 is below half an ulp (8) of 1e17, where v + step == v; the
+    # span 16 is far below 1e-12 of the axis, too narrow to plot
+    with pytest.raises(RangeError, match="the span 16.0 is below 1e-12 of max"):
         _ticks(1e17, 1e17 + 16)
+
+
+def test_ticks_below_a_unit_step_stop_at_the_axis_end():
+    # a step below 1 let the ticks run 1e-9 past the end: 56 ticks, 50 of
+    # them beyond 1e-10
+    ticks = _ticks(0.0, 1e-10)
+    assert len(ticks) == 6
+    assert ticks[0] == 0.0 and ticks[-1] == pytest.approx(1e-10, rel=1e-9)
+    assert _ticks(0.0, 1e-12) == pytest.approx([2e-13 * k for k in range(6)])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, 1e-300), (0.0, 9e-13), (1e17, 1e17 + 16), (1e6, 1e6 + 1e-7),
+     (-1e12 - 0.5, -1e12)],
+)
+def test_ticks_reject_an_axis_too_narrow_to_plot(lo, hi):
+    # one rule: a span below 1e-12 of max(|lo|, |hi|, 1); the last two
+    # axes used to draw six ticks that all read the same
+    with pytest.raises(RangeError, match="is below 1e-12 of max"):
+        _ticks(lo, hi)
+
+
+def test_adjacent_tick_labels_differ():
+    # "%.6g" gave each of the six x ticks of a run at t = 1e12 the label
+    # 1e+12; the labels now take their digits from the tick step
+    traj = Trajectory(
+        model=ModelKind.MA, times=(1e12, 1e12 + 10), states=(MA_INIT, MA_INIT),
+        params_used=MA_P, dt=10.0,
+    )
+    svg = render_svg(traj, ["I"])
+    x_labels = re.findall(r'font-size="11" text-anchor="middle">([^<]*)<', svg)
+    assert x_labels == [str(10**12 + 2 * k) for k in range(6)]
+    # an axis whose "%.6g" labels already differ keeps them
+    y_labels = re.findall(r'font-size="11" text-anchor="end">([^<]*)<', svg)
+    assert y_labels == ["0", "0.2", "0.4", "0.6", "0.8", "1"]

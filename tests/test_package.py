@@ -80,6 +80,14 @@ def test_each_name_is_the_object_its_module_defines(module):
         assert vars(socsir)[name] is value
 
 
+@pytest.mark.parametrize("module", list(PUBLIC))
+def test_each_module_all_lists_its_public_names(module):
+    # ngm lacked b_rho, scenarios INIT_RULE_DFE_PLUS_ONE, errors any __all__
+    listed = importlib.import_module(f"socsir.{module}").__all__
+    assert [name for name in PUBLIC[module] if name not in listed] == []
+    assert socsir._PUBLIC[module] == tuple(PUBLIC[module])
+
+
 def test_import_loads_core_errors_and_ngm_only():
     loaded = _fresh(
         "import json, sys, socsir; "
