@@ -123,14 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_r0(args: argparse.Namespace) -> list[str]:
-    model, p = _params_from_flags(args)
-    report = stability(model, p)
-    return [
-        f"model = {model.value}",
-        f"rho = {_fmt(p.rho)}",
-        f"B_rho = {_fmt(report.b_rho)}",
-        f"R0 = {_fmt(report.r0)}",
-    ]
+    return _cmd_stability(args)[:4]
 
 
 def _cmd_stability(args: argparse.Namespace) -> list[str]:
@@ -259,7 +252,6 @@ def _add_rate_flags(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="lift the beta upper bounds (disables feasibility geometry)",
     )
-    sub.add_argument("--out", help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         run.add_argument("--config", required=True, help=config_help)
         run.add_argument("--csv", help="write the trajectory table here")
         run.add_argument("--svg", help="write a line plot here")
-        run.add_argument("--out", help="write the report here instead of stdout")
         run.add_argument("--allow-beta-gt-one", action="store_true")
         run.set_defaults(handler=_cmd_run)
 
@@ -299,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     feas.add_argument("--model", choices=("ma", "mb"), required=True)
     feas.add_argument("--kappa", type=float, required=True)
     feas.add_argument("--rho", type=float, required=True)
-    feas.add_argument("--out", help="write the report here instead of stdout")
     feas.set_defaults(handler=_cmd_feasibility)
 
     bif = commands.add_parser(
@@ -309,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     bif.add_argument("--kappa", type=float, required=True)
     bif.add_argument("--steps", type=int, required=True, help="grid size")
     bif.add_argument("--csv", help="write rho,type rows here")
-    bif.add_argument("--out", help="write the report here instead of stdout")
     bif.set_defaults(handler=_cmd_bifurcation)
 
     sens = commands.add_parser(
@@ -335,9 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--capacity", type=float, required=True)
     scan.add_argument("--steps", type=int, required=True, help="grid size")
-    scan.add_argument("--out", help="write the report here instead of stdout")
     scan.set_defaults(handler=_cmd_scan)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 

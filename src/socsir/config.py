@@ -12,10 +12,9 @@ path ("params.kappa") in the message.
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
-from .core import ModelKind, Params, _layout, to_float, validate_params, with_rho_one
+from .core import ModelKind, Params, _finite, _layout, validate_params, with_rho_one
 from .errors import ConfigError, MissingFieldError, RangeError
 from .integrator import check_times
 from .scenarios import (
@@ -44,11 +43,11 @@ _ALLOWED_PARAMS = {
     "mb": _REQUIRED_PARAMS["mb"] | {"transition_normalization"},
     "mixed": _REQUIRED_PARAMS["mixed"] | {"transition_normalization"},
 }
-_TIME_KEYS = {"t0", "t1", "dt", "record_every"}
-_MIXED_KEYS = {"t_switch", "rho_split", "split_rule"}
+# ScenarioConfig's fields that the "time" block holds; "mixed" holds MixedSpec's.
+_TIME_KEYS = ("t0", "t1", "dt", "record_every")
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set, where: str) -> None:
+def _reject_unknown(mapping: Mapping, allowed: Collection, where: str) -> None:
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(
@@ -58,16 +57,13 @@ def _reject_unknown(mapping: Mapping[str, Any], allowed: set, where: str) -> Non
 
 
 def _require_number(mapping: Mapping[str, Any], key: str, where: str) -> float:
-    """mapping[key] as a finite float, or an error naming the key path."""
+    """mapping[key] as a finite float (core._finite); errors name the key path."""
     if key not in mapping:
         raise MissingFieldError(f"missing required key {where}.{key}")
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    value = to_float(value)
-    if not math.isfinite(value):
-        raise RangeError(f"{where}.{key} must be finite, got {value!r}")
-    return value
+    return _finite(f"{where}.{key}", value)
 
 
 def loads_config(text: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfig:
@@ -143,7 +139,7 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
         raw_mixed = doc.get("mixed")
         if not isinstance(raw_mixed, dict):
             raise ConfigError('model "mixed" requires a "mixed" object')
-        _reject_unknown(raw_mixed, _MIXED_KEYS, '"mixed"')
+        _reject_unknown(raw_mixed, MixedSpec._fields, '"mixed"')
         mixed = MixedSpec(
             t_switch=_require_number(raw_mixed, "t_switch", "mixed"),
             rho_split=_require_number(raw_mixed, "rho_split", "mixed"),
@@ -197,7 +193,7 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
         raise ConfigError('"init" must be a rule name or an object of compartments')
 
     state_type = _layout(model).state
-    _reject_unknown(raw, set(state_type._fields), '"init"')
+    _reject_unknown(raw, state_type._fields, '"init"')
     values = {}
     for name in state_type._fields:
         values[name] = _require_number(raw, name, "init")
@@ -227,19 +223,10 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
         "init": cfg.init_rule
         if cfg.init_rule is not None
         else dict(zip(type(cfg.init_state)._fields, cfg.init_state)),
-        "time": {
-            "t0": cfg.t0,
-            "t1": cfg.t1,
-            "dt": cfg.dt,
-            "record_every": cfg.record_every,
-        },
+        "time": {key: getattr(cfg, key) for key in _TIME_KEYS},
     }
     if cfg.mixed is not None:
-        doc["mixed"] = {
-            "t_switch": cfg.mixed.t_switch,
-            "rho_split": cfg.mixed.rho_split,
-            "split_rule": cfg.mixed.split_rule,
-        }
+        doc["mixed"] = cfg.mixed._asdict()
     if cfg.outputs:
         doc["outputs"] = list(cfg.outputs)
     return doc

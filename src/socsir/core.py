@@ -220,6 +220,18 @@ def _require(raw: Mapping[str, object], key: str) -> float:
     return _number(key, value)
 
 
+def _class_split(alpha1: float, alpha2: float) -> float:
+    """MB's rho = alpha2 / (alpha1 + alpha2).  RangeError when alpha2 > 0 and
+    rho rounds to 0, outside (0, 1/2): the sum overflows or the quotient underflows."""
+    rho = alpha2 / (alpha1 + alpha2)
+    if rho == 0.0 and alpha2 > 0:
+        raise RangeError(
+            f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
+            f"alpha1={alpha1}, alpha2={alpha2}"
+        )
+    return rho
+
+
 def validate_params(
     raw: Mapping[str, object] | Params,
     model: ModelKind,
@@ -307,14 +319,8 @@ def validate_params(
                 f"alpha1 must exceed alpha2; got alpha1={alpha1}, alpha2={alpha2}"
             )
         # rho is derived, never free: the class split at equilibrium is set
-        # by the switch rates alone.  An overflowing sum or an underflowing
-        # quotient rounds it to 0.0, outside (0, 1/2).
-        rho = alpha2 / (alpha1 + alpha2)
-        if rho == 0.0 and alpha2 > 0:
-            raise RangeError(
-                f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
-                f"alpha1={alpha1}, alpha2={alpha2}"
-            )
+        # by the switch rates alone.
+        rho = _class_split(alpha1, alpha2)
     else:
         raise RangeError(f"model must be a ModelKind, got {model!r}")
 
@@ -380,6 +386,14 @@ def _column(
     values are the observables' bits.  The writers, run summaries and the
     scan read them without holding a list of a whole run."""
     return map(_layout(model).observables[name], records)
+
+
+def _check_grid(grid: Sequence[float]) -> None:
+    """RangeError for a scan grid that is empty or not strictly increasing."""
+    if len(grid) == 0:
+        raise RangeError("grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise RangeError("grid must be strictly increasing")
 
 
 def total_population(state: State | Sequence[float]) -> float:

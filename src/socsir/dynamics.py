@@ -158,22 +158,20 @@ def vector_field(model: ModelKind, p: Params):
     return _binder(_TEXTS[_layout_for(model, p).state])(p)
 
 
-def _checked(s) -> None:
+def _rhs(model: ModelKind, deriv: type, p: Params, s):
+    """The model's field evaluated once on s, as deriv.  NonFiniteError for a
+    non-finite state, RangeError for parameters that core._layout_for refuses."""
+    text = _TEXTS[_layout_for(model, p).state]
     if not all(map(math.isfinite, s)):
         raise NonFiniteError(f"non-finite state {s!r}")
+    return deriv._make(_binder(text)(p)(*s))
 
 
 def rhs_ma(p: Params, s: StateMA) -> DerivMA:
-    """Model MA right-hand side (_MA); NonFiniteError for a non-finite state,
-    RangeError for parameters that core._layout_for refuses."""
-    _layout_for(ModelKind.MA, p)
-    _checked(s)
-    return DerivMA._make(_binder(_MA)(p)(*s))
+    """Model MA right-hand side (_MA); see _rhs."""
+    return _rhs(ModelKind.MA, DerivMA, p, s)
 
 
 def rhs_mb(p: Params, s: StateMB) -> DerivMB:
-    """Model MB right-hand side (_MB); NonFiniteError for a non-finite state,
-    RangeError for parameters that core._layout_for refuses."""
-    _layout_for(ModelKind.MB, p)
-    _checked(s)
-    return DerivMB._make(_binder(_MB)(p)(*s))
+    """Model MB right-hand side (_MB); see _rhs."""
+    return _rhs(ModelKind.MB, DerivMB, p, s)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .core import ModelKind, _layout
+from .core import ModelKind, _check_grid, _layout
 from .errors import RangeError
+from .ngm import b_rho
 
 __all__ = [
     "SetType",
@@ -69,8 +70,8 @@ class BifurcationScan(NamedTuple):
 
 
 def rho_feasible(beta1: float, beta2: float, rho: float, kappa: float) -> bool:
-    """True iff rho*beta1 + (1-rho)*beta2 < kappa (strict)."""
-    return rho * beta1 + (1.0 - rho) * beta2 < kappa
+    """True iff b_rho(beta1, beta2, rho) < kappa (strict), i.e. r0 < 1."""
+    return b_rho(beta1, beta2, rho) < kappa
 
 
 def threshold_P(beta1: float, beta2: float, kappa: float) -> float:
@@ -92,6 +93,14 @@ def threshold_P(beta1: float, beta2: float, kappa: float) -> float:
     return (kappa - beta2) / (beta1 - beta2)
 
 
+def _check_rho_kappa(rho: float, kappa: float) -> None:
+    """RangeError unless rho lies in (0, 1) and kappa in (0, 1]."""
+    if not 0 < rho < 1:
+        raise RangeError(f"rho must lie in (0, 1), got {rho}")
+    if not 0 < kappa <= 1:
+        raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
+
+
 def threshold_B2(beta1: float, rho: float, kappa: float) -> float:
     """Largest stable beta2 given (beta1, rho, kappa).
 
@@ -100,10 +109,7 @@ def threshold_B2(beta1: float, rho: float, kappa: float) -> float:
     agree at beta1 = kappa.  Requires beta1 <= min(1, kappa/rho); beyond
     that no stable beta2 exists.
     """
-    if not 0 < rho < 1:
-        raise RangeError(f"rho must lie in (0, 1), got {rho}")
-    if not 0 < kappa <= 1:
-        raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
+    _check_rho_kappa(rho, kappa)
     if not 0 < beta1 <= min(1.0, kappa / rho):
         raise RangeError(
             f"need 0 < beta1 <= min(1, kappa/rho) = "
@@ -120,10 +126,7 @@ def threshold_B1(beta2: float, rho: float, kappa: float) -> float:
     B1 = min(1, (kappa - (1-rho)*beta2)/rho).  Requires beta2 < kappa
     (otherwise no beta1 is stable).
     """
-    if not 0 < rho < 1:
-        raise RangeError(f"rho must lie in (0, 1), got {rho}")
-    if not 0 < kappa <= 1:
-        raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
+    _check_rho_kappa(rho, kappa)
     if not 0 < beta2 < kappa:
         raise RangeError(
             f"need 0 < beta2 < kappa (no stable beta1 otherwise), "
@@ -175,10 +178,7 @@ def bifurcation_scan(
     breakpoint list is empty.
     """
     _layout(model)
-    if len(grid) == 0:
-        raise RangeError("grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise RangeError("grid must be strictly increasing")
+    _check_grid(grid)
 
     labels = tuple(
         classify_feasible_set(r, kappa, model).type_label for r in grid

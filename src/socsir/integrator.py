@@ -173,6 +173,11 @@ class Trajectory:
     __delattr__ = __setattr__
 
 
+def _floor(s: Sequence[float]) -> float:
+    """The negativity floor of s: -NEGATIVE_TOL times its magnitudes' sum."""
+    return -NEGATIVE_TOL * sum(map(abs, s))
+
+
 def _checked_step(
     new: Sequence[float],
     s: Sequence[float],
@@ -192,7 +197,7 @@ def _checked_step(
         low = min(new)
         if low >= 0:
             return new
-        floor = -NEGATIVE_TOL * sum(map(abs, s))
+        floor = _floor(s)
         if low >= floor:
             return new
         i = indexOf(new, low)
@@ -374,7 +379,7 @@ def _check_init(names: Sequence[str], init: Sequence[float]) -> None:
     finite number, or that lies below _checked_step's negativity floor."""
     for name, x in zip(names, init):
         _finite(f"init {name}", x)
-    floor = -NEGATIVE_TOL * sum(map(abs, init))
+    floor = _floor(init)
     for name, x in zip(names, init):
         if x < floor:
             raise RangeError(f"init {name} must be at least {floor}, got {x!r}")

@@ -14,8 +14,10 @@ import enum
 import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, State, _layout_for, _switch_rates, split_share
-from .errors import NumericError, OrderError, RangeError, SingularMatrixError
+from .core import (
+    ModelKind, Params, State, _class_split, _layout_for, _switch_rates, split_share,
+)
+from .errors import NumericError, OrderError, SingularMatrixError
 
 __all__ = [
     "NgmResult",
@@ -37,20 +39,20 @@ Matrix = tuple[tuple[float, ...], ...]
 MARGINAL_TOL = 1e-12
 
 
+def b_rho(beta1: float, beta2: float, rho: float) -> float:
+    """The class-mixed infection rate rho*beta1 + (1-rho)*beta2."""
+    return rho * beta1 + (1.0 - rho) * beta2
+
+
 def r0(beta1: float, beta2: float, rho: float, kappa: float) -> float:
-    """Basic reproduction number (rho*beta1 + (1-rho)*beta2) / kappa.
+    """Basic reproduction number b_rho(beta1, beta2, rho) / kappa.
 
     Pure formula; argument validation is the caller's job: kappa = 0
     raises ZeroDivisionError, and an overflow returns inf.  checked_r0 is
     the checked path for a Params value.  For model MB pass
     rho = rho_from_alphas(alpha1, alpha2).
     """
-    return (rho * beta1 + (1.0 - rho) * beta2) / kappa
-
-
-def b_rho(beta1: float, beta2: float, rho: float) -> float:
-    """The class-mixed infection rate rho*beta1 + (1-rho)*beta2."""
-    return rho * beta1 + (1.0 - rho) * beta2
+    return b_rho(beta1, beta2, rho) / kappa
 
 
 def checked_r0(p: Params) -> tuple[float, float]:
@@ -81,13 +83,7 @@ def rho_from_alphas(alpha1: float, alpha2: float) -> float:
         raise OrderError(
             f"need alpha1 > alpha2 > 0, got alpha1={alpha1}, alpha2={alpha2}"
         )
-    rho = alpha2 / (alpha1 + alpha2)
-    if rho == 0.0:
-        raise RangeError(
-            f"rho = alpha2 / (alpha1 + alpha2) rounds to 0, got "
-            f"alpha1={alpha1}, alpha2={alpha2}"
-        )
-    return rho
+    return _class_split(alpha1, alpha2)
 
 
 def dfe_of(model: ModelKind, p: Params) -> State:

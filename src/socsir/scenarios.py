@@ -23,6 +23,7 @@ from .core import (
     State,
     StateMA,
     StateMB,
+    _check_grid,
     _column,
     _layout_for,
     split_share,
@@ -101,6 +102,14 @@ class RunResult(NamedTuple):
     summary: RunSummary
 
 
+def _seed_pool(p: Params) -> float:
+    """N - 1, the susceptibles beside one seeded infective; RangeError if N < 1."""
+    pool = p.N - 1.0
+    if pool < 0:
+        raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
+    return pool
+
+
 def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     """Build the initial state named by a symbolic rule.
 
@@ -111,11 +120,8 @@ def resolve_init(model: ModelKind, p: Params, rule: str) -> State:
     state = _layout_for(model, p).state
     if rule != INIT_RULE_DFE_PLUS_ONE:
         raise RangeError(f"unknown init rule {rule!r}")
-    pool = p.N - 1.0
-    if pool < 0:
-        raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
     values = dict.fromkeys(state._fields, 0.0)
-    values["S1"], values["S2"] = split_share(pool, p.rho)
+    values["S1"], values["S2"] = split_share(_seed_pool(p), p.rho)
     values["Is"] = 1.0
     return state(**values)
 
@@ -301,7 +307,7 @@ SCAN_DT = 2.0
 
 def _scan_peaks(p: Params, qs: Sequence[float], t1: float, dt: float) -> list[float]:
     """Peak infected load of the MB run over [0, t1] for each fraction in qs."""
-    pool = p.N - 1.0
+    pool = _seed_pool(p)
     peaks: list[float] = []
     for q in qs:
         s2, s1 = split_share(pool, q)
@@ -432,17 +438,12 @@ def participation_scan(
     """
     if not 0 < capacity < math.inf:
         raise RangeError(f"capacity must be finite and positive, got {capacity}")
-    if len(grid) == 0:
-        raise RangeError("grid must be nonempty")
     if any(not 0.0 < q < 1.0 for q in grid):
         raise RangeError("grid fractions must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise RangeError("grid must be strictly increasing")
+    _check_grid(grid)  # an empty grid passes the fractions check
 
     p = preset_params(preset, n_total)
-    # resolve_init's rule: the run seeds one infective out of N.
-    if p.N < 1:
-        raise RangeError(f"N must be at least 1 to seed an infective, got {p.N}")
+    _seed_pool(p)  # resolve_init's rule: the run seeds one infective out of N
     check_times(0.0, t1, dt)
     peaks = _parallel_peaks(p, grid, t1, dt)
 
