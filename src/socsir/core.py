@@ -193,15 +193,15 @@ def to_float(value: int | float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _finite(name: str, value: object) -> float:
+def _finite(name: str, value: object, error: type = RangeError) -> float:
     """value as a finite float: RangeError "<name> must be a number" for a
-    bool or a non-number (a numeric string too), "must be finite" else."""
+    bool or a non-number (a numeric string too), error "must be finite" else."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RangeError(f"{name} must be a number, got {value!r}")
         value = to_float(value)
     if not math.isfinite(value):
-        raise RangeError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     return value
 
 

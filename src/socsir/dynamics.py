@@ -15,11 +15,12 @@ no time argument.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
-from .core import ModelKind, Params, StateMA, StateMB, _layout_for, _switch_rates
-from .errors import NonFiniteError
+from .core import (
+    ModelKind, Params, StateMA, StateMB, _finite, _layout_for, _switch_rates,
+)
+from .errors import NonFiniteError, RangeError
 
 __all__ = ["DerivMA", "DerivMB", "rhs_ma", "rhs_mb", "vector_field"]
 
@@ -126,10 +127,8 @@ def _indent(text: str, pad: str) -> str:
 
 
 def _define(filename: str, source: str, **scope: object) -> dict:
-    """The names that source defines, run with _switch_rates and scope;
-    linecache holds it under filename, so tracebacks show its lines."""
-    import linecache  # with tokenize, on the first build only
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    """The names that source defines, run with _switch_rates and scope.
+    It is compiled as filename, which a traceback names with the line."""
     namespace = {"_switch_rates": _switch_rates, **scope}
     exec(compile(source, filename, "exec"), namespace)
     return namespace
@@ -159,11 +158,17 @@ def vector_field(model: ModelKind, p: Params):
 
 
 def _rhs(model: ModelKind, deriv: type, p: Params, s):
-    """The model's field evaluated once on s, as deriv.  NonFiniteError for a
-    non-finite state, RangeError for parameters that core._layout_for refuses."""
+    """The model's field evaluated once on s, as deriv.  RangeError for
+    parameters that core._layout_for refuses, a state of another length and
+    a component that is not a number (core._finite); NonFiniteError for NaN
+    or inf."""
     text = _TEXTS[_layout_for(model, p).state]
-    if not all(map(math.isfinite, s)):
-        raise NonFiniteError(f"non-finite state {s!r}")
+    if len(s) != len(text.fields):
+        raise RangeError(
+            f"{model.name} takes {len(text.fields)} state components, got {len(s)}"
+        )
+    for name, x in zip(text.fields, s):
+        _finite(f"state {name}", x, NonFiniteError)
     return deriv._make(_binder(text)(p)(*s))
 
 

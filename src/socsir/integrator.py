@@ -302,7 +302,7 @@ _TOTAL = {5: "((x1 + x2) + x4) + x3 + x5", 6: "((x1 + x2) + (x3 + x4)) + x5 + x6
 @functools.cache
 def _kernel(text: _Text):
     """integrate's whole-run generator for a field text, built on its
-    first use and registered with linecache as <socsir kernel NAME>."""
+    first use from the file <socsir kernel NAME>."""
     n = range(1, len(text.fields) + 1)
     words = set(re.findall(r"\w+", text.body))
     read = [i for i in n if text.fields[i - 1] in words]
@@ -475,10 +475,12 @@ def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
     """Time and value of the first recorded maximum of an observable.
 
     Raises RangeError for an obs that is not an Observable (a name too:
-    observables_for maps names to them).
+    observables_for maps names to them) or whose extract is not callable.
     """
     if not isinstance(obs, Observable):
         raise RangeError(f"obs must be an Observable, got {obs!r}")
+    if not callable(obs.extract):
+        raise RangeError(f"obs must be an Observable with a callable extract: {obs!r}")
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
     extract, states = obs.extract, traj.states

@@ -9,7 +9,11 @@ The grid commands, scan-participation and bifurcation, take --capacity or
 sizes; they return 0 or 2.  simulate and mixed run the mutated tests/data
 documents of test_config_properties, with the report, CSV and SVG written
 to a temporary directory; they return 0, 2, 3 or 4, and a run that
-returns 0 reports and writes only finite numbers.
+returns 0 reports and writes only finite numbers.  The same holds for the
+tests/data documents with time windows at the ends of the float range:
+times near its top or past it, and spans of a few ulps.  Those run the CLI
+in a child process under an address-space limit, so a run that allocates
+without bound fails the test instead of exhausting the host.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -28,8 +37,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from socsir.cli import main  # noqa: E402
 from socsir.config import dumps_config, loads_config  # noqa: E402
+from socsir.core import to_float  # noqa: E402
 from socsir.errors import ConfigError, ValidationError  # noqa: E402
-from tests.test_config_properties import CAP_STEPS, DATA, mutated_docs  # noqa: E402
+from tests.test_config_properties import (  # noqa: E402
+    CAP_STEPS,
+    DATA,
+    DOCS,
+    mutated_docs,
+)
 
 EDGES = [
     5e-324,
@@ -187,13 +202,8 @@ OVERFLOW_DOC["params"]["kappa"] = 5e-324
 OVERFLOW_DOC["time"]["t1"] = 20
 
 
-# Each example writes a report, a CSV and an SVG of up to 2000 steps, so
-# the example count keeps this test near a second.
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(mutated_docs(), st.sampled_from(["simulate", "mixed"]))
-@example(OVERFLOW_DOC, "simulate")
-def test_run_commands_exit_only_with_documented_codes(tmp_path_factory, doc, command):
-    tmp = tmp_path_factory.mktemp("run")
+def _run_files(tmp, doc, command):
+    """argv that runs doc (capped) with the report, CSV and SVG in tmp."""
     config = tmp / "config.json"
     config.write_text(_capped_text(doc))
     files = {flag: tmp / name for flag, name in
@@ -201,13 +211,102 @@ def test_run_commands_exit_only_with_documented_codes(tmp_path_factory, doc, com
     argv = [command, "--config", str(config)]
     for flag, path in files.items():
         argv += [flag, str(path)]
-    code, out, err = _run(argv)
-    assert code in (0, 2, 3, 4), (doc, command)
+    return argv, files
+
+
+def _check_run(code, out, err, files, context):
+    assert code in (0, 2, 3, 4), (context, err)
     assert not out
     if code == 0:
         assert not err and all(path.exists() for path in files.values())
         for name in ("--out", "--csv"):
             numbers = _numbers(files[name].read_text())
-            assert numbers and all(map(math.isfinite, numbers)), (doc, name)
+            assert numbers and all(map(math.isfinite, numbers)), (context, name)
     else:
-        assert err.startswith("error"), (doc, err)
+        assert err.startswith("error"), (context, err)
+
+
+# Each example writes a report, a CSV and an SVG of up to 2000 steps, so
+# the example count keeps this test near a second.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutated_docs(), st.sampled_from(["simulate", "mixed"]))
+@example(OVERFLOW_DOC, "simulate")
+def test_run_commands_exit_only_with_documented_codes(tmp_path_factory, doc, command):
+    argv, files = _run_files(tmp_path_factory.mktemp("run"), doc, command)
+    _check_run(*_run(argv), files, (doc, command))
+
+
+def _ulps_above(t: float, n: int) -> float:
+    for _ in range(n):
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+@st.composite
+def windows(draw):
+    """(t0, t1, dt): times near the top of the float range or, as ints,
+    past it (check_times maps those to +-inf), or a span of 1 to 2**16
+    ulps, which up to 1000 ulps plots an axis below output._MIN_SPAN."""
+    if draw(st.booleans()):
+        t0 = draw(st.sampled_from([0.0, -1e307, 1e300, 1e307, -(10**400)]))
+        t1 = draw(st.sampled_from(
+            [1e300, 1e307, 1.7976931348623157e308, 10**308, 10**400]))
+        dt = draw(st.sampled_from(
+            [1.0, 1e300, 1e305, 1e306, 1.7976931348623157e308, 10**400]))
+        return t0, t1, dt
+    t0 = draw(st.sampled_from([0.0, 5e-324, 1.0, -1.0, 1e17, -1e300, 1e300]))
+    t1 = _ulps_above(t0, draw(st.sampled_from([1, 2, 3, 16, 1000, 2**16])))
+    span = t1 - t0
+    dt = draw(st.sampled_from([5e-324, math.ulp(t0), span, span / 3, 1e-300, 1.0]))
+    return t0, t1, dt
+
+
+def _with_window(doc, window):
+    """doc with the window as its times; a mixed run switches mid-window."""
+    doc = json.loads(json.dumps(doc))
+    doc["time"].update(zip(("t0", "t1", "dt"), window))
+    if "mixed" in doc:
+        t0, t1 = map(to_float, window[:2])
+        mid = t0 / 2 + t1 / 2
+        if t0 < mid < t1:
+            doc["mixed"]["t_switch"] = mid
+    return doc
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# The child's address-space limit.  A capped run of a tests/data document
+# takes under 64 MB.
+CHILD_AS_BYTES = 512 * 2**20
+
+
+def _limit_address_space():  # runs in the child before it starts Python
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
+MA_DOC = json.loads((DATA / "ma_basic.json").read_text())
+SCENARIOS = [doc for doc in DOCS if "time" in doc]  # not golden.json
+
+
+# Each example starts a Python child of about 0.1 s, so the example count
+# keeps this test near five seconds.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SCENARIOS), windows(), st.sampled_from(["simulate", "mixed"]))
+@example(MA_DOC, (0.0, 10**400, 1.0), "simulate")  # t1 past the float range
+@example(MA_DOC, (1e17, 1e17 + 16, 16.0), "simulate")  # one step of one ulp
+@example(MA_DOC, (0.0, 1e308, 1e306), "simulate")  # 100 steps near the top
+@example(MA_DOC, (1.0, 1.0 + 2**-36, 2**-38), "simulate")  # runs: 2**16 ulps
+def test_extreme_time_windows_exit_only_with_documented_codes(
+    tmp_path_factory, doc, window, command
+):
+    argv, files = _run_files(
+        tmp_path_factory.mktemp("window"), _with_window(doc, window), command
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "socsir", *argv],
+        preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    _check_run(done.returncode, done.stdout, done.stderr, files, (window, command))

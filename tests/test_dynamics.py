@@ -14,7 +14,7 @@ import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.dynamics import rhs_ma, rhs_mb
-from socsir.errors import NonFiniteError
+from socsir.errors import NonFiniteError, RangeError
 from tests._samplers import draw_raw_params
 
 # --- fixed class membership ------------------------------------------------
@@ -133,6 +133,39 @@ def test_rhs_mb_rejects_nonfinite_state():
     p = validate_params(MB_PARAMS, ModelKind.MB)
     with pytest.raises(NonFiniteError):
         rhs_mb(p, MB_STATE._replace(A2=float("nan")))
+
+
+# States that do not fit: each raised a raw TypeError from the field.
+MISFIT_STATES = {
+    "too-short": ((1.0, 2.0, 3.0), "takes {n} state components, got 3"),
+    "too-long": ((1.0,) * 7, "takes {n} state components, got 7"),
+    "string": (("a",), "state S1 must be a number, got 'a'"),
+    "none": ((None,), "state S1 must be a number, got None"),
+    "bool": ((True,), "state S1 must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_STATES))
+@pytest.mark.parametrize("rhs, model, raw, n", [
+    (rhs_ma, ModelKind.MA, MA_PARAMS, 5), (rhs_mb, ModelKind.MB, MB_PARAMS, 6),
+], ids=["ma", "mb"])
+def test_rhs_rejects_a_state_that_does_not_fit(rhs, model, raw, n, case):
+    state, message = MISFIT_STATES[case]
+    if len(state) == 1:  # a bad first component, the rest valid
+        state += (1.0,) * (n - 1)
+    with pytest.raises(RangeError, match=message.format(n=n)) as exc:
+        rhs(validate_params(raw, model), state)
+    if "components" in message:
+        assert str(exc.value).startswith(f"{model.name} takes {n}")
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), 10**400],
+                         ids=["inf", "-inf", "int-past-float"])
+def test_rhs_reports_an_infinite_component_as_non_finite(value):
+    # an int past the float range counts as infinite, as in core.to_float
+    p = validate_params(MB_PARAMS, ModelKind.MB)
+    with pytest.raises(NonFiniteError, match="state Is must be finite, got "):
+        rhs_mb(p, MB_STATE._replace(Is=value))
 
 
 def test_rhs_mb_uniform_normalization_still_conserves():

@@ -28,7 +28,7 @@ from socsir import (
 from socsir.cli import main
 from socsir.core import _LAYOUT, StateMA, StateMB
 from socsir.dynamics import rhs_ma, rhs_mb, vector_field
-from socsir.integrator import integrate, peak_of, step_rk4
+from socsir.integrator import Observable, integrate, peak_of, step_rk4
 
 RAW_MA = {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
           "kappa": 0.05, "rho": 0.75, "N": 100.0}
@@ -122,7 +122,9 @@ def _misfit_calls():
                 lambda c=call, m=model, p=p: c(m, p), id=f"{name}-{case}"
             )
     reader = observables_for(ModelKind.MA)["I"].extract
-    for case, obs in {"name": "I", "reader": reader, "none": None}.items():
+    cases = {"name": "I", "reader": reader, "none": None,
+             "extract-not-callable": Observable("I", "x")}
+    for case, obs in cases.items():
         yield pytest.param(lambda obs=obs: peak_of(_TRAJ_MA, obs), id=f"peak_of-{case}")
 
 
@@ -131,7 +133,8 @@ def test_inputs_that_do_not_fit_raise_range_error(call):
     # a mapping raised a raw AttributeError; MB with MA's parameters raised
     # a raw TypeError (ngm, finite_diff_check, simulate) or gave MB answers
     # (stability, sensitivity_indices, ordering_case, dfe_of); peak_of with
-    # a name raised AttributeError
+    # a name raised AttributeError, and with an extract that is not
+    # callable a raw TypeError
     with pytest.raises(RangeError, match="must be a Params|with switch rates|"
                                          "must be an Observable"):
         call()
