@@ -11,7 +11,7 @@ documents of test_config_properties, with the report, CSV and SVG written
 to a temporary directory; they return 0, 2, 3 or 4, and a run that
 returns 0 reports and writes only finite numbers.  The same holds for the
 tests/data documents with time windows at the ends of the float range:
-times near its top or past it, and spans of a few ulps.  Those run the CLI
+times near its top or past it, and spans of 1 to 2**16 ulps.  Those run the CLI
 in a child process under an address-space limit, so a run that allocates
 without bound fails the test instead of exhausting the host.
 """

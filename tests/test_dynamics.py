@@ -135,7 +135,8 @@ def test_rhs_mb_rejects_nonfinite_state():
         rhs_mb(p, MB_STATE._replace(A2=float("nan")))
 
 
-# States that do not fit: each raised a raw TypeError from the field.
+# States that do not fit.  All but the bool raised a raw TypeError from the
+# field; a bool is not a number to core._finite.
 MISFIT_STATES = {
     "too-short": ((1.0, 2.0, 3.0), "takes {n} state components, got 3"),
     "too-long": ((1.0,) * 7, "takes {n} state components, got 7"),
