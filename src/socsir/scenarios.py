@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from operator import itemgetter
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     ModelKind,
@@ -333,42 +333,14 @@ def _other_threads_running() -> bool:
     return threading is not None and threading.active_count() > 1
 
 
-def _fork_scan(
-    p: Params, qs: Sequence[float], t1: float, dt: float
-) -> tuple[int, BinaryIO] | None:
-    """Fork a child that scans qs and pipes back its peaks as raw doubles.
-
-    The child exits 0 only after writing every peak.  Returns its pid and
-    the pipe's read end, or None when the fork fails.
-    """
-    from array import array
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child leaves only through os._exit
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as fh:
-                fh.write(array("d", _scan_peaks(p, qs, t1, dt)).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
 def _parallel_peaks(
     p: Params, grid: Sequence[float], t1: float, dt: float
 ) -> list[float]:
     """_scan_peaks over the grid, split into one contiguous chunk per usable CPU.
 
-    The parent scans chunk 0 and forked children the rest.  A chunk whose
+    The parent scans chunk 0 and forked children the rest.  Each child
+    writes its chunk's peaks into its own slice of one shared anonymous
+    mapping, as raw doubles, and exits 0 only after that.  A chunk whose
     child did not exit 0 (the fork failed, or the child raised or died) is
     rescanned in-process.  The scan is deterministic, so a failing chunk
     raises there exactly the serial scan's error, and taking the chunks in
@@ -377,38 +349,43 @@ def _parallel_peaks(
     n = min(_usable_cpus(), len(grid))
     if n < 2 or not hasattr(os, "fork") or _other_threads_running():
         return _scan_peaks(p, grid, t1, dt)
+    import mmap
     import signal
-    from array import array
 
     cuts = [len(grid) * k // n for k in range(n + 1)]
-    chunks = [grid[a:b] for a, b in zip(cuts, cuts[1:])]
-    live: dict[int, BinaryIO] = {}  # children not yet reaped
-    try:
-        children = []
-        for qs in chunks[1:]:
-            child = _fork_scan(p, qs, t1, dt)
-            if child is not None:
-                live[child[0]] = child[1]
-            children.append(child)
-        peaks = _scan_peaks(p, chunks[0], t1, dt)
-        for qs, child in zip(chunks[1:], children):
-            status = None
-            if child is not None:
-                pid, reader = child
-                data = reader.read()
-                reader.close()
-                _, status = os.waitpid(pid, 0)
-                del live[pid]
-            if status == 0:
-                peaks += array("d", data)
-            else:
-                peaks += _scan_peaks(p, qs, t1, dt)
-        return peaks
-    finally:
-        for pid, reader in live.items():
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    spans = list(zip(cuts[1:], cuts[2:]))
+    live: dict[int, int] = {}  # chunk start -> pid, for children not yet reaped
+    with mmap.mmap(-1, 8 * len(grid)) as shared, memoryview(shared).cast("d") as out:
+        try:
+            for a, b in spans:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    continue
+                if pid == 0:  # the child leaves only through os._exit
+                    code = 1
+                    try:
+                        for i, peak in enumerate(_scan_peaks(p, grid[a:b], t1, dt), a):
+                            out[i] = peak
+                        code = 0
+                    finally:
+                        os._exit(code)
+                live[a] = pid
+            peaks = _scan_peaks(p, grid[: cuts[1]], t1, dt)
+            for a, b in spans:
+                status = None
+                if a in live:
+                    _, status = os.waitpid(live[a], 0)
+                    del live[a]
+                if status == 0:
+                    peaks += out[a:b].tolist()
+                else:
+                    peaks += _scan_peaks(p, grid[a:b], t1, dt)
+            return peaks
+        finally:
+            for pid in live.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def participation_scan(
