@@ -219,8 +219,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> list[str]:
-    presets = {preset.name: preset for preset in covid_mitigation_presets()}
-    preset = presets[args.preset]
+    preset = next(p for p in covid_mitigation_presets() if p.name == args.preset)
     result = participation_scan(preset, args.capacity, _grid(args.steps))
     lines = [
         f"preset = {result.preset}",

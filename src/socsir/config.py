@@ -33,15 +33,14 @@ _MODEL_NAMES = {
     "mixed": ModelKind.SINGLE,
 }
 _REQUIRED_PARAMS_COMMON = {"beta1", "beta2", "lambda", "gamma", "kappa", "N"}
+# By the model the parameters validate under: the mixed scenario's are MB's.
 _REQUIRED_PARAMS = {
-    "ma": _REQUIRED_PARAMS_COMMON | {"rho"},
-    "mb": _REQUIRED_PARAMS_COMMON | {"alpha1", "alpha2"},
-    "mixed": _REQUIRED_PARAMS_COMMON | {"alpha1", "alpha2"},
+    ModelKind.MA: _REQUIRED_PARAMS_COMMON | {"rho"},
+    ModelKind.MB: _REQUIRED_PARAMS_COMMON | {"alpha1", "alpha2"},
 }
 _ALLOWED_PARAMS = {
-    "ma": _REQUIRED_PARAMS["ma"],
-    "mb": _REQUIRED_PARAMS["mb"] | {"transition_normalization"},
-    "mixed": _REQUIRED_PARAMS["mixed"] | {"transition_normalization"},
+    ModelKind.MA: _REQUIRED_PARAMS[ModelKind.MA],
+    ModelKind.MB: _REQUIRED_PARAMS[ModelKind.MB] | {"transition_normalization"},
 }
 # ScenarioConfig's fields that the "time" block holds; "mixed" holds MixedSpec's.
 _TIME_KEYS = ("t0", "t1", "dt", "record_every")
@@ -98,23 +97,23 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
             f'"model" must be one of {sorted(_MODEL_NAMES)}, got {model_name!r}'
         )
     model = _MODEL_NAMES[model_name]
+    # The mixed scenario's parameters drive the two-class model after the
+    # switch, so they validate under that model (rho derived from alphas),
+    # and its trajectory has that model's observables.
+    run_model = ModelKind.MB if model_name == "mixed" else model
 
     raw_params = doc.get("params")
     if not isinstance(raw_params, dict):
         raise ConfigError('"params" must be an object')
     _reject_unknown(
-        raw_params, _ALLOWED_PARAMS[model_name], f'"params" for model "{model_name}"'
+        raw_params, _ALLOWED_PARAMS[run_model], f'"params" for model "{model_name}"'
     )
-    missing = sorted(_REQUIRED_PARAMS[model_name] - set(raw_params))
+    missing = sorted(_REQUIRED_PARAMS[run_model] - set(raw_params))
     if missing:
         raise MissingFieldError(
             "missing required key(s): "
             + ", ".join(f"params.{key}" for key in missing)
         )
-    # The mixed scenario's parameters drive the two-class model after the
-    # switch, so they validate under that model (rho derived from alphas),
-    # and its trajectory has that model's observables.
-    run_model = ModelKind.MB if model_name == "mixed" else model
     params = validate_params(raw_params, run_model, allow_beta_gt_one=allow_beta_gt_one)
 
     time_block = doc.get("time")

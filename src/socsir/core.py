@@ -378,6 +378,18 @@ def _layout_for(model: ModelKind, p: Params) -> _Layout:
     return layout
 
 
+def _state_names(model: ModelKind, state: object) -> tuple[str, ...]:
+    """The model's component names.  RangeError for a model that is not a
+    ModelKind and for a state that is not a sequence of that many components."""
+    names = _layout(model).state._fields
+    size = len(state) if hasattr(type(state), "__len__") else type(state).__name__
+    if size != len(names):
+        raise RangeError(
+            f"{model.name} takes {len(names)} state components, got {size}"
+        )
+    return names
+
+
 def _column(
     model: ModelKind, records: Iterable[Sequence[float]], name: str
 ) -> Iterable[float]:
@@ -388,20 +400,23 @@ def _column(
     return map(_layout(model).observables[name], records)
 
 
-def _check_grid(grid: Sequence[float]) -> None:
-    """RangeError for a scan grid that is empty or not strictly increasing."""
+def _check_grid(grid: Iterable[float]) -> tuple[float, ...]:
+    """The scan grid as finite floats (_finite); RangeError for a grid that
+    is empty or not strictly increasing."""
+    grid = tuple([_finite("grid point", x) for x in grid])
     if len(grid) == 0:
         raise RangeError("grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RangeError("grid must be strictly increasing")
+    return grid
 
 
 def total_population(state: State | Sequence[float]) -> float:
     """Sum of all compartments, grouped as total5 or total6 by length.
 
-    Raises RangeError for a state of any other length.
+    Raises RangeError for a state of any other length or with no len().
     """
-    n = len(state)
+    n = len(state) if hasattr(type(state), "__len__") else type(state).__name__
     if n == 6:
         return total6(state)
     if n == 5:

@@ -18,9 +18,10 @@ import functools
 from typing import NamedTuple
 
 from .core import (
-    ModelKind, Params, StateMA, StateMB, _finite, _layout_for, _switch_rates,
+    ModelKind, Params, StateMA, StateMB, _finite, _layout_for, _state_names,
+    _switch_rates,
 )
-from .errors import NonFiniteError, RangeError
+from .errors import NonFiniteError
 
 __all__ = ["DerivMA", "DerivMB", "rhs_ma", "rhs_mb", "vector_field"]
 
@@ -159,17 +160,13 @@ def vector_field(model: ModelKind, p: Params):
 
 def _rhs(model: ModelKind, deriv: type, p: Params, s):
     """The model's field evaluated once on s, as deriv.  RangeError for
-    parameters that core._layout_for refuses, a state of another length and
-    a component that is not a number (core._finite); NonFiniteError for NaN
-    or inf."""
-    text = _TEXTS[_layout_for(model, p).state]
-    if len(s) != len(text.fields):
-        raise RangeError(
-            f"{model.name} takes {len(text.fields)} state components, got {len(s)}"
-        )
-    for name, x in zip(text.fields, s):
+    parameters that core._layout_for refuses, a state that core._state_names
+    refuses and a component that is not a number (core._finite);
+    NonFiniteError for NaN or inf."""
+    field = vector_field(model, p)
+    for name, x in zip(_state_names(model, s), s):
         _finite(f"state {name}", x, NonFiniteError)
-    return deriv._make(_binder(text)(p)(*s))
+    return deriv._make(field(*s))
 
 
 def rhs_ma(p: Params, s: StateMA) -> DerivMA:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Sequence
 
-from .core import ModelKind, _check_grid, _layout
+from .core import ModelKind, _check_grid, _finite, _layout
 from .errors import RangeError
 from .ngm import b_rho
 
@@ -147,6 +147,7 @@ def classify_feasible_set(
     three-vertex TYPE_1 half-square.
     """
     hi = _layout(model).rho_max
+    rho, kappa = _finite("rho", rho), _finite("kappa", kappa)
     if not 0 < rho < hi:
         raise RangeError(f"rho must lie in (0, {hi:g}) for {model.value}, got {rho}")
     if not 0 < kappa <= 1:
@@ -178,7 +179,7 @@ def bifurcation_scan(
     breakpoint list is empty.
     """
     _layout(model)
-    _check_grid(grid)
+    grid = _check_grid(grid)
 
     labels = tuple(
         classify_feasible_set(r, kappa, model).type_label for r in grid
@@ -187,18 +188,15 @@ def bifurcation_scan(
     breakpoints: list[tuple[float, float]] = []
     for i in range(len(grid) - 1):
         here, there = labels[i], labels[i + 1]
-        if here is there:
-            continue
-        if here is SetType.TYPE_0:
-            continue  # already reported as the exact point below
-        if there is SetType.TYPE_0:
-            breakpoints.append((grid[i + 1], grid[i + 1]))
-        else:
-            breakpoints.append((grid[i], grid[i + 1]))
+        # A change into TYPE_0 is the exact point (lo == hi); the change
+        # out of it is not reported again.
+        if here is not there and here is not SetType.TYPE_0:
+            lo = grid[i + 1] if there is SetType.TYPE_0 else grid[i]
+            breakpoints.append((lo, grid[i + 1]))
 
     return BifurcationScan(
         axis="rho",
-        grid=tuple(float(r) for r in grid),
+        grid=grid,
         labels=labels,
         breakpoints=tuple(breakpoints),
     )

@@ -17,7 +17,7 @@ from math import inf
 from operator import indexOf
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, _finite, _layout, _layout_for
+from .core import ModelKind, Params, State, _finite, _layout, _layout_for, _state_names
 from .dynamics import _TEXTS, _define, _indent, _Text
 from .errors import (
     EmptyTrajectoryError,
@@ -122,7 +122,10 @@ class Trajectory:
         switch_record: SwitchRecord | None = None,
     ) -> None:
         size = len(_layout(model).state._fields)
-        lengths = set(map(len, states))
+        try:
+            lengths = set(map(len, states))
+        except TypeError:  # a record that has no len()
+            lengths = {None}
         if len(times) != len(states) or not lengths <= {size}:
             raise RangeError(
                 f"{model.name} trajectories take one record of {size} components "
@@ -407,7 +410,7 @@ def integrate(
 
     Raises RangeError (see check_times, a model and parameters that
     core._layout_for refuses, a record_every that is not an int >= 1, an
-    init whose length is not the model's state size, and an init component
+    init that core._state_names refuses, and an init component
     that is not a finite number at or above the negativity floor, -1e-9
     times the sum of the magnitudes) at the call, before the first step.
     """
@@ -416,12 +419,7 @@ def integrate(
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
-    names = _layout(model).state._fields
-    if len(init) != len(names):
-        raise RangeError(
-            f"{model.name} takes {len(names)} state components, got {len(init)}"
-        )
-    _check_init(names, init)
+    _check_init(_state_names(model, init), init)
     layout = _layout_for(model, p)
     n_expected = layout.observables["N"](init)
     run = _kernel(_TEXTS[layout.state])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import ModelKind, _column, _layout
+from .core import ModelKind, _column, _finite, _layout
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory
 
@@ -154,7 +154,7 @@ def svg_pieces(
     It yields the axes, then each polyline in pieces of at most
     _PIECE_RECORDS points, then the legend.
     """
-    if not (0 < width < math.inf and 0 < height < math.inf):
+    if _finite("width", width) <= 0 or _finite("height", height) <= 0:
         raise RangeError(
             f"plot dimensions must be finite and positive, got {width}x{height}"
         )

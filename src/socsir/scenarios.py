@@ -11,7 +11,6 @@ total, Is, R, N) is bit-identical across the switch.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from operator import itemgetter
@@ -25,6 +24,7 @@ from .core import (
     StateMB,
     _check_grid,
     _column,
+    _finite,
     _layout_for,
     split_share,
     validate_params,
@@ -270,6 +270,8 @@ def covid_mitigation_presets() -> tuple[MitigationPreset, ...]:
 
 def preset_params(preset: MitigationPreset, n_total: float = 100.0) -> Params:
     """Full MB parameter vector for a preset (alpha2 = 0 relaxation)."""
+    if not isinstance(preset, MitigationPreset):
+        raise RangeError(f"preset must be a MitigationPreset, got {preset!r}")
     raw = dict(PRESET_SHARED)
     raw.update(beta1=preset.beta1, beta2=preset.beta2, N=n_total)
     return validate_params(raw, ModelKind.MB, allow_zero_alpha2=True)
@@ -373,14 +375,9 @@ def _parallel_peaks(
                 live[a] = pid
             peaks = _scan_peaks(p, grid[: cuts[1]], t1, dt)
             for a, b in spans:
-                status = None
-                if a in live:
-                    _, status = os.waitpid(live[a], 0)
-                    del live[a]
-                if status == 0:
-                    peaks += out[a:b].tolist()
-                else:
-                    peaks += _scan_peaks(p, grid[a:b], t1, dt)
+                ok = a in live and os.waitpid(live[a], 0)[1] == 0
+                live.pop(a, None)
+                peaks += out[a:b].tolist() if ok else _scan_peaks(p, grid[a:b], t1, dt)
             return peaks
         finally:
             for pid in live.values():
@@ -413,11 +410,11 @@ def participation_scan(
     and a failing run raises the serial scan's error, that of the first
     failing grid point.  Every argument is checked before any fork.
     """
-    if not 0 < capacity < math.inf:
+    if _finite("capacity", capacity) <= 0:
         raise RangeError(f"capacity must be finite and positive, got {capacity}")
-    if any(not 0.0 < q < 1.0 for q in grid):
+    if any(not 0.0 < _finite("grid point", q) < 1.0 for q in grid):
         raise RangeError("grid fractions must lie strictly inside (0, 1)")
-    _check_grid(grid)  # an empty grid passes the fractions check
+    grid = _check_grid(grid)  # an empty grid passes the fractions check
 
     p = preset_params(preset, n_total)
     _seed_pool(p)  # resolve_init's rule: the run seeds one infective out of N
@@ -432,7 +429,7 @@ def participation_scan(
     return ParticipationScanResult(
         preset=preset.name,
         capacity=float(capacity),
-        grid=tuple(float(q) for q in grid),
+        grid=grid,
         peak_I=tuple(peaks),
         minimal_compliant=minimal,
         monotone=monotone,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ModelKind, Params, _layout_for
+from .core import ModelKind, Params, _finite, _layout_for
 from .errors import NumericError, RangeError
 from .ngm import b_rho
 
@@ -164,7 +164,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     closed-form index underflows to zero.
     """
     _layout_for(model, p)
-    if not 1e-10 < h <= 1e-2:
+    if not 1e-10 < _finite("h", h) <= 1e-2:
         raise RangeError(f"h must lie in (1e-10, 1e-2], got {h}")
 
     beta1, beta2, rho, kappa = p.beta1, p.beta2, p.rho, p.kappa

@@ -284,13 +284,12 @@ def _limit_address_space():  # runs in the child before it starts Python
 
 
 MA_DOC = json.loads((DATA / "ma_basic.json").read_text())
-SCENARIOS = [doc for doc in DOCS if "time" in doc]  # not golden.json
 
 
 # Each example starts a Python child of about 0.1 s, so the example count
 # keeps this test near five seconds.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(SCENARIOS), windows(), st.sampled_from(["simulate", "mixed"]))
+@given(st.sampled_from(DOCS), windows(), st.sampled_from(["simulate", "mixed"]))
 @example(MA_DOC, (0.0, 10**400, 1.0), "simulate")  # t1 past the float range
 @example(MA_DOC, (1e17, 1e17 + 16, 16.0), "simulate")  # one step of one ulp
 @example(MA_DOC, (0.0, 1e308, 1e306), "simulate")  # 100 steps near the top

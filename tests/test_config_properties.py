@@ -25,7 +25,12 @@ from socsir.errors import ConfigError, NumericError, ValidationError  # noqa: E4
 from socsir.scenarios import run_scenario  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
-DOCS = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+# The scenario documents; golden.json beside them is the digest table.
+DOCS = [
+    json.loads(path.read_text())
+    for path in sorted(DATA.glob("*.json"))
+    if path.name != "golden.json"
+]
 
 # Runs are cut to this many steps so an example stays cheap; the documents
 # in tests/data take at most 2000.

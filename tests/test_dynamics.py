@@ -135,14 +135,17 @@ def test_rhs_mb_rejects_nonfinite_state():
         rhs_mb(p, MB_STATE._replace(A2=float("nan")))
 
 
-# States that do not fit.  All but the bool raised a raw TypeError from the
-# field; a bool is not a number to core._finite.
+# States that do not fit.  All but the bool raised a raw TypeError, from the
+# field or, for a state with no len(), from len(); a bool is not a number to
+# core._finite.
 MISFIT_STATES = {
     "too-short": ((1.0, 2.0, 3.0), "takes {n} state components, got 3"),
     "too-long": ((1.0,) * 7, "takes {n} state components, got 7"),
     "string": (("a",), "state S1 must be a number, got 'a'"),
     "none": ((None,), "state S1 must be a number, got None"),
     "bool": ((True,), "state S1 must be a number, got True"),
+    "int": (5, "takes {n} state components, got int$"),
+    "no-state": (None, "takes {n} state components, got NoneType$"),
 }
 
 
@@ -152,8 +155,8 @@ MISFIT_STATES = {
 ], ids=["ma", "mb"])
 def test_rhs_rejects_a_state_that_does_not_fit(rhs, model, raw, n, case):
     state, message = MISFIT_STATES[case]
-    if len(state) == 1:  # a bad first component, the rest valid
-        state += (1.0,) * (n - 1)
+    if isinstance(state, tuple) and len(state) == 1:
+        state += (1.0,) * (n - 1)  # a bad first component, the rest valid
     with pytest.raises(RangeError, match=message.format(n=n)) as exc:
         rhs(validate_params(raw, model), state)
     if "components" in message:

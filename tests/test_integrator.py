@@ -422,11 +422,15 @@ def test_integrate_checks_drift_against_the_initial_total(monkeypatch, model):
         (ModelKind.MA, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
         (ModelKind.SINGLE, StateMB(70.0, 29.0, 0.0, 0.0, 1.0, 0.0)),
         (ModelKind.MB, FIG_A_INIT),
+        (ModelKind.MA, 5),
+        (ModelKind.MA, None),
+        (ModelKind.MB, 5.0),
     ],
 )
 def test_integrate_rejects_a_state_of_the_wrong_length(model, init):
-    # MA with an MB state used to escape as a raw TypeError from the field
-    with pytest.raises(RangeError, match="state components"):
+    # MA with an MB state used to escape as a raw TypeError from the field,
+    # and a state with no len() as a raw TypeError from len()
+    with pytest.raises(RangeError, match="state components, got"):
         simulate(model, FIG_A, init, 0.0, 5.0, 1.0)
 
 
@@ -669,12 +673,16 @@ def test_stored_records_equal_a_trajectory_of_named_states(case):
         ((0.0,), ((1.0, 2.0),)),
         ((0.0, 1.0), (FIG_A_INIT,)),
         ((0.0,), (FIG_A_INIT, FIG_A_INIT)),
+        ((0.0,), (5,)),
+        ((0.0,), (None,)),
     ],
-    ids=["short-record", "fewer-records", "more-records"],
+    ids=["short-record", "fewer-records", "more-records", "int-record",
+         "none-record"],
 )
 def test_trajectory_rejects_records_that_do_not_fit(times, states):
     # a short record failed late, with a raw TypeError from .states and a
-    # raw ValueError from write_csv
+    # raw ValueError from write_csv; a record with no len() raised a raw
+    # TypeError
     with pytest.raises(RangeError, match="^MA trajectories take one record of 5"):
         Trajectory(ModelKind.MA, times, states, FIG_A, 1.0)
 

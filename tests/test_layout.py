@@ -14,11 +14,15 @@ from socsir import (
     RangeError,
     bifurcation_scan,
     classify_feasible_set,
+    covid_mitigation_presets,
     dfe_of,
     finite_diff_check,
     ngm,
     observables_for,
     ordering_case,
+    participation_scan,
+    preset_params,
+    render_svg,
     resolve_init,
     sensitivity_indices,
     simulate,
@@ -126,6 +130,22 @@ def _misfit_calls():
              "extract-not-callable": Observable("I", "x")}
     for case, obs in cases.items():
         yield pytest.param(lambda obs=obs: peak_of(_TRAJ_MA, obs), id=f"peak_of-{case}")
+    masks = covid_mitigation_presets()[0]
+    not_numbers = {
+        "classify-rho": lambda: classify_feasible_set("x", 0.5),
+        "classify-kappa": lambda: classify_feasible_set(0.25, None),
+        "bifurcation-kappa": lambda: bifurcation_scan(ModelKind.MA, "x", [0.1, 0.2]),
+        "bifurcation-grid": lambda: bifurcation_scan(ModelKind.MA, 0.5, [0.1, "x"]),
+        "scan-capacity": lambda: participation_scan(masks, "x", [0.5]),
+        "scan-grid": lambda: participation_scan(masks, 80.0, ["x"]),
+        "scan-preset": lambda: participation_scan("masks", 80.0, [0.5]),
+        "preset_params": lambda: preset_params("masks"),
+        "finite_diff_check-h": lambda: finite_diff_check(ModelKind.MA, P_MA, "x"),
+        "render_svg-width": lambda: render_svg(_TRAJ_MA, ["I"], width="x"),
+        "render_svg-height": lambda: render_svg(_TRAJ_MA, ["I"], height=True),
+    }
+    for case, call in not_numbers.items():
+        yield pytest.param(call, id=case)
 
 
 @pytest.mark.parametrize("call", _misfit_calls())
@@ -134,9 +154,11 @@ def test_inputs_that_do_not_fit_raise_range_error(call):
     # a raw TypeError (ngm, finite_diff_check, simulate) or gave MB answers
     # (stability, sensitivity_indices, ordering_case, dfe_of); peak_of with
     # a name raised AttributeError, and with an extract that is not
-    # callable a raw TypeError
+    # callable a raw TypeError; a number argument that is not a number
+    # raised a raw TypeError, and a preset name a raw AttributeError
     with pytest.raises(RangeError, match="must be a Params|with switch rates|"
-                                         "must be an Observable"):
+                                         "must be an Observable|must be a number|"
+                                         "must be a MitigationPreset"):
         call()
 
 

@@ -231,11 +231,13 @@ def test_total_population_exact_at_dfe():
     assert total_population(mb) == n
 
 
-@pytest.mark.parametrize("n", [0, 4, 7])
-def test_total_population_rejects_other_lengths(n):
-    # a 7-tuple would otherwise be summed as its first five components
+@pytest.mark.parametrize("state", [(1.0,) * 0, (1.0,) * 4, (1.0,) * 7, 5, None],
+                         ids=["0", "4", "7", "int", "none"])
+def test_total_population_rejects_other_lengths(state):
+    # a 7-tuple would otherwise be summed as its first five components, and
+    # a state with no len() raised a raw TypeError
     with pytest.raises(RangeError, match="5 or 6 components"):
-        total_population((1.0,) * n)
+        total_population(state)
 
 
 def test_exact_complement_identity():

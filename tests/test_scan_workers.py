@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from socsir import scenarios
+from socsir.cli import MAX_GRID_STEPS, _grid
 from socsir.core import ModelKind, StateMB, split_share
 from socsir.errors import NegativeStateError, RangeError
 from socsir.integrator import observables_for, peak_of, simulate
@@ -103,6 +104,19 @@ def test_in_process_fallbacks_give_the_same_peaks(monkeypatch, masks_peaks, setu
     _serial_setups(monkeypatch, setup)
     assert _hexes(participation_scan(MASKS, 80.0, GRID99).peak_I) == masks_peaks
     _assert_no_child_left()
+
+
+def test_the_largest_grid_through_the_workers_equals_the_serial_scan(monkeypatch):
+    # MAX_GRID_STEPS points, so each worker's chunk is thousands of peaks
+    grid = _grid(MAX_GRID_STEPS)
+    forks = _counting_fork(monkeypatch)
+    forked = participation_scan(MASKS, 80.0, grid, t1=4.0).peak_I
+    assert len(forks) == WORKERS - 1
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "fork", _no_fork)
+    serial = participation_scan(MASKS, 80.0, grid, t1=4.0).peak_I
+    assert len(forked) == MAX_GRID_STEPS
+    assert _hexes(forked) == _hexes(serial)
 
 
 def test_no_fork_while_another_thread_runs(monkeypatch, masks_peaks):
