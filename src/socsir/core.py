@@ -400,7 +400,7 @@ def _column(
     return map(_layout(model).observables[name], records)
 
 
-def _check_grid(grid: Iterable[float]) -> tuple[float, ...]:
+def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """The scan grid as finite floats (_finite); RangeError for a grid that
     is empty or not strictly increasing."""
     grid = tuple([_finite("grid point", x) for x in grid])

@@ -147,10 +147,9 @@ def classify_feasible_set(
     three-vertex TYPE_1 half-square.
     """
     hi = _layout(model).rho_max
-    rho, kappa = _finite("rho", rho), _finite("kappa", kappa)
-    if not 0 < rho < hi:
+    if not 0 < _finite("rho", rho) < hi:
         raise RangeError(f"rho must lie in (0, {hi:g}) for {model.value}, got {rho}")
-    if not 0 < kappa <= 1:
+    if not 0 < _finite("kappa", kappa) <= 1:
         raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
 
     if abs(rho - kappa) <= TYPE0_TOL:
