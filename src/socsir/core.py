@@ -205,11 +205,6 @@ def _finite(name: str, value: object, error: type = RangeError) -> float:
     return value
 
 
-def _number(key: str, value: object) -> float:
-    """value as a finite float, or RangeError naming the parameter."""
-    return _finite(f"parameter {key!r}", value)
-
-
 def _require(raw: Mapping[str, object], key: str) -> float:
     value = raw.get(key)
     # A finite float, the common case, needs no further check.
@@ -217,7 +212,7 @@ def _require(raw: Mapping[str, object], key: str) -> float:
         return value
     if value is None:
         raise MissingFieldError(f"missing required parameter {key!r}")
-    return _number(key, value)
+    return _finite(f"parameter {key!r}", value)
 
 
 def _class_split(alpha1: float, alpha2: float) -> float:
@@ -306,7 +301,7 @@ def validate_params(
         if not 0 < rho < 1:
             raise RangeError(f"rho must lie in (0, 1) for model MA, got {rho}")
     elif model is ModelKind.SINGLE:
-        rho = _number("rho", mapping["rho"]) if "rho" in mapping else 1.0
+        rho = _finite("parameter 'rho'", mapping["rho"]) if "rho" in mapping else 1.0
         if rho != 1.0:
             raise RangeError(f"rho must equal 1 for a single-class run, got {rho}")
     elif model is ModelKind.MB:
@@ -378,15 +373,20 @@ def _layout_for(model: ModelKind, p: Params) -> _Layout:
     return layout
 
 
-def _state_names(model: ModelKind, state: object) -> tuple[str, ...]:
+def _state_names(
+    model: ModelKind, state: object, label: str, error: type
+) -> tuple[str, ...]:
     """The model's component names.  RangeError for a model that is not a
-    ModelKind and for a state that is not a sequence of that many components."""
+    ModelKind and for a state that is not a sequence of that many components;
+    then each component passes _finite as "<label> <name>", error for NaN or inf."""
     names = _layout(model).state._fields
     size = len(state) if hasattr(type(state), "__len__") else type(state).__name__
     if size != len(names):
         raise RangeError(
             f"{model.name} takes {len(names)} state components, got {size}"
         )
+    for name, x in zip(names, state):
+        _finite(f"{label} {name}", x, error)
     return names
 
 

@@ -18,8 +18,7 @@ import functools
 from typing import NamedTuple
 
 from .core import (
-    ModelKind, Params, StateMA, StateMB, _finite, _layout_for, _state_names,
-    _switch_rates,
+    ModelKind, Params, StateMA, StateMB, _layout_for, _state_names, _switch_rates,
 )
 from .errors import NonFiniteError
 
@@ -160,12 +159,10 @@ def vector_field(model: ModelKind, p: Params):
 
 def _rhs(model: ModelKind, deriv: type, p: Params, s):
     """The model's field evaluated once on s, as deriv.  RangeError for
-    parameters that core._layout_for refuses, a state that core._state_names
-    refuses and a component that is not a number (core._finite);
-    NonFiniteError for NaN or inf."""
+    parameters that core._layout_for refuses and a state that
+    core._state_names refuses; NonFiniteError for a NaN or inf component."""
     field = vector_field(model, p)
-    for name, x in zip(_state_names(model, s), s):
-        _finite(f"state {name}", x, NonFiniteError)
+    _state_names(model, s, "state", NonFiniteError)
     return deriv._make(field(*s))
 
 

@@ -93,11 +93,12 @@ def threshold_P(beta1: float, beta2: float, kappa: float) -> float:
     return (kappa - beta2) / (beta1 - beta2)
 
 
-def _check_rho_kappa(rho: float, kappa: float) -> None:
-    """RangeError unless rho lies in (0, 1) and kappa in (0, 1]."""
-    if not 0 < rho < 1:
-        raise RangeError(f"rho must lie in (0, 1), got {rho}")
-    if not 0 < kappa <= 1:
+def _check_rho_kappa(rho: float, kappa: float, hi: float = 1.0) -> None:
+    """RangeError unless rho is a number (core._finite) in (0, hi) and kappa
+    one in (0, 1]."""
+    if not 0 < _finite("rho", rho) < hi:
+        raise RangeError(f"rho must lie in (0, {hi:g}), got {rho}")
+    if not 0 < _finite("kappa", kappa) <= 1:
         raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
 
 
@@ -146,11 +147,7 @@ def classify_feasible_set(
     Coincident vertices (kappa = 1) are merged, leaving the degenerate
     three-vertex TYPE_1 half-square.
     """
-    hi = _layout(model).rho_max
-    if not 0 < _finite("rho", rho) < hi:
-        raise RangeError(f"rho must lie in (0, {hi:g}) for {model.value}, got {rho}")
-    if not 0 < _finite("kappa", kappa) <= 1:
-        raise RangeError(f"kappa must lie in (0, 1], got {kappa}")
+    _check_rho_kappa(rho, kappa, _layout(model).rho_max)
 
     if abs(rho - kappa) <= TYPE0_TOL:
         label = SetType.TYPE_0

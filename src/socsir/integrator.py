@@ -377,17 +377,6 @@ def check_times(t0: float, t1: float, dt: float) -> tuple[float, float, float]:
     return t0, t1, dt
 
 
-def _check_init(names: Sequence[str], init: Sequence[float]) -> None:
-    """Raise RangeError naming the first component of init that is not a
-    finite number, or that lies below _checked_step's negativity floor."""
-    for name, x in zip(names, init):
-        _finite(f"init {name}", x)
-    floor = _floor(init)
-    for name, x in zip(names, init):
-        if x < floor:
-            raise RangeError(f"init {name} must be at least {floor}, got {x!r}")
-
-
 def integrate(
     model: ModelKind,
     p: Params,
@@ -419,7 +408,11 @@ def integrate(
         raise RangeError(f"record_every must be an int, got {record_every!r}")
     if record_every < 1:
         raise RangeError(f"record_every must be >= 1, got {record_every}")
-    _check_init(_state_names(model, init), init)
+    names = _state_names(model, init, "init", RangeError)
+    floor = _floor(init)  # _checked_step's negativity floor
+    for name, x in zip(names, init):
+        if x < floor:
+            raise RangeError(f"init {name} must be at least {floor}, got {x!r}")
     layout = _layout_for(model, p)
     n_expected = layout.observables["N"](init)
     run = _kernel(_TEXTS[layout.state])
