@@ -12,9 +12,12 @@ path ("params.kappa") in the message.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Collection, Mapping
 
-from .core import ModelKind, Params, _finite, _layout, validate_params, with_rho_one
+from .core import (
+    ModelKind, Params, _check_kind, _finite, _layout, validate_params, with_rho_one,
+)
 from .errors import ConfigError, MissingFieldError, RangeError
 from .integrator import check_times
 from .scenarios import (
@@ -66,7 +69,10 @@ def _require_number(mapping: Mapping[str, Any], key: str, where: str) -> float:
 
 
 def loads_config(text: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfig:
-    """Parse a scenario document from JSON text."""
+    """Parse a scenario document from JSON text (a str, or UTF-8 bytes).
+    ConfigError for text of another type."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ConfigError(f"config text must be a str, got {type(text).__name__}")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -77,11 +83,15 @@ def loads_config(text: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfi
 
 
 def load_config(path: str, *, allow_beta_gt_one: bool = False) -> ScenarioConfig:
-    """Parse a scenario document from a JSON file."""
+    """Parse a scenario document from a JSON file.  ConfigError for a path
+    that is not a str, bytes or os.PathLike (an int would open a file
+    descriptor) and for a file that cannot be read as UTF-8 text."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ConfigError(f"cannot read config {path!r}: not a path")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return loads_config(text, allow_beta_gt_one=allow_beta_gt_one)
 
@@ -211,7 +221,9 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
 
 
 def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
-    """Document form of a config.  Reparsing it reproduces the config."""
+    """Document form of a config.  Reparsing it reproduces the config.
+    RangeError for a cfg that is not a ScenarioConfig."""
+    _check_kind("cfg", cfg, ScenarioConfig)
     model_name = "mixed" if cfg.mixed is not None else cfg.model.value
     params = cfg.params.as_dict()
     if model_name in ("mb", "mixed"):

@@ -31,7 +31,9 @@ import math
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .errors import MissingFieldError, NumericError, OrderError, RangeError
+from .errors import (
+    MissingFieldError, NonFiniteError, NumericError, OrderError, RangeError,
+)
 
 __all__ = [
     "ModelKind",
@@ -205,6 +207,19 @@ def _finite(name: str, value: object, error: type = RangeError) -> float:
     return value
 
 
+def _size(x: object) -> int | str:
+    """len(x), or for an x with no len() its type's name, for a message."""
+    return len(x) if hasattr(type(x), "__len__") else type(x).__name__
+
+
+def _check_kind(name: str, value: object, kind: type) -> None:
+    """RangeError unless value is a kind; the message names value's type."""
+    if not isinstance(value, kind):
+        raise RangeError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+
+
 def _require(raw: Mapping[str, object], key: str) -> float:
     value = raw.get(key)
     # A finite float, the common case, needs no further check.
@@ -292,6 +307,10 @@ def validate_params(
             f"transition_normalization must be one of "
             f"{TRANSITION_NORMALIZATIONS}, got {norm!r}"
         )
+    if norm != "asymmetric" and model is not ModelKind.MB:
+        raise RangeError(
+            f"transition_normalization {norm!r} applies to model MB only, got {model!r}"
+        )
 
     alpha1: float | None = None
     alpha2: float | None = None
@@ -359,16 +378,20 @@ def _layout(model: ModelKind) -> _Layout:
 def _layout_for(model: ModelKind, p: Params) -> _Layout:
     """The model's layout, for an entry point that takes a model and its
     parameters.  RangeError for a model that is not a ModelKind, for a p
-    that is not a Params, and for MB with parameters that have no switch
-    rates (validated for MA or SINGLE).  SINGLE takes MB's parameters: a
-    mixed run opens with them."""
+    that is not a Params, for MB with parameters that have no switch rates
+    (validated for MA or SINGLE) and for SINGLE with a rho other than 1."""
     layout = _layout(model)
     if not isinstance(p, Params):
         raise RangeError(f"parameters must be a Params, got {type(p).__name__}")
-    if layout is _MB and (p.alpha1 is None or p.alpha2 is None):
+    if layout is _MB:
+        if p.alpha1 is None or p.alpha2 is None:
+            raise RangeError(
+                f"model MB needs parameters validated for MB, with switch rates; "
+                f"got alpha1={p.alpha1}, alpha2={p.alpha2}"
+            )
+    elif model is ModelKind.SINGLE and p.rho != 1:
         raise RangeError(
-            f"model MB needs parameters validated for MB, with switch rates; "
-            f"got alpha1={p.alpha1}, alpha2={p.alpha2}"
+            f"model SINGLE needs rho = 1, got rho={p.rho}; pass with_rho_one(p)"
         )
     return layout
 
@@ -380,7 +403,7 @@ def _state_names(
     ModelKind and for a state that is not a sequence of that many components;
     then each component passes _finite as "<label> <name>", error for NaN or inf."""
     names = _layout(model).state._fields
-    size = len(state) if hasattr(type(state), "__len__") else type(state).__name__
+    size = _size(state)
     if size != len(names):
         raise RangeError(
             f"{model.name} takes {len(names)} state components, got {size}"
@@ -402,7 +425,10 @@ def _column(
 
 def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """The scan grid as finite floats (_finite); RangeError for a grid that
-    is empty or not strictly increasing."""
+    is not a sequence, is empty or is not strictly increasing."""
+    size = _size(grid)
+    if type(size) is not int:
+        raise RangeError(f"grid must be a sequence of numbers, got {size}")
     grid = tuple([_finite("grid point", x) for x in grid])
     if len(grid) == 0:
         raise RangeError("grid must be nonempty")
@@ -414,14 +440,16 @@ def _check_grid(grid: Sequence[float]) -> tuple[float, ...]:
 def total_population(state: State | Sequence[float]) -> float:
     """Sum of all compartments, grouped as total5 or total6 by length.
 
-    Raises RangeError for a state of any other length or with no len().
+    Raises RangeError for a state of any other length or with no len(), and
+    for a component that is not a number (_finite; NonFiniteError for NaN
+    or inf).
     """
-    n = len(state) if hasattr(type(state), "__len__") else type(state).__name__
-    if n == 6:
-        return total6(state)
-    if n == 5:
-        return total5(state)
-    raise RangeError(f"a state has 5 or 6 components, got {n}")
+    n = _size(state)
+    if n != 5 and n != 6:
+        raise RangeError(f"a state has 5 or 6 components, got {n}")
+    for x in state:
+        _finite("state component", x, NonFiniteError)
+    return total6(state) if n == 6 else total5(state)
 
 
 def exact_complement(total: float, part: float) -> float:
@@ -429,9 +457,10 @@ def exact_complement(total: float, part: float) -> float:
 
     c is the rounded difference total - part.  It fails only when that
     difference is a half-ulp tie, and then no float complement of part
-    exists at all: raises NumericError.  split_share never fails.
+    exists at all: raises NumericError.  split_share never fails.  Raises
+    RangeError for a total or part that is not a finite number (_finite).
     """
-    c = total - part
+    c = _finite("total", total) - _finite("part", part)
     if part + c != total:
         raise NumericError(
             f"no float c gives {part!r} + c == {total!r}; split_share "
@@ -456,5 +485,7 @@ def split_share(total: float, share: float) -> tuple[float, float]:
 
 
 def with_rho_one(p: Params) -> Params:
-    """Internal helper: the single-class variant of p (rho pinned to 1)."""
+    """Internal helper: the single-class variant of p (rho pinned to 1).
+    RangeError for a p that is not a Params."""
+    _check_kind("parameters", p, Params)
     return p._replace(rho=1.0)

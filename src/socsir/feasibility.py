@@ -81,11 +81,11 @@ def threshold_P(beta1: float, beta2: float, kappa: float) -> float:
     is stable.  Requires 0 < beta2 < min(beta1, kappa) and beta1 <= 1;
     in particular beta2 >= kappa leaves no stable rho at all.
     """
-    if not 0 < beta2 < beta1 <= 1:
+    if not 0 < _finite("beta2", beta2) < _finite("beta1", beta1) <= 1:
         raise RangeError(
             f"need 0 < beta2 < beta1 <= 1, got beta1={beta1}, beta2={beta2}"
         )
-    if not beta2 < kappa <= 1:
+    if not beta2 < _finite("kappa", kappa) <= 1:
         raise RangeError(
             f"need beta2 < kappa <= 1 (no stable rho otherwise), "
             f"got beta2={beta2}, kappa={kappa}"
@@ -111,7 +111,7 @@ def threshold_B2(beta1: float, rho: float, kappa: float) -> float:
     that no stable beta2 exists.
     """
     _check_rho_kappa(rho, kappa)
-    if not 0 < beta1 <= min(1.0, kappa / rho):
+    if not 0 < _finite("beta1", beta1) <= min(1.0, kappa / rho):
         raise RangeError(
             f"need 0 < beta1 <= min(1, kappa/rho) = "
             f"{min(1.0, kappa / rho)}, got beta1={beta1}"
@@ -128,7 +128,7 @@ def threshold_B1(beta2: float, rho: float, kappa: float) -> float:
     (otherwise no beta1 is stable).
     """
     _check_rho_kappa(rho, kappa)
-    if not 0 < beta2 < kappa:
+    if not 0 < _finite("beta2", beta2) < kappa:
         raise RangeError(
             f"need 0 < beta2 < kappa (no stable beta1 otherwise), "
             f"got beta2={beta2}, kappa={kappa}"

@@ -17,7 +17,10 @@ from math import inf
 from operator import indexOf
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import ModelKind, Params, State, _finite, _layout, _layout_for, _state_names
+from .core import (
+    ModelKind, Params, State, _check_kind, _finite, _layout, _layout_for, _size,
+    _state_names,
+)
 from .dynamics import _TEXTS, _define, _indent, _Text
 from .errors import (
     EmptyTrajectoryError,
@@ -95,11 +98,12 @@ class Trajectory:
     An immutable value like the NamedTuple types, but a slotted class:
     len() is the record count, which a tuple's len() cannot be.
 
-    Records that differ from the times in number, or from the model's state
-    in size, raise RangeError.  The records are kept as given: simulate and
-    run_mixed pass the kernels' plain component tuples, which compare and
-    hash as the named states do.  states builds the named states on first
-    read and keeps them in place of the plain tuples.
+    Times or records that are not sequences, records that differ from the
+    times in number, or from the model's state in size, raise RangeError.
+    The records are kept as given: simulate and run_mixed pass the kernels'
+    plain component tuples, which compare and hash as the named states do.
+    states builds the named states on first read and keeps them in place of
+    the plain tuples.
     """
 
     __slots__ = ("model", "times", "_records", "params_used", "dt", "switch_record",
@@ -122,14 +126,15 @@ class Trajectory:
         switch_record: SwitchRecord | None = None,
     ) -> None:
         size = len(_layout(model).state._fields)
+        n_times, n_records = _size(times), _size(states)
         try:
             lengths = set(map(len, states))
-        except TypeError:  # a record that has no len()
+        except TypeError:  # states, or a record in it, has no len()
             lengths = {None}
-        if len(times) != len(states) or not lengths <= {size}:
+        if n_times != n_records or not lengths <= {size}:
             raise RangeError(
                 f"{model.name} trajectories take one record of {size} components "
-                f"per time, got {len(times)} times and {len(states)} records of "
+                f"per time, got {n_times} times and {n_records} records of "
                 f"lengths {sorted(lengths)}"
             )
         values = (model, times, states, params_used, dt, switch_record, None)
@@ -342,12 +347,21 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     Deterministic: identical inputs give bit-identical outputs.  The result
     has the same type as s (named state tuples stay named state tuples).
 
-    Raises RangeError if dt is not a finite number > 0 or if f's first stage
-    has another length than s, NonFiniteError if the step produces
+    Raises RangeError if f is not callable, s is not a nonempty tuple or
+    list of numbers, t is not a finite number, dt is not a finite number
+    > 0 or f's first stage has another length than s.  Raises
+    NonFiniteError for a NaN or inf component of s or if the step produces
     NaN/inf, NegativeStateError if any component falls below -1e-9 times
-    the state's magnitude.  Either error is step 1 and names the component
+    the state's magnitude.  A failed step is step 1 and names the component
     by the state type's field name, or by its position in a plain tuple.
     """
+    if not callable(f):
+        raise RangeError(f"f must be callable, got {type(f).__name__}")
+    if not isinstance(s, (tuple, list)) or not s:
+        raise RangeError(f"s must be a nonempty tuple or list of numbers, got {s!r}")
+    for x in s:
+        _finite("state component", x, NonFiniteError)
+    _finite("t", t)
     if _finite("dt", dt) <= 0:
         raise RangeError(f"dt must be positive, got {dt}")
     cls = type(s)
@@ -465,9 +479,11 @@ def _first_max(
 def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
     """Time and value of the first recorded maximum of an observable.
 
-    Raises RangeError for an obs that is not an Observable (a name too:
-    observables_for maps names to them) or whose extract is not callable.
+    Raises RangeError for a traj that is not a Trajectory, and for an obs
+    that is not an Observable (a name too: observables_for maps names to
+    them) or whose extract is not callable.
     """
+    _check_kind("traj", traj, Trajectory)
     if not isinstance(obs, Observable):
         raise RangeError(f"obs must be an Observable, got {obs!r}")
     if not callable(obs.extract):

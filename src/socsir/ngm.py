@@ -15,7 +15,8 @@ import math
 from typing import NamedTuple
 
 from .core import (
-    ModelKind, Params, State, _class_split, _layout_for, _switch_rates, split_share,
+    ModelKind, Params, State, _class_split, _finite, _layout_for, _switch_rates,
+    split_share,
 )
 from .errors import NumericError, OrderError, SingularMatrixError
 
@@ -75,11 +76,15 @@ def rho_from_alphas(alpha1: float, alpha2: float) -> float:
     """Equilibrium class-1 fraction alpha2 / (alpha1 + alpha2).
 
     Because alpha1 > alpha2 > 0 is required, the result lies in (0, 1/2).
-    Raises OrderError when the rates are not strictly ordered, RangeError
-    when the result rounds to 0 (alpha1 + alpha2 overflows, alpha1 is
-    infinite, or the quotient underflows).
+    Raises RangeError for a rate that is not a number or, but for an
+    infinite alpha1, not finite (core._finite); OrderError when the rates
+    are not strictly ordered; RangeError when the result rounds to 0
+    (alpha1 + alpha2 overflows, alpha1 is infinite, or the quotient
+    underflows).
     """
-    if not alpha1 > alpha2 > 0:
+    if alpha1 != math.inf:  # an infinite alpha1 is _class_split's to refuse
+        _finite("alpha1", alpha1)
+    if not alpha1 > _finite("alpha2", alpha2) > 0:
         raise OrderError(
             f"need alpha1 > alpha2 > 0, got alpha1={alpha1}, alpha2={alpha2}"
         )

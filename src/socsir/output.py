@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import ModelKind, _column, _finite, _layout
+from .core import ModelKind, _check_kind, _column, _finite, _layout, _size
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory
 
@@ -72,7 +72,8 @@ _PALETTE = (
 def csv_pieces(traj: Trajectory) -> Iterator[str]:
     """The CSV text of a trajectory in pieces: the header line, then the
     rows in pieces of at most _PIECE_RECORDS records.  The pieces joined
-    are write_csv's text."""
+    are write_csv's text.  RangeError for a traj that is not a Trajectory."""
+    _check_kind("traj", traj, Trajectory)
     model, times, records = traj.model, traj.times, traj._records
     names = _layout(model).observables
     # "%.9g" % x is the same text as f"{x:.9g}".
@@ -152,20 +153,26 @@ def svg_pieces(
     A generator whose checks, axis ranges (which need every value) and
     ticks come before its first piece, so a rejected plot raises there.
     It yields the axes, then each polyline in pieces of at most
-    _PIECE_RECORDS points, then the legend.
+    _PIECE_RECORDS points, then the legend.  RangeError for a traj that is
+    not a Trajectory and for observables that are not a nonempty sequence
+    of the model's observable names.
     """
+    _check_kind("traj", traj, Trajectory)
     if _finite("width", width) <= 0 or _finite("height", height) <= 0:
         raise RangeError(
             f"plot dimensions must be finite and positive, got {width}x{height}"
         )
-    if not observables:
+    size = _size(observables)
+    if type(size) is not int:
+        raise RangeError(f"observables must be a sequence of names, got {size}")
+    if size == 0:
         raise RangeError("need at least one observable to plot")
     if len(traj) == 0:
         raise EmptyTrajectoryError("cannot plot an empty trajectory")
 
     known = _layout(traj.model).observables
     for name in observables:
-        if name not in known:
+        if type(name) is not str or name not in known:
             raise RangeError(
                 f"unknown observable {name!r} for model {traj.model.value!r}; "
                 f"known: {sorted(known)}"

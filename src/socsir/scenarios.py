@@ -23,11 +23,13 @@ from .core import (
     StateMA,
     StateMB,
     _check_grid,
+    _check_kind,
     _column,
     _finite,
     _layout_for,
     split_share,
     validate_params,
+    with_rho_one,
 )
 from .errors import RangeError, ValidationError
 from .integrator import (
@@ -146,8 +148,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     Configs with a mixed block are delegated to run_mixed.  The summary
     reports r0 (for MB, at the equilibrium class split implied by the
     switch rates), the peaks of total and symptomatic infectives, and the
-    final recovered count.  A non-finite r0 raises NumericError.
+    final recovered count.  A non-finite r0 raises NumericError, and a cfg
+    that is not a ScenarioConfig RangeError.
     """
+    _check_kind("cfg", cfg, ScenarioConfig)
     if cfg.mixed is not None:
         return run_mixed(cfg)
     traj = simulate(
@@ -179,17 +183,24 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     The returned trajectory is uniformly in two-class coordinates (the
     opening phase is recorded with class 2 empty), has model MB, and
     carries a SwitchRecord with the pre-switch and post-split states.  The
-    record at t_switch itself is the post-split state.
+    record at t_switch itself is the post-split state.  The opening phase
+    runs SINGLE on with_rho_one of the config's parameters.
+
+    Raises RangeError for a cfg that is not a ScenarioConfig, a mixed block
+    that is not a MixedSpec, and a t_switch or rho_split that is not a
+    finite number (core._finite) in its range.
     """
+    _check_kind("cfg", cfg, ScenarioConfig)
     if cfg.mixed is None:
         raise ValidationError("config has no mixed block")
     spec = cfg.mixed
+    _check_kind("mixed", spec, MixedSpec)
     check_times(cfg.t0, cfg.t1, cfg.dt)
-    if not cfg.t0 < spec.t_switch < cfg.t1:
+    if not cfg.t0 < _finite("t_switch", spec.t_switch) < cfg.t1:
         raise RangeError(
             f"t_switch must lie inside ({cfg.t0}, {cfg.t1}), got {spec.t_switch}"
         )
-    if not 0.0 < spec.rho_split < 1.0:
+    if not 0.0 < _finite("rho_split", spec.rho_split) < 1.0:
         raise RangeError(f"rho_split must lie in (0, 1), got {spec.rho_split}")
     if spec.split_rule != "proportional":
         raise RangeError(f"unknown split rule {spec.split_rule!r}")
@@ -204,12 +215,14 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
 
     # The opening phase is recorded in two-class coordinates: its lone
     # susceptible and asymptomatic classes are class 1, class 2 stays
-    # empty.  The single-class field never reads rho.  Its last record, at
-    # t_switch, is the pre-switch state, which the split replaces.
+    # empty.  The single-class field never reads rho, so with_rho_one
+    # changes no bit.  Its last record, at t_switch, is the pre-switch
+    # state, which the split replaces.
     times: list[float] = []
     records: list[Sequence[float]] = []
     for t, (s1, s2, i_s, i_a, r) in integrate(
-        ModelKind.SINGLE, p, init, cfg.t0, spec.t_switch, cfg.dt, cfg.record_every
+        ModelKind.SINGLE, with_rho_one(p), init, cfg.t0, spec.t_switch, cfg.dt,
+        cfg.record_every,
     ):
         times.append(t)
         records.append((s1, s2, i_a, 0.0, i_s, r))
@@ -270,8 +283,7 @@ def covid_mitigation_presets() -> tuple[MitigationPreset, ...]:
 
 def preset_params(preset: MitigationPreset, n_total: float = 100.0) -> Params:
     """Full MB parameter vector for a preset (alpha2 = 0 relaxation)."""
-    if not isinstance(preset, MitigationPreset):
-        raise RangeError(f"preset must be a MitigationPreset, got {preset!r}")
+    _check_kind("preset", preset, MitigationPreset)
     raw = dict(PRESET_SHARED)
     raw.update(beta1=preset.beta1, beta2=preset.beta2, N=n_total)
     return validate_params(raw, ModelKind.MB, allow_zero_alpha2=True)
@@ -412,9 +424,9 @@ def participation_scan(
     """
     if _finite("capacity", capacity) <= 0:
         raise RangeError(f"capacity must be finite and positive, got {capacity}")
-    if any(not 0.0 < _finite("grid point", q) < 1.0 for q in grid):
+    grid = _check_grid(grid)
+    if any(not 0.0 < q < 1.0 for q in grid):
         raise RangeError("grid fractions must lie strictly inside (0, 1)")
-    grid = _check_grid(grid)  # an empty grid passes the fractions check
 
     p = preset_params(preset, n_total)
     _seed_pool(p)  # resolve_init's rule: the run seeds one infective out of N

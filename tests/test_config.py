@@ -7,8 +7,9 @@ import pathlib
 
 import pytest
 
+from socsir.cli import main
 from socsir.config import dump_config, dumps_config, load_config, loads_config
-from socsir.core import ModelKind, StateMA, StateMB
+from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.errors import ConfigError, MissingFieldError, RangeError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -70,6 +71,22 @@ def test_round_trip_identity():
         assert dumps_config(again) == text
 
 
+@pytest.mark.parametrize("norm", ["asymmetric", "uniform"])
+@pytest.mark.parametrize("name", ["ma_basic.json", "mb_switching.json"])
+def test_every_normalization_that_validates_round_trips(name, norm):
+    # "uniform" validated for MA, and dumps_config wrote a document under
+    # "model": "ma" that loads_config refused as an unknown key
+    cfg = load_config(str(DATA / name))
+    raw = dict(cfg.params.as_dict(), transition_normalization=norm)
+    try:
+        params = validate_params(raw, cfg.model)
+    except RangeError:
+        assert (cfg.model, norm) == (ModelKind.MA, "uniform")
+        return
+    cfg = cfg._replace(params=params)
+    assert loads_config(dumps_config(cfg)) == cfg
+
+
 def test_dumps_config_rejects_non_finite_numbers():
     # a config built in code can hold inf; standard JSON has no literal for it
     cfg = load_config(str(DATA / "ma_basic.json"))
@@ -101,6 +118,36 @@ def test_dump_keeps_explicit_init_exact():
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError):
         load_config(str(DATA / "does_not_exist.json"))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: loads_config(5), lambda: loads_config(None), lambda: load_config(None),
+     lambda: load_config(5.0)],
+    ids=["text-int", "text-none", "path-none", "path-float"],
+)
+def test_config_text_or_path_of_the_wrong_type_is_config_error(call):
+    # each raised a raw TypeError; an int path is refused as well, since
+    # open() would take it for a file descriptor
+    with pytest.raises(ConfigError, match="must be a str|not a path"):
+        call()
+
+
+def test_a_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # the decode error escaped load_config, and the CLI printed a traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "ma\xe9"}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(path))
+    assert main(["simulate", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+@pytest.mark.parametrize("call", [dump_config, dumps_config])
+def test_dump_config_of_a_non_config_raises_range_error(call):
+    # a raw AttributeError
+    with pytest.raises(RangeError, match="^cfg must be a ScenarioConfig"):
+        call(5)
 
 
 def test_invalid_json_is_config_error():

@@ -24,6 +24,7 @@ from socsir.core import (
     total6,
     total_population,
     validate_params,
+    with_rho_one,
 )
 from socsir.dynamics import _TEXTS, vector_field
 from socsir.errors import (
@@ -405,13 +406,15 @@ def test_drift_check_stops_at_first_drifting_record(model, init, record_every):
 
 @pytest.mark.parametrize("model", list(KERNEL_OF))
 def test_integrate_checks_drift_against_the_initial_total(monkeypatch, model):
-    # integrate hands its kernel the initial total and 1e-9 of it
-    init = resolve_init(model, FIG_A_MB, INIT_RULE_DFE_PLUS_ONE)
+    # integrate hands its kernel the initial total and 1e-9 of it; SINGLE
+    # takes MB's parameters with rho pinned to 1
+    p = with_rho_one(FIG_A_MB) if model is ModelKind.SINGLE else FIG_A_MB
+    init = resolve_init(model, p, INIT_RULE_DFE_PLUS_ONE)
     seen = []
     monkeypatch.setattr(
         integrator, "_kernel", lambda text: lambda *args: seen.append(args[-2:])
     )
-    integrate(model, FIG_A_MB, init, 0.0, 5.0, 1.0)
+    integrate(model, p, init, 0.0, 5.0, 1.0)
     n0 = total_population(init)
     assert seen == [(n0, 1e-9 * n0)]
 

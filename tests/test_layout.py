@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from socsir import (
     INIT_RULE_DFE_PLUS_ONE,
+    MixedSpec,
     ModelKind,
     NegativeStateError,
     NonFiniteError,
@@ -24,15 +26,24 @@ from socsir import (
     preset_params,
     render_svg,
     resolve_init,
+    rho_from_alphas,
+    run_mixed,
+    run_scenario,
     sensitivity_indices,
     simulate,
     stability,
+    threshold_B1,
+    threshold_B2,
+    threshold_P,
     validate_params,
+    with_rho_one,
+    write_csv,
 )
 from socsir.cli import main
+from socsir.config import dump_config, load_config
 from socsir.core import _LAYOUT, StateMA, StateMB
 from socsir.dynamics import rhs_ma, rhs_mb, vector_field
-from socsir.integrator import Observable, integrate, peak_of, step_rk4
+from socsir.integrator import Observable, Trajectory, integrate, peak_of, step_rk4
 
 RAW_MA = {"beta1": 0.42, "beta2": 0.09, "lambda": 0.65, "gamma": 0.02,
           "kappa": 0.05, "rho": 0.75, "N": 100.0}
@@ -146,6 +157,14 @@ def _misfit_calls():
     }
     for case, call in not_numbers.items():
         yield pytest.param(call, id=case)
+    not_sequences = {
+        "scan-grid-int": lambda: participation_scan(masks, 80.0, 5),
+        "bifurcation-grid-int": lambda: bifurcation_scan(ModelKind.MA, 0.5, 5),
+        "trajectory-states-int": lambda: Trajectory(ModelKind.MA, (0.0,), 5, P_MA, 1.0),
+        "trajectory-times-int": lambda: Trajectory(ModelKind.MA, 5, (FIVE,), P_MA, 1.0),
+    }
+    for case, call in not_sequences.items():
+        yield pytest.param(call, id=case)
 
 
 @pytest.mark.parametrize("call", _misfit_calls())
@@ -155,17 +174,74 @@ def test_inputs_that_do_not_fit_raise_range_error(call):
     # (stability, sensitivity_indices, ordering_case, dfe_of); peak_of with
     # a name raised AttributeError, and with an extract that is not
     # callable a raw TypeError; a number argument that is not a number
-    # raised a raw TypeError, and a preset name a raw AttributeError
+    # raised a raw TypeError, and a preset name a raw AttributeError; a grid
+    # or trajectory times and records that are not sequences raised a raw
+    # TypeError
     with pytest.raises(RangeError, match="must be a Params|with switch rates|"
                                          "must be an Observable|must be a number|"
-                                         "must be a MitigationPreset"):
+                                         "must be a MitigationPreset|"
+                                         "must be a sequence|"
+                                         "trajectories take one record"):
+        call()
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+_CFG_MIXED = load_config(str(DATA / "mixed_switch.json"))
+_OBS_I = observables_for(ModelKind.MA)["I"]
+# Each call passes one argument of the wrong kind, or a number argument
+# that is not a number where it was compared before any number check,
+# with the start of its RangeError.
+WRONG_KINDS = {
+    "peak_of-int": ("traj must be a Trajectory", lambda: peak_of(5, _OBS_I)),
+    "peak_of-str": ("traj must be a Trajectory", lambda: peak_of("ab", _OBS_I)),
+    "write_csv": ("traj must be a Trajectory", lambda: write_csv(5)),
+    "render_svg": ("traj must be a Trajectory", lambda: render_svg(5, ["I"])),
+    "render_svg-observables-int": ("observables must be a sequence",
+                                   lambda: render_svg(_TRAJ_MA, 5)),
+    "render_svg-observable-list": ("unknown observable",
+                                   lambda: render_svg(_TRAJ_MA, [["I"]])),
+    "run_scenario": ("cfg must be a ScenarioConfig", lambda: run_scenario(5)),
+    "run_mixed": ("cfg must be a ScenarioConfig", lambda: run_mixed(5)),
+    "run_mixed-mixed-block": ("mixed must be a MixedSpec", lambda: run_mixed(
+        _CFG_MIXED._replace(mixed=(20.0, 0.5)))),
+    "run_mixed-t_switch": ("t_switch must be a number", lambda: run_mixed(
+        _CFG_MIXED._replace(mixed=MixedSpec("x", 0.25)))),
+    "run_mixed-rho_split": ("rho_split must be a number", lambda: run_mixed(
+        _CFG_MIXED._replace(mixed=MixedSpec(1000.0, "x")))),
+    "dump_config": ("cfg must be a ScenarioConfig", lambda: dump_config(5)),
+    "threshold_P": ("beta1 must be a number", lambda: threshold_P("x", 0.1, 0.5)),
+    "threshold_B1": ("beta2 must be a number", lambda: threshold_B1("x", 0.5, 0.2)),
+    "threshold_B2": ("beta1 must be a number", lambda: threshold_B2("x", 0.25, 0.5)),
+    "threshold_B2-rho": ("rho must be a number", lambda: threshold_B2(0.8, "x", 0.5)),
+    "rho_from_alphas": ("alpha1 must be a number", lambda: rho_from_alphas("x", 0.1)),
+    "step_rk4-field": ("f must be callable", lambda: step_rk4(5, (1.0,), 0.0, 1.0)),
+    "step_rk4-state": ("s must be a nonempty tuple",
+                       lambda: step_rk4(lambda t, s: s, 5, 0.0, 1.0)),
+    "step_rk4-component": ("state component must be a number",
+                           lambda: step_rk4(lambda t, s: s, ("x",), 0.0, 1.0)),
+    "step_rk4-t": ("t must be a number",
+                   lambda: step_rk4(lambda t, s: s, (1.0,), "x", 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KINDS))
+def test_arguments_of_the_wrong_kind_raise_range_error(name):
+    # each escaped as a raw TypeError or AttributeError
+    message, call = WRONG_KINDS[name]
+    with pytest.raises(RangeError, match=f"^{message}"):
         call()
 
 
 @pytest.mark.parametrize("name", sorted(WITH_PARAMS))
 def test_single_takes_parameters_validated_for_mb(name):
-    # run_mixed opens single-class with the run's MB parameters
-    WITH_PARAMS[name](ModelKind.SINGLE, P_MB)
+    # only with rho pinned to 1, as run_mixed opens its single-class phase:
+    # SINGLE used to take MB's rho, so stability(SINGLE, P_MB).r0 read 3.45
+    # instead of 8.4 and dfe_of put 75 susceptibles in class 2.  rhs_ma
+    # evaluates MA's field, which takes any rho.
+    WITH_PARAMS[name](ModelKind.SINGLE, with_rho_one(P_MB))
+    if name != "rhs":
+        with pytest.raises(RangeError, match=r"rho = 1, .*with_rho_one"):
+            WITH_PARAMS[name](ModelKind.SINGLE, P_MB)
 
 
 def test_negative_state_names_compartment_and_step():

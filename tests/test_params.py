@@ -168,6 +168,17 @@ def test_unknown_transition_normalization_is_rejected():
             validate_params(dict(GOOD_MB, transition_normalization=norm), ModelKind.MB)
 
 
+@pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.SINGLE])
+def test_a_normalization_other_than_asymmetric_is_for_mb_only(model):
+    # MA parameters used to carry "uniform", an MB-only setting, which
+    # dumps_config then wrote under "model": "ma" for loads_config to refuse
+    raw = dict(GOOD_MA, rho=1.0) if model is ModelKind.SINGLE else GOOD_MA
+    with pytest.raises(RangeError, match="applies to model MB only"):
+        validate_params(dict(raw, transition_normalization="uniform"), model)
+    explicit = dict(raw, transition_normalization="asymmetric")
+    assert validate_params(explicit, model) == validate_params(raw, model)
+
+
 def test_lambda_unit_interval():
     with pytest.raises(RangeError):
         validate_params(dict(GOOD_MA, **{"lambda": 0.0}), ModelKind.MA)
@@ -238,6 +249,25 @@ def test_total_population_rejects_other_lengths(state):
     # a state with no len() raised a raw TypeError
     with pytest.raises(RangeError, match="5 or 6 components"):
         total_population(state)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: total_population(("x",) * 5),
+        lambda: total_population((None,) * 6),
+        lambda: exact_complement("1", 0.5),
+        lambda: exact_complement(1.0, None),
+        lambda: with_rho_one({"rho": 0.5}),
+    ],
+    ids=["total-str", "total-none", "complement-total", "complement-part",
+         "with_rho_one-mapping"],
+)
+def test_number_and_params_arguments_are_checked(call):
+    # a string state summed to a string, None components and arguments
+    # raised a raw TypeError, and with_rho_one a raw AttributeError
+    with pytest.raises(RangeError, match="must be a number|must be a Params"):
+        call()
 
 
 def test_exact_complement_identity():
