@@ -364,7 +364,11 @@ _MB = _Layout(StateMB, {
     "A2": itemgetter(3), "Is": itemgetter(4), "R": itemgetter(5),
     "I": infected6, "N": total6,
 }, 0.5)
-_LAYOUT = {ModelKind.MA: _MA, ModelKind.SINGLE: _MA, ModelKind.MB: _MB}
+# SINGLE reads as MA does.  Its own copy of MA's layout lets _layout_for
+# tell it apart by identity: reading ModelKind.SINGLE there would cost
+# every MA call an enum attribute lookup.
+_SINGLE = _Layout(*_MA)
+_LAYOUT = {ModelKind.MA: _MA, ModelKind.SINGLE: _SINGLE, ModelKind.MB: _MB}
 
 
 def _layout(model: ModelKind) -> _Layout:
@@ -389,7 +393,7 @@ def _layout_for(model: ModelKind, p: Params) -> _Layout:
                 f"model MB needs parameters validated for MB, with switch rates; "
                 f"got alpha1={p.alpha1}, alpha2={p.alpha2}"
             )
-    elif model is ModelKind.SINGLE and p.rho != 1:
+    elif layout is _SINGLE and p.rho != 1:
         raise RangeError(
             f"model SINGLE needs rho = 1, got rho={p.rho}; pass with_rho_one(p)"
         )
