@@ -162,13 +162,14 @@ TEXTS = mixed(st.sampled_from(DOC_TEXTS + [t.encode() for t in DOC_TEXTS]),
               st.one_of(JUNK, st.text(max_size=8), st.binary(max_size=8)))
 
 
-def _fields():
-    return st.sampled_from([
-        lambda t, s: tuple(-x for x in s),
-        lambda t, s: (0.0,) * len(s),
-        lambda t, s: (1.0,),
-        5, None, "f",
-    ])
+# step_rk4's fields: a decay, a still field, one whose stage has one
+# component whatever the state's size, and values that are not callable.
+FIELDS = st.sampled_from([
+    lambda t, s: tuple(-x for x in s),
+    lambda t, s: (0.0,) * len(s),
+    lambda t, s: (1.0,),
+    5, None, "f",
+])
 
 
 def args(*strategies, **keywords):
@@ -180,13 +181,16 @@ PRESETS = mixed(st.sampled_from(covid_mitigation_presets()),
                 st.one_of(JUNK, st.just("masks")))
 RULES = mixed(st.just(INIT_RULE_DFE_PLUS_ONE))
 FLAGS = st.booleans()
+NORMALIZATIONS = mixed(st.sampled_from(["asymmetric", "uniform"]))
 
 STRATEGIES = {
     # core
     "validate_params": args(
-        mixed(st.fixed_dictionaries(
-            {}, optional={k: NUMBERS for k in (*RAW_MA, "alpha1", "alpha2")}
-        ) | st.sampled_from([RAW_MA, RAW_MB, dict(RAW_MA, rho=1.0)])
+        mixed(st.fixed_dictionaries({}, optional={
+            **{k: NUMBERS for k in (*RAW_MA, "alpha1", "alpha2")},
+            "transition_normalization": NORMALIZATIONS,
+        }) | st.sampled_from([RAW_MA, RAW_MB, dict(RAW_MA, rho=1.0),
+                              dict(RAW_MA, transition_normalization="uniform")])
           | st.sampled_from(P_VALID)),
         MODELS, allow_beta_gt_one=FLAGS, allow_zero_alpha2=FLAGS,
     ),
@@ -198,7 +202,7 @@ STRATEGIES = {
     "rhs_mb": args(PARAMS, STATES),
     # integrator
     "simulate": args(MODELS, PARAMS, STATES, TIMES, ENDS, STEPS, RECORD_EVERY),
-    "step_rk4": args(_fields(), STATES, NUMBERS, STEPS),
+    "step_rk4": args(FIELDS, STATES, NUMBERS, STEPS),
     "Trajectory": args(
         MODELS,
         mixed(st.just((0.0, 1.0))),
