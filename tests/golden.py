@@ -8,6 +8,9 @@ Each part is one sha256 hex digest:
   document run under ``"transition_normalization": "uniform"``;
 * ``cli/ma_dt20/stdout|stderr|exit``: a ``simulate`` whose step fails,
   an MA run at dt 20 that exits 3;
+* ``cli/<case>/stdout|stderr|exit`` for three documents the CLI refuses:
+  a ``mixed`` document with ``rho_split`` 5.0 (exit 2), an MA document
+  with an ``alpha1`` key (exit 4) and one without ``time.t1`` (exit 2);
 * ``run/<config>/hex``: the ``float.hex`` of every time and component
   that ``run_scenario`` records for each document that runs to the end,
   since the 9-digit CSV and SVG cannot see a change in the last bits;
@@ -73,6 +76,15 @@ NGM_UNIFORM = tuple(
         {"beta1": 0.9, "beta2": 0.3, "lambda": 1.0, "gamma": 0.0,
          "kappa": 0.2, "alpha1": 0.05, "alpha2": 0.04, "N": 1e4},
     )
+)
+# The refused documents: a name, the subcommand, the scenario document in
+# tests/data it edits, and the edit.
+REFUSED = (
+    ("mixed_rho_split_5", "mixed", "mixed_switch",
+     lambda doc: doc["mixed"].update(rho_split=5.0)),
+    ("ma_alpha1", "simulate", "ma_basic",
+     lambda doc: doc["params"].update(alpha1=0.01)),
+    ("ma_no_t1", "simulate", "ma_basic", lambda doc: doc["time"].pop("t1")),
 )
 SCAN_GRID = tuple(i / 10 for i in range(1, 10))
 SCAN_CAPACITY = 10.0
@@ -149,8 +161,12 @@ def _kernel_hex(rng: random.Random, model, extra: dict) -> str:
     return "\n".join(out)
 
 
+def _doc(name: str) -> dict:
+    return json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def _uniform_doc() -> dict:
-    doc = json.loads((DATA / "mb_switching.json").read_text(encoding="utf-8"))
+    doc = _doc("mb_switching")
     doc["params"]["transition_normalization"] = "uniform"
     return doc
 
@@ -171,10 +187,16 @@ def digests() -> dict[str, str]:
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(name, command, DATA / f"{name}.json") for name, command in CLI_RUNS]
-        for name, doc in (("mb_uniform", _uniform_doc()), ("ma_dt20", MA_DT20)):
+        written = [("mb_uniform", "simulate", _uniform_doc()),
+                   ("ma_dt20", "simulate", MA_DT20)]
+        for name, command, source, edit in REFUSED:
+            doc = _doc(source)
+            edit(doc)
+            written.append((name, command, doc))
+        for name, command, doc in written:
             path = pathlib.Path(tmp, f"{name}.json")
             path.write_text(json.dumps(doc), encoding="utf-8")
-            runs.append((name, "simulate", path))
+            runs.append((name, command, path))
         for name, command, path in runs:
             csv, svg = pathlib.Path(tmp, "run.csv"), pathlib.Path(tmp, "run.svg")
             code, stdout, stderr = _main(
