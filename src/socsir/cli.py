@@ -26,8 +26,6 @@ from .scenarios import covid_mitigation_presets, participation_scan, run_scenari
 # feasibility and sensitivity are imported by the handlers that use them,
 # so a simulate or mixed process never compiles or loads them.
 
-__all__ = ["main"]
-
 _DEFAULT_PLOT_OBSERVABLES = ("S1", "S2", "I", "R")
 
 # Largest --steps (grid size) that bifurcation and scan-participation

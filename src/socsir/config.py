@@ -27,8 +27,6 @@ from .scenarios import (
     resolve_init,
 )
 
-__all__ = ["load_config", "loads_config", "dump_config", "dumps_config"]
-
 _TOP_KEYS = {"model", "params", "init", "time", "mixed", "outputs"}
 _MODEL_NAMES = {
     "ma": ModelKind.MA,

@@ -35,20 +35,6 @@ from .errors import (
     MissingFieldError, NonFiniteError, NumericError, OrderError, RangeError,
 )
 
-__all__ = [
-    "ModelKind",
-    "Params",
-    "StateMA",
-    "StateMB",
-    "State",
-    "validate_params",
-    "total_population",
-    "exact_complement",
-    "split_share",
-    "to_float",
-    "with_rho_one",
-]
-
 
 class ModelKind(enum.Enum):
     MA = "ma"

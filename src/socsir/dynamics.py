@@ -22,8 +22,6 @@ from .core import (
 )
 from .errors import NonFiniteError
 
-__all__ = ["DerivMA", "DerivMB", "rhs_ma", "rhs_mb", "vector_field"]
-
 
 class DerivMA(NamedTuple):
     """Rates of change for model MA (counts per unit time)."""

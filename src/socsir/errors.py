@@ -12,19 +12,6 @@ Three families, matching the CLI exit codes:
 
 from __future__ import annotations
 
-__all__ = [
-    "ValidationError",
-    "OrderError",
-    "RangeError",
-    "MissingFieldError",
-    "EmptyTrajectoryError",
-    "NumericError",
-    "NonFiniteError",
-    "NegativeStateError",
-    "SingularMatrixError",
-    "ConfigError",
-]
-
 
 class ValidationError(ValueError):
     """Input rejected by a domain-constraint check."""

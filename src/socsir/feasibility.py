@@ -24,18 +24,6 @@ from .core import ModelKind, _check_grid, _finite, _layout
 from .errors import RangeError
 from .ngm import b_rho
 
-__all__ = [
-    "SetType",
-    "FeasibleSetReport",
-    "BifurcationScan",
-    "rho_feasible",
-    "threshold_P",
-    "threshold_B2",
-    "threshold_B1",
-    "classify_feasible_set",
-    "bifurcation_scan",
-]
-
 # rho and kappa are treated as coincident within this absolute tolerance;
 # only then is the knife-edge TYPE_0 reported.
 TYPE0_TOL = 1e-12

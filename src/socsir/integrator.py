@@ -30,19 +30,6 @@ from .errors import (
     RangeError,
 )
 
-__all__ = [
-    "Observable",
-    "SwitchRecord",
-    "Trajectory",
-    "MAX_STEPS",
-    "step_rk4",
-    "check_times",
-    "integrate",
-    "simulate",
-    "peak_of",
-    "observables_for",
-]
-
 # step_rk4's vector field maps (time, state-tuple) to a derivative tuple of
 # the same length; dynamics.vector_field's take the components instead.
 VectorField = Callable[[float, Sequence[float]], Sequence[float]]

@@ -20,18 +20,6 @@ from .core import (
 )
 from .errors import NumericError, OrderError, SingularMatrixError
 
-__all__ = [
-    "NgmResult",
-    "StabilityReport",
-    "StabilityVerdict",
-    "r0",
-    "b_rho",
-    "rho_from_alphas",
-    "dfe_of",
-    "ngm",
-    "stability",
-]
-
 Matrix = tuple[tuple[float, ...], ...]
 
 # |r0 - 1| <= this is reported as MARGINAL rather than arbitrating the

@@ -21,17 +21,6 @@ from .core import ModelKind, _check_kind, _column, _finite, _layout, _size
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory
 
-__all__ = [
-    "write_csv",
-    "render_svg",
-    "csv_pieces",
-    "svg_pieces",
-    "CSV_HEADER_MA",
-    "CSV_HEADER_MB",
-    "DEFAULT_SVG_WIDTH",
-    "DEFAULT_SVG_HEIGHT",
-]
-
 CSV_HEADER_MA = ",".join(("t", *_layout(ModelKind.MA).observables))
 CSV_HEADER_MB = ",".join(("t", *_layout(ModelKind.MB).observables))
 

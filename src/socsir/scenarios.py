@@ -42,22 +42,6 @@ from .integrator import (
 )
 from .ngm import checked_r0
 
-__all__ = [
-    "MixedSpec",
-    "ScenarioConfig",
-    "RunSummary",
-    "RunResult",
-    "MitigationPreset",
-    "resolve_init",
-    "run_scenario",
-    "run_mixed",
-    "covid_mitigation_presets",
-    "preset_params",
-    "participation_scan",
-    "INIT_RULE_DFE_PLUS_ONE",
-    "ParticipationScanResult",
-]
-
 INIT_RULE_DFE_PLUS_ONE = "dfe_plus_one_symptomatic"
 
 

@@ -27,14 +27,6 @@ from .core import ModelKind, Params, _finite, _layout_for
 from .errors import NumericError, RangeError
 from .ngm import b_rho
 
-__all__ = [
-    "SensitivityIndices",
-    "OrderingCase",
-    "sensitivity_indices",
-    "ordering_case",
-    "finite_diff_check",
-]
-
 # A rho sitting within this distance of a breakpoint is reported BOUNDARY:
 # the ordering statements use strict inequalities only, so ties are
 # surfaced instead of being broken arbitrarily.

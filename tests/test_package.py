@@ -82,9 +82,7 @@ def test_each_name_is_the_object_its_module_defines(module):
 
 @pytest.mark.parametrize("module", list(PUBLIC))
 def test_each_module_all_lists_its_public_names(module):
-    # ngm lacked b_rho, scenarios INIT_RULE_DFE_PLUS_ONE, errors any __all__
-    listed = importlib.import_module(f"socsir.{module}").__all__
-    assert [name for name in PUBLIC[module] if name not in listed] == []
+    # socsir._PUBLIC is the one declaration; the modules keep no __all__
     assert socsir._PUBLIC[module] == tuple(PUBLIC[module])
 
 
