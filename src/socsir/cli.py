@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import Iterable, Sequence
 
-from .config import load_config
+from .config import _SPLIT_KEYS, load_config
 from .core import ModelKind, Params, _layout, validate_params
 from .errors import ConfigError, NumericError, ValidationError
 from .ngm import stability
@@ -65,6 +65,17 @@ def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:
     the full ordering/range validation in one place.
     """
     model = ModelKind(args.model)
+    keys = _SPLIT_KEYS[model]
+    given = tuple(
+        key for split in _SPLIT_KEYS.values() for key in split
+        if getattr(args, key) is not None
+    )
+    if given != keys:
+        raise ValidationError(
+            f"--model {args.model} takes the class-split flag(s) "
+            f"{' '.join('--' + key for key in keys)}, got "
+            f"{' '.join('--' + key for key in given) or 'none'}"
+        )
     raw: dict[str, object] = {
         "beta1": args.beta1,
         "beta2": args.beta2,
@@ -73,24 +84,7 @@ def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:
         "gamma": 0.0,
         "N": args.N,
     }
-    if model is ModelKind.MB:
-        if args.rho is not None:
-            raise ValidationError(
-                "--rho is not accepted with --model mb; the class split is "
-                "derived from --alpha1/--alpha2"
-            )
-        if args.alpha1 is None or args.alpha2 is None:
-            raise ValidationError("--model mb requires --alpha1 and --alpha2")
-        raw["alpha1"] = args.alpha1
-        raw["alpha2"] = args.alpha2
-    else:
-        if args.alpha1 is not None or args.alpha2 is not None:
-            raise ValidationError(
-                "--alpha1/--alpha2 are not accepted with --model ma"
-            )
-        if args.rho is None:
-            raise ValidationError("--model ma requires --rho")
-        raw["rho"] = args.rho
+    raw.update((key, getattr(args, key)) for key in keys)
     return model, validate_params(raw, model, allow_beta_gt_one=args.allow_beta_gt_one)
 
 

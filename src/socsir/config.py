@@ -16,7 +16,8 @@ import os
 from typing import Any, Collection, Mapping
 
 from .core import (
-    ModelKind, Params, _check_kind, _finite, _layout, validate_params, with_rho_one,
+    _SINGLE, ModelKind, Params, _check_kind, _finite, _layout, validate_params,
+    with_rho_one,
 )
 from .errors import ConfigError, MissingFieldError, RangeError
 from .integrator import check_times
@@ -24,6 +25,7 @@ from .scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
     MixedSpec,
     ScenarioConfig,
+    _check_mixed,
     resolve_init,
 )
 
@@ -33,11 +35,13 @@ _MODEL_NAMES = {
     "mb": ModelKind.MB,
     "mixed": ModelKind.SINGLE,
 }
-_REQUIRED_PARAMS_COMMON = {"beta1", "beta2", "lambda", "gamma", "kappa", "N"}
 # By the model the parameters validate under: the mixed scenario's are MB's.
+# The keys that set the class split: MA's rho is free, MB derives it from
+# the switch rates.  The CLI's rate flags take the same keys.
+_SPLIT_KEYS = {ModelKind.MA: ("rho",), ModelKind.MB: ("alpha1", "alpha2")}
 _REQUIRED_PARAMS = {
-    ModelKind.MA: _REQUIRED_PARAMS_COMMON | {"rho"},
-    ModelKind.MB: _REQUIRED_PARAMS_COMMON | {"alpha1", "alpha2"},
+    model: {"beta1", "beta2", "lambda", "gamma", "kappa", "N", *keys}
+    for model, keys in _SPLIT_KEYS.items()
 }
 _ALLOWED_PARAMS = {
     ModelKind.MA: _REQUIRED_PARAMS[ModelKind.MA],
@@ -150,7 +154,7 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
         mixed = MixedSpec(
             t_switch=_require_number(raw_mixed, "t_switch", "mixed"),
             rho_split=_require_number(raw_mixed, "rho_split", "mixed"),
-            split_rule=str(raw_mixed.get("split_rule", "proportional")),
+            split_rule=raw_mixed.get("split_rule", "proportional"),
         )
     elif "mixed" in doc:
         raise ConfigError('"mixed" block is only allowed with model "mixed"')
@@ -168,6 +172,8 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
         raise ConfigError(
             f'unknown observable(s) {bad} in "outputs"; known: {sorted(known)}'
         )
+    if mixed is not None:
+        _check_mixed(mixed, t0, t1, init_state)
 
     return ScenarioConfig(
         model=model,
@@ -213,16 +219,26 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
         raise RangeError(
             f"init compartments must sum to N exactly: got {total!r}, N = {params.N!r}"
         )
-    if model is ModelKind.SINGLE and state.S2 != 0.0:
-        raise RangeError("single-class runs require init.S2 = 0")
     return state
 
 
 def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     """Document form of a config.  Reparsing it reproduces the config.
-    RangeError for a cfg that is not a ScenarioConfig."""
+    RangeError for a cfg that is not a ScenarioConfig, for a model that is
+    not a ModelKind, for params that are not a Params, for a mixed block
+    that is not a MixedSpec, and unless the model is SINGLE exactly when
+    a mixed block is present (the loader's "mixed" documents)."""
     _check_kind("cfg", cfg, ScenarioConfig)
-    model_name = "mixed" if cfg.mixed is not None else cfg.model.value
+    single = _layout(cfg.model) is _SINGLE
+    _check_kind("params", cfg.params, Params)
+    if cfg.mixed is not None:
+        _check_kind("mixed", cfg.mixed, MixedSpec)
+    if single is (cfg.mixed is None):
+        raise RangeError(
+            f"model SINGLE goes with a mixed block and every other model "
+            f"without one; got {cfg.model.name} and mixed={cfg.mixed!r}"
+        )
+    model_name = "mixed" if single else cfg.model.value
     params = cfg.params.as_dict()
     if model_name in ("mb", "mixed"):
         params.pop("rho", None)  # derived from the alphas, never written

@@ -15,11 +15,10 @@ _LAYOUT is the one place a model's layout is decided: its state type, a
 positional reader per observable in CSV order (the stored components, I
 and the population total N) and rho's upper bound.  Every function that
 takes a model looks it up there through _layout, which raises RangeError
-for anything that is not a ModelKind (validate_params raises it from its
-own branches), or through _layout_for, which also checks the model's
-parameters.  Only the physics (parameter rules, vector
-fields, next-generation matrices, sensitivity forms) tests the model
-itself.
+for anything that is not a ModelKind, or through _layout_for, which also
+checks the model's parameters.  The physics (parameter rules, vector
+fields, next-generation matrices, sensitivity forms) branches on the
+layout it looked up.
 
 All types are immutable values; share them freely across threads.
 """
@@ -301,15 +300,16 @@ def validate_params(
     alpha1: float | None = None
     alpha2: float | None = None
 
-    if model is ModelKind.MA:
+    layout = _layout(model)
+    if layout is _MA:
         rho = _require(mapping, "rho")
         if not 0 < rho < 1:
             raise RangeError(f"rho must lie in (0, 1) for model MA, got {rho}")
-    elif model is ModelKind.SINGLE:
+    elif layout is _SINGLE:
         rho = _finite("parameter 'rho'", mapping["rho"]) if "rho" in mapping else 1.0
         if rho != 1.0:
             raise RangeError(f"rho must equal 1 for a single-class run, got {rho}")
-    elif model is ModelKind.MB:
+    else:
         alpha1 = _require(mapping, "alpha1")
         alpha2 = _require(mapping, "alpha2")
         if alpha2 < 0 or (alpha2 == 0 and not allow_zero_alpha2):
@@ -321,8 +321,6 @@ def validate_params(
         # rho is derived, never free: the class split at equilibrium is set
         # by the switch rates alone.
         rho = _class_split(alpha1, alpha2)
-    else:
-        raise RangeError(f"model must be a ModelKind, got {model!r}")
 
     # A NamedTuple's generated __new__ is Python code; tuple.__new__ fills
     # the fields in C.  It takes every field in order and fills no defaults,

@@ -18,8 +18,8 @@ from operator import indexOf
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
-    ModelKind, Params, State, _check_kind, _finite, _layout, _layout_for, _size,
-    _state_names,
+    _LAYOUT, ModelKind, Params, State, _check_kind, _finite, _layout, _layout_for,
+    _size, _state_names,
 )
 from .dynamics import _TEXTS, _define, _indent, _Text
 from .errors import (
@@ -468,14 +468,23 @@ def peak_of(traj: Trajectory, obs: Observable) -> tuple[float, float]:
 
     Raises RangeError for a traj that is not a Trajectory, and for an obs
     that is not an Observable (a name too: observables_for maps names to
-    them) or whose extract is not callable.
+    them), whose extract is not callable, or that is a standard observable
+    of another model than traj's.
     """
     _check_kind("traj", traj, Trajectory)
     if not isinstance(obs, Observable):
         raise RangeError(f"obs must be an Observable, got {obs!r}")
     if not callable(obs.extract):
         raise RangeError(f"obs must be an Observable with a callable extract: {obs!r}")
+    extract = obs.extract
+    if extract not in _layout(traj.model).observables.values() and any(
+        extract in layout.observables.values() for layout in _LAYOUT.values()
+    ):
+        raise RangeError(
+            f"obs {obs.name!r} is another model's observable; take "
+            f"observables_for(ModelKind.{traj.model.name})"
+        )
     if len(traj) == 0:
         raise EmptyTrajectoryError("trajectory has no recorded states")
-    extract, states = obs.extract, traj.states
+    states = traj.states
     return _first_max(traj.times, lambda: map(extract, states))

@@ -15,8 +15,8 @@ import math
 from typing import NamedTuple
 
 from .core import (
-    ModelKind, Params, State, _class_split, _finite, _layout_for, _switch_rates,
-    split_share,
+    _MB, ModelKind, Params, State, _class_split, _finite, _layout_for,
+    _switch_rates, split_share,
 )
 from .errors import NumericError, OrderError, SingularMatrixError
 
@@ -120,14 +120,14 @@ def ngm(model: ModelKind, p: Params) -> NgmResult:
     underflows when the rates on its diagonal are tiny: kappa = 1e-200
     with gamma = 0 (and, for MB, alphas as small) does it.
     """
-    _layout_for(model, p)
+    layout = _layout_for(model, p)
     beta1, beta2, rho, lam = p.beta1, p.beta2, p.rho, p.lam
     gamma, kappa = p.gamma, p.kappa
     mixed = b_rho(beta1, beta2, rho)
     # Row i of T is all t_i; Sigma^{-1} is the adjugate over det, zeros kept.
     # K's entries and trace add left to right from 0.0, as sum() does on
     # Python 3.11, so each bit (signed zeros too) is the general product's.
-    if model is ModelKind.MB:
+    if layout is _MB:
         t1 = (1.0 - lam) * beta1 * rho
         t2 = (1.0 - lam) * beta2 * (1.0 - rho)
         t3 = lam * mixed

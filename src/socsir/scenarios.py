@@ -126,6 +126,25 @@ def _split_state(pre: StateMB, rho_split: float) -> StateMB:
     return StateMB(S1=s1, S2=s2, A1=a1, A2=a2, Is=pre.Is, R=pre.R)
 
 
+def _check_mixed(spec: MixedSpec, t0: float, t1: float, init: State) -> None:
+    """The mixed block's rules, which run_mixed and the config loader apply:
+    t_switch inside (t0, t1), rho_split in (0, 1), the proportional split
+    rule, and a single-class start (a five-compartment init with S2 = 0).
+    RangeError for each, and for a t_switch or rho_split that is not a
+    finite number (core._finite)."""
+    if not t0 < _finite("t_switch", spec.t_switch) < t1:
+        raise RangeError(f"t_switch must lie inside ({t0}, {t1}), got {spec.t_switch}")
+    if not 0.0 < _finite("rho_split", spec.rho_split) < 1.0:
+        raise RangeError(f"rho_split must lie in (0, 1), got {spec.rho_split}")
+    if spec.split_rule != "proportional":
+        raise RangeError(f"unknown split rule {spec.split_rule!r}")
+    if not isinstance(init, StateMA) or init.S2 != 0.0:
+        raise RangeError(
+            "mixed runs start single-class: the initial state must be a "
+            "five-compartment state with init.S2 = 0"
+        )
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     """Integrate a configured scenario and summarize it.
 
@@ -171,8 +190,7 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     runs SINGLE on with_rho_one of the config's parameters.
 
     Raises RangeError for a cfg that is not a ScenarioConfig, a mixed block
-    that is not a MixedSpec, and a t_switch or rho_split that is not a
-    finite number (core._finite) in its range.
+    that is not a MixedSpec, and one that breaks _check_mixed's rules.
     """
     _check_kind("cfg", cfg, ScenarioConfig)
     if cfg.mixed is None:
@@ -180,22 +198,9 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     spec = cfg.mixed
     _check_kind("mixed", spec, MixedSpec)
     check_times(cfg.t0, cfg.t1, cfg.dt)
-    if not cfg.t0 < _finite("t_switch", spec.t_switch) < cfg.t1:
-        raise RangeError(
-            f"t_switch must lie inside ({cfg.t0}, {cfg.t1}), got {spec.t_switch}"
-        )
-    if not 0.0 < _finite("rho_split", spec.rho_split) < 1.0:
-        raise RangeError(f"rho_split must lie in (0, 1), got {spec.rho_split}")
-    if spec.split_rule != "proportional":
-        raise RangeError(f"unknown split rule {spec.split_rule!r}")
-
+    _check_mixed(spec, cfg.t0, cfg.t1, cfg.init_state)
     p = cfg.params
     init = cfg.init_state
-    if not isinstance(init, StateMA) or init.S2 != 0.0:
-        raise ValidationError(
-            "mixed runs start single-class: the initial state must be a "
-            "five-compartment state with S2 = 0"
-        )
 
     # The opening phase is recorded in two-class coordinates: its lone
     # susceptible and asymptomatic classes are class 1, class 2 stays

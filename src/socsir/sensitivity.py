@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ModelKind, Params, _finite, _layout_for
+from .core import _MB, ModelKind, Params, _finite, _layout_for
 from .errors import NumericError, RangeError
 from .ngm import b_rho
 
@@ -79,14 +79,14 @@ _CHAINS = {
 }
 
 
-def _closed_forms(model: ModelKind, p: Params) -> tuple[float | None, ...]:
+def _closed_forms(mb: bool, p: Params) -> tuple[float | None, ...]:
     """The indices rho, beta1, beta2, alpha1, alpha2; None alphas but for MB."""
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     mixed = b_rho(beta1, beta2, rho)
     u_rho = rho * (beta1 - beta2) / mixed
     u_beta1 = rho * beta1 / mixed
     u_beta2 = (1.0 - rho) * beta2 / mixed
-    if model is not ModelKind.MB:
+    if not mb:
         return u_rho, u_beta1, u_beta2, None, None
     swing = rho * (1.0 - rho) * (beta1 - beta2) / mixed
     return u_rho, u_beta1, u_beta2, -swing, swing
@@ -94,8 +94,8 @@ def _closed_forms(model: ModelKind, p: Params) -> tuple[float | None, ...]:
 
 def sensitivity_indices(model: ModelKind, p: Params) -> SensitivityIndices:
     """Closed-form indices for the model's parameters."""
-    _layout_for(model, p)
-    return tuple.__new__(SensitivityIndices, (model, *_closed_forms(model, p)))
+    mb = _layout_for(model, p) is _MB
+    return tuple.__new__(SensitivityIndices, (model, *_closed_forms(mb, p)))
 
 
 def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
@@ -114,12 +114,11 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
                                             (rho > beta2/(beta1-beta2))
     BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint.
     """
-    _layout_for(model, p)
+    mb = _layout_for(model, p) is _MB
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     t_sum = beta2 / (beta1 + beta2)
     t_ratio = beta2 / beta1
     t_diff = beta2 / (beta1 - beta2)
-    mb = model is ModelKind.MB
     if (
         abs(rho - t_sum) <= BOUNDARY_TOL
         or abs(rho - t_ratio) <= BOUNDARY_TOL
@@ -155,7 +154,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     Raises NumericError when the rates are so small that 2*h*r0 or a
     closed-form index underflows to zero.
     """
-    _layout_for(model, p)
+    mb = _layout_for(model, p) is _MB
     if not 1e-10 < _finite("h", h) <= 1e-2:
         raise RangeError(f"h must lie in (1e-10, 1e-2], got {h}")
 
@@ -173,7 +172,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
         (rho * (beta1 * up) + rest) / kappa - (rho * (beta1 * down) + rest) / kappa,
         (head + comp * (beta2 * up)) / kappa - (head + comp * (beta2 * down)) / kappa,
     ]
-    if model is ModelKind.MB:
+    if mb:
         # rho_from_alphas's formula without its order check: a step can
         # carry alpha1 below alpha2 when the two are within a factor
         # (1+h)/(1-h), and the derivative is still defined there.
@@ -190,7 +189,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     # The closed forms divide by B, which is 0 only if scale is.  rho = 1
     # (model SINGLE) makes U_beta2 = (1-rho)*beta2/B exactly 0, and no other
     # index can be 0 then; that one is compared by absolute error.
-    closed_forms = _closed_forms(model, p) if scale else ()
+    closed_forms = _closed_forms(mb, p) if scale else ()
     if not scale or (comp and 0.0 in closed_forms):
         raise NumericError(
             f"the rates are too small for a central difference at step "

@@ -109,6 +109,18 @@ def test_flag_cross_validation(capsys):
     assert main(_r0_flags(alpha1=0.1)) == 2
     no_rho = [a for a in _r0_flags() if a not in ("--rho", "0.75")]
     assert main(no_rho) == 2
+    # one message for every wrong combination names both sets of flags
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --model ma takes the class-split flag(s) --rho, got --rho --alpha1",
+        "error: --model ma takes the class-split flag(s) --rho, got none",
+    ]
+    argv = [a for a in _r0_flags(alpha2=0.1) if a not in ("--rho", "0.75")]
+    argv[argv.index("ma")] = "mb"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --model mb takes the class-split flag(s) --alpha1 --alpha2, "
+        "got --alpha2\n"
+    )
 
 
 def test_validation_exit_code(capsys):

@@ -150,6 +150,23 @@ def test_dump_config_of_a_non_config_raises_range_error(call):
         call(5)
 
 
+def test_dump_config_refuses_fields_it_cannot_write():
+    # a raw AttributeError for the first two; a SINGLE config without a
+    # mixed block was written as "model": "single", which the loader refuses
+    ma = load_config(str(DATA / "ma_basic.json"))
+    mixed = load_config(str(DATA / "mixed_switch.json"))
+    for bad, message in (
+        (ma._replace(model="ma"), "^model must be a ModelKind"),
+        (ma._replace(params=ma.params.as_dict()), "^params must be a Params"),
+        (ma._replace(model=ModelKind.SINGLE), "^model SINGLE goes with a mixed block"),
+        (mixed._replace(model=ModelKind.MB), "^model SINGLE goes with a mixed block"),
+        (mixed._replace(mixed=tuple(mixed.mixed)), "^mixed must be a MixedSpec"),
+    ):
+        for call in (dump_config, dumps_config):
+            with pytest.raises(RangeError, match=message):
+                call(bad)
+
+
 def test_invalid_json_is_config_error():
     with pytest.raises(ConfigError):
         loads_config("{not json")
@@ -287,6 +304,24 @@ def test_mixed_block_rules():
         loads_config(json.dumps(doc))
     with pytest.raises(ConfigError, match="mixed"):
         loads_config(json.dumps(_doc(mixed={"t_switch": 1.0, "rho_split": 0.5})))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rho_split": 5.0}, r"^rho_split must lie in \(0, 1\), got 5\.0$"),
+        ({"t_switch": -3.0}, r"^t_switch must lie inside \(0\.0, 4000\.0\), got -3"),
+        ({"t_switch": 1e9}, r"^t_switch must lie inside .*got 1000000000\.0$"),
+        ({"split_rule": 5}, r"^unknown split rule 5$"),
+    ],
+    ids=["rho_split-5", "t_switch-negative", "t_switch-1e9", "split_rule-int"],
+)
+def test_loaded_mixed_block_meets_the_run_rules(change, message):
+    # each loaded, and only run_mixed refused it (split_rule 5 as "5")
+    doc = json.loads((DATA / "mixed_switch.json").read_text())
+    doc["mixed"].update(change)
+    with pytest.raises(RangeError, match=message):
+        loads_config(json.dumps(doc))
 
 
 def test_outputs_validation():

@@ -795,6 +795,23 @@ def test_peak_of_returns_first_maximum():
         assert t == 0.0 and math.isnan(v)
 
 
+def test_peak_of_refuses_another_models_observables():
+    # MB's readers on an MA run: R read past the record (a raw IndexError),
+    # I returned Is + Ia + R and A1 returned Is
+    traj = simulate(ModelKind.MA, FIG_A, (74.0, 24.0, 2.0, 0.0, 0.0), 0.0, 3.0)
+    for name in ("R", "I", "A1", "S1"):
+        with pytest.raises(RangeError, match=f"^obs {name!r} is another model's"):
+            peak_of(traj, observables_for(ModelKind.MB)[name])
+    mb = simulate(ModelKind.MB, FIG_A_MB, (74.0, 24.0, 1.0, 0.0, 1.0, 0.0), 0.0, 3.0)
+    with pytest.raises(RangeError, match="observables_for\\(ModelKind.MB\\)"):
+        peak_of(mb, observables_for(ModelKind.MA)["Ia"])
+    # SINGLE reads as MA does, and a user-made observable reads what it likes
+    assert peak_of(traj, observables_for(ModelKind.SINGLE)["I"]) == peak_of(
+        traj, observables_for(ModelKind.MA)["I"]
+    )
+    assert peak_of(traj, Observable("R", lambda s: s[4])) == (3.0, traj.states[-1].R)
+
+
 def test_peak_of_empty_trajectory():
     empty = Trajectory(
         model=ModelKind.MA, times=(), states=(), params_used=FIG_A, dt=1.0
