@@ -8,9 +8,9 @@ next-generation matrix, classifies the feasible parameter region where
 the epidemic dies out, ranks parameter sensitivities of R0, and runs the
 composite scenario where a single population splits in two mid-epidemic.
 
-``import socsir`` loads only ``core``, ``errors`` and ``ngm``.  Every
-other public name is imported from its module on first use (PEP 562) and
-then stored here, so later lookups cost what a plain attribute does.
+``import socsir`` loads no submodule.  Every public name is imported from
+its module on first use (PEP 562) and then stored here, so later lookups
+cost what a plain attribute does.
 """
 
 from importlib import import_module
@@ -25,8 +25,8 @@ _PUBLIC = {
     "dynamics": ("rhs_ma", "rhs_mb"),
     "integrator": ("simulate", "step_rk4", "Trajectory", "SwitchRecord",
                    "Observable", "observables_for", "peak_of"),
-    "ngm": ("r0", "b_rho", "rho_from_alphas", "dfe_of", "ngm", "NgmResult",
-            "stability", "StabilityReport", "StabilityVerdict"),
+    "reproduction": ("r0", "b_rho", "rho_from_alphas", "dfe_of", "ngm",
+                     "NgmResult", "stability", "StabilityReport", "StabilityVerdict"),
     "feasibility": ("SetType", "FeasibleSetReport", "BifurcationScan",
                     "rho_feasible", "classify_feasible_set", "bifurcation_scan",
                     "threshold_P", "threshold_B1", "threshold_B2"),
@@ -47,9 +47,6 @@ _PUBLIC = {
 __all__ = ["__version__", *(name for names in _PUBLIC.values() for name in names)]
 
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
-
-# Importing socsir.ngm sets the attribute ngm to the module; bind the function after.
-from .ngm import ngm  # noqa: E402
 
 
 def __getattr__(name):

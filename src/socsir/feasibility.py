@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .core import ModelKind, _check_grid, _finite, _layout
 from .errors import RangeError
-from .ngm import b_rho
+from .reproduction import b_rho
 
 # rho and kappa are treated as coincident within this absolute tolerance;
 # only then is the knife-edge TYPE_0 reported.

@@ -40,7 +40,7 @@ from .integrator import (
     integrate,
     simulate,
 )
-from .ngm import checked_r0
+from .reproduction import checked_r0
 
 INIT_RULE_DFE_PLUS_ONE = "dfe_plus_one_symptomatic"
 
@@ -170,7 +170,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def _summarize(traj: Trajectory, p: Params) -> RunSummary:
-    """Raises NumericError when R0 is not finite (see ngm.checked_r0)."""
+    """Raises NumericError when R0 is not finite (see reproduction.checked_r0)."""
     model, times, records = traj.model, traj.times, traj._records
     return RunSummary(
         r0=checked_r0(p)[0],

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .core import _MB, ModelKind, Params, _finite, _layout_for
 from .errors import NumericError, RangeError
-from .ngm import b_rho
+from .reproduction import b_rho
 
 # A rho sitting within this distance of a breakpoint is reported BOUNDARY:
 # the ordering statements use strict inequalities only, so ties are

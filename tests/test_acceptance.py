@@ -18,7 +18,7 @@ from socsir.config import dumps_config, load_config, loads_config
 from socsir.core import ModelKind, StateMA, total_population, validate_params
 from socsir.feasibility import SetType, bifurcation_scan, classify_feasible_set
 from socsir.integrator import observables_for, peak_of, simulate
-from socsir.ngm import ngm, r0
+from socsir.reproduction import ngm, r0
 from socsir.output import render_svg, write_csv
 from socsir.scenarios import (
     INIT_RULE_DFE_PLUS_ONE,

@@ -29,7 +29,7 @@ from socsir.feasibility import (
     SetType,
     classify_feasible_set,
 )
-from socsir.ngm import NgmResult, StabilityReport, dfe_of, ngm, stability
+from socsir.reproduction import NgmResult, StabilityReport, dfe_of, ngm, stability
 from socsir.sensitivity import (
     BOUNDARY_TOL,
     OrderingCase,

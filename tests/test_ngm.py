@@ -16,7 +16,7 @@ import pytest
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.dynamics import rhs_ma, rhs_mb, vector_field
 from socsir.errors import OrderError, RangeError, SingularMatrixError
-from socsir.ngm import (
+from socsir.reproduction import (
     StabilityVerdict,
     dfe_of,
     ngm,

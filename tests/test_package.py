@@ -1,7 +1,7 @@
 """The package's public surface and how it loads.
 
-``import socsir`` loads only core, errors and ngm; every other public name
-is imported from its module on first use and then stored in the package.
+``import socsir`` loads no submodule; every public name is imported from
+its module on first use and then stored in the package.
 The checks that depend on what has been imported so far run in a fresh
 interpreter, since the test session has imported every module already.
 """
@@ -30,8 +30,8 @@ PUBLIC = {
     "dynamics": ["rhs_ma", "rhs_mb"],
     "integrator": ["simulate", "step_rk4", "Trajectory", "SwitchRecord",
                    "Observable", "observables_for", "peak_of"],
-    "ngm": ["r0", "b_rho", "rho_from_alphas", "dfe_of", "ngm", "NgmResult",
-            "stability", "StabilityReport", "StabilityVerdict"],
+    "reproduction": ["r0", "b_rho", "rho_from_alphas", "dfe_of", "ngm",
+                     "NgmResult", "stability", "StabilityReport", "StabilityVerdict"],
     "feasibility": ["SetType", "FeasibleSetReport", "BifurcationScan",
                     "rho_feasible", "classify_feasible_set", "bifurcation_scan",
                     "threshold_P", "threshold_B1", "threshold_B2"],
@@ -86,13 +86,13 @@ def test_each_module_all_lists_its_public_names(module):
     assert socsir._PUBLIC[module] == tuple(PUBLIC[module])
 
 
-def test_import_loads_core_errors_and_ngm_only():
+def test_import_loads_no_submodule():
     loaded = _fresh(
         "import json, sys, socsir; "
         "print(json.dumps(sorted(m for m in sys.modules "
         "if m == 'socsir' or m.startswith('socsir.'))))"
     )
-    assert loaded == ["socsir", "socsir.core", "socsir.errors", "socsir.ngm"]
+    assert loaded == ["socsir"]
 
 
 def test_names_are_stored_on_first_use():
@@ -104,7 +104,7 @@ def test_names_are_stored_on_first_use():
         "print(json.dumps([before, [n for n in socsir.__all__ "
         "if n not in vars(socsir)]]))"
     )
-    assert before == ["__version__", "ngm"]
+    assert before == ["__version__"]
     assert missing_after == []
 
 
@@ -120,18 +120,9 @@ def test_star_import_and_dir_list_every_name():
     assert listed == ALL
 
 
-def test_ngm_stays_the_function_after_submodule_imports():
-    kinds = _fresh(
-        "import json, socsir\n"
-        "kinds = [type(socsir.ngm).__name__]\n"
-        "import socsir.scenarios\n"
-        "kinds.append(type(socsir.ngm).__name__)\n"
-        "import socsir.ngm\n"
-        "kinds.append(type(socsir.ngm).__name__)\n"
-        "print(json.dumps(kinds))"
-    )
-    assert kinds == ["function"] * 3
-    assert socsir.ngm is sys.modules["socsir.ngm"].ngm
+def test_no_submodule_is_named_like_a_public_name():
+    # importing a submodule binds its name in the package, over a public one
+    assert not set(socsir._PUBLIC) & set(ALL)
 
 
 def test_submodule_resolves_before_its_names_are_used():
