@@ -21,7 +21,9 @@ from .core import ModelKind, Params, _layout, validate_params
 from .errors import ConfigError, NumericError, ValidationError
 from .reproduction import stability
 from .output import csv_pieces, svg_pieces
-from .scenarios import covid_mitigation_presets, participation_scan, run_scenario
+from .scenarios import (
+    covid_mitigation_presets, participation_scan, run_mixed, run_scenario,
+)
 
 # feasibility and sensitivity are imported by the handlers that use them,
 # so a simulate or mixed process never compiles or loads them.
@@ -90,11 +92,7 @@ def _params_from_flags(args: argparse.Namespace) -> tuple[ModelKind, Params]:
 
 def _cmd_run(args: argparse.Namespace) -> list[str]:
     cfg = load_config(args.config, allow_beta_gt_one=args.allow_beta_gt_one)
-    if args.command == "mixed" and cfg.mixed is None:
-        raise ValidationError(
-            'this command runs the composite scenario; the config needs a "mixed" block'
-        )
-    traj, s = run_scenario(cfg)
+    traj, s = (run_mixed if args.command == "mixed" else run_scenario)(cfg)
     if args.csv:
         _write(args.csv, csv_pieces(traj))
     if args.svg:

@@ -16,8 +16,8 @@ import os
 from typing import Any, Collection, Mapping
 
 from .core import (
-    _SINGLE, ModelKind, Params, _check_kind, _finite, _layout, validate_params,
-    with_rho_one,
+    _SINGLE, ModelKind, Params, _check_kind, _finite, _layout, _state_names,
+    validate_params, with_rho_one,
 )
 from .errors import ConfigError, MissingFieldError, RangeError
 from .integrator import check_times
@@ -40,12 +40,12 @@ _MODEL_NAMES = {
 # the switch rates.  The CLI's rate flags take the same keys.
 _SPLIT_KEYS = {ModelKind.MA: ("rho",), ModelKind.MB: ("alpha1", "alpha2")}
 _REQUIRED_PARAMS = {
-    model: {"beta1", "beta2", "lambda", "gamma", "kappa", "N", *keys}
+    model: ("beta1", "beta2", "lambda", "gamma", "kappa", "N", *keys)
     for model, keys in _SPLIT_KEYS.items()
 }
 _ALLOWED_PARAMS = {
     ModelKind.MA: _REQUIRED_PARAMS[ModelKind.MA],
-    ModelKind.MB: _REQUIRED_PARAMS[ModelKind.MB] | {"transition_normalization"},
+    ModelKind.MB: (*_REQUIRED_PARAMS[ModelKind.MB], "transition_normalization"),
 }
 # ScenarioConfig's fields that the "time" block holds; "mixed" holds MixedSpec's.
 _TIME_KEYS = ("t0", "t1", "dt", "record_every")
@@ -120,12 +120,8 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     _reject_unknown(
         raw_params, _ALLOWED_PARAMS[run_model], f'"params" for model "{model_name}"'
     )
-    missing = sorted(_REQUIRED_PARAMS[run_model] - set(raw_params))
-    if missing:
-        raise MissingFieldError(
-            "missing required key(s): "
-            + ", ".join(f"params.{key}" for key in missing)
-        )
+    for key in _REQUIRED_PARAMS[run_model]:
+        _require_number(raw_params, key, "params")
     params = validate_params(raw_params, run_model, allow_beta_gt_one=allow_beta_gt_one)
 
     time_block = doc.get("time")
@@ -139,11 +135,9 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     if isinstance(record_every, bool) or not isinstance(record_every, int):
         raise ConfigError('"time.record_every" must be an integer')
     try:
-        check_times(t0, t1, dt)
+        check_times(t0, t1, dt, record_every)
     except RangeError as exc:
         raise RangeError(f"time: {exc}") from exc
-    if record_every < 1:
-        raise RangeError(f"time.record_every must be >= 1, got {record_every}")
 
     mixed = None
     if model_name == "mixed":
@@ -207,27 +201,36 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
 
     state_type = _layout(model).state
     _reject_unknown(raw, state_type._fields, '"init"')
-    values = {}
-    for name in state_type._fields:
-        values[name] = _require_number(raw, name, "init")
-        if values[name] < 0:
-            raise RangeError(f"init.{name} must be nonnegative")
-    state = state_type(**values)
-
-    total = _layout(model).observables["N"](state)
-    if total != params.N:
-        raise RangeError(
-            f"init compartments must sum to N exactly: got {total!r}, N = {params.N!r}"
-        )
+    state = state_type._make(_require_number(raw, k, "init") for k in state_type._fields)
+    _check_init(model, state, params.N)
     return state
+
+
+def _check_init(model: ModelKind, state: object, n_total: float) -> None:
+    """An explicit init's rules, for the loader and dump_config: RangeError
+    unless state is the model's state type, its components pass
+    core._state_names, none is negative, and they sum to N exactly."""
+    _check_kind("init_state", state, _layout(model).state)
+    for name, x in zip(_state_names(model, state, "init", RangeError), state):
+        if x < 0:
+            raise RangeError(f"init.{name} must be nonnegative")
+    total = _layout(model).observables["N"](state)
+    if total != n_total:
+        raise RangeError(
+            f"init compartments must sum to N exactly: got {total!r}, N = {n_total!r}"
+        )
 
 
 def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     """Document form of a config.  Reparsing it reproduces the config.
-    RangeError for a cfg that is not a ScenarioConfig, for a model that is
-    not a ModelKind, for params that are not a Params, for a mixed block
-    that is not a MixedSpec, and unless the model is SINGLE exactly when
-    a mixed block is present (the loader's "mixed" documents)."""
+    RangeError for a config the loader could not have built: a cfg that is
+    not a ScenarioConfig, a model that is not a ModelKind, params that are
+    not a Params, a mixed block that is not a MixedSpec or breaks
+    _check_mixed's rules, a model that is SINGLE unless a mixed block is
+    present (the loader's "mixed" documents), times that check_times
+    refuses, an init_rule other than None and INIT_RULE_DFE_PLUS_ONE, an
+    explicit init that _check_init refuses, and outputs that are not a
+    tuple of the run model's observable names."""
     _check_kind("cfg", cfg, ScenarioConfig)
     single = _layout(cfg.model) is _SINGLE
     _check_kind("params", cfg.params, Params)
@@ -238,6 +241,21 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
             f"model SINGLE goes with a mixed block and every other model "
             f"without one; got {cfg.model.name} and mixed={cfg.mixed!r}"
         )
+    check_times(cfg.t0, cfg.t1, cfg.dt, cfg.record_every)
+    if cfg.init_rule is None:
+        _check_init(cfg.model, cfg.init_state, cfg.params.N)
+    elif cfg.init_rule != INIT_RULE_DFE_PLUS_ONE:
+        raise RangeError(
+            f"init_rule must be None or {INIT_RULE_DFE_PLUS_ONE!r}, got {cfg.init_rule!r}"
+        )
+    if single:
+        _check_mixed(cfg.mixed, cfg.t0, cfg.t1, cfg.init_state)
+    _check_kind("outputs", cfg.outputs, tuple)
+    known = _layout(ModelKind.MB if single else cfg.model).observables
+    if not all(isinstance(name, str) and name in known for name in cfg.outputs):
+        raise RangeError(
+            f"outputs must be observable names of {list(known)}, got {cfg.outputs!r}"
+        )
     model_name = "mixed" if single else cfg.model.value
     params = cfg.params.as_dict()
     if model_name in ("mb", "mixed"):
@@ -247,7 +265,7 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
         "params": params,
         "init": cfg.init_rule
         if cfg.init_rule is not None
-        else dict(zip(type(cfg.init_state)._fields, cfg.init_state)),
+        else cfg.init_state._asdict(),
         "time": {key: getattr(cfg, key) for key in _TIME_KEYS},
     }
     if cfg.mixed is not None:
@@ -260,8 +278,8 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
 def dumps_config(cfg: ScenarioConfig) -> str:
     """JSON text form of a config.
 
-    Raises ValueError for a non-finite number (possible only in a config
-    built in code), which standard JSON cannot hold.
+    Raises dump_config's RangeError, and ValueError for a non-finite
+    number in a Params built in code, which standard JSON cannot hold.
     """
     doc = dump_config(cfg)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -356,10 +356,12 @@ def step_rk4(f: VectorField, s: Sequence[float], t: float, dt: float):
     return cls._make(new) if hasattr(cls, "_make") else cls(new)
 
 
-def check_times(t0: float, t1: float, dt: float) -> tuple[float, float, float]:
+def check_times(
+    t0: float, t1: float, dt: float, record_every: int = 1
+) -> tuple[float, float, float]:
     """t0, t1 and dt as floats.  Raise RangeError unless each is a finite
-    number (core._finite), dt > 0, t1 > t0 and the window takes at most
-    MAX_STEPS steps of dt."""
+    number (core._finite), dt > 0, t1 > t0, the window takes at most
+    MAX_STEPS steps of dt and record_every is an int >= 1."""
     window = (t0, t1, dt)
     try:
         t0, t1, dt = map(_finite, ("t0", "t1", "dt"), window)
@@ -375,6 +377,9 @@ def check_times(t0: float, t1: float, dt: float) -> tuple[float, float, float]:
             f"t0={t0}, t1={t1}, dt={dt} needs more than {MAX_STEPS} steps; "
             f"shorten the window or raise dt"
         )
+    whole = isinstance(record_every, int) and not isinstance(record_every, bool)
+    if not whole or record_every < 1:
+        raise RangeError(f"record_every must be an int >= 1, got {record_every!r}")
     return t0, t1, dt
 
 
@@ -399,16 +404,13 @@ def integrate(
     its compartment.
 
     Raises RangeError (see check_times, a model and parameters that
-    core._layout_for refuses, a record_every that is not an int >= 1, an
-    init that core._state_names refuses, and an init component
-    that is not a finite number at or above the negativity floor, -1e-9
-    times the sum of the magnitudes) at the call, before the first step.
+    core._layout_for refuses, an init that core._state_names refuses, and
+    an init component that is not a finite number at or above the
+    negativity floor, -1e-9 times the sum of the magnitudes) at the call,
+    before the first step.
     """
-    t0, t1, dt = check_times(t0, t1, dt)  # every grid time t0 + k*dt is a float
-    if isinstance(record_every, bool) or not isinstance(record_every, int):
-        raise RangeError(f"record_every must be an int, got {record_every!r}")
-    if record_every < 1:
-        raise RangeError(f"record_every must be >= 1, got {record_every}")
+    # every grid time t0 + k*dt is a float
+    t0, t1, dt = check_times(t0, t1, dt, record_every)
     names = _state_names(model, init, "init", RangeError)
     floor = _floor(init)  # _checked_step's negativity floor
     for name, x in zip(names, init):

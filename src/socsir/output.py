@@ -17,12 +17,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import ModelKind, _check_kind, _column, _finite, _layout, _size
+from .core import _check_kind, _column, _finite, _layout, _size
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory
-
-CSV_HEADER_MA = ",".join(("t", *_layout(ModelKind.MA).observables))
-CSV_HEADER_MB = ",".join(("t", *_layout(ModelKind.MB).observables))
 
 DEFAULT_SVG_WIDTH = 720.0
 DEFAULT_SVG_HEIGHT = 480.0

@@ -189,15 +189,16 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     record at t_switch itself is the post-split state.  The opening phase
     runs SINGLE on with_rho_one of the config's parameters.
 
-    Raises RangeError for a cfg that is not a ScenarioConfig, a mixed block
-    that is not a MixedSpec, and one that breaks _check_mixed's rules.
+    Raises ValidationError for a cfg without a mixed block, and RangeError
+    for a cfg that is not a ScenarioConfig, a mixed block that is not a
+    MixedSpec, and one that breaks _check_mixed's rules.
     """
     _check_kind("cfg", cfg, ScenarioConfig)
     if cfg.mixed is None:
-        raise ValidationError("config has no mixed block")
+        raise ValidationError('the composite scenario needs a config with a "mixed" block')
     spec = cfg.mixed
     _check_kind("mixed", spec, MixedSpec)
-    check_times(cfg.t0, cfg.t1, cfg.dt)
+    check_times(cfg.t0, cfg.t1, cfg.dt, cfg.record_every)
     _check_mixed(spec, cfg.t0, cfg.t1, cfg.init_state)
     p = cfg.params
     init = cfg.init_state

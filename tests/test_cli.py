@@ -194,8 +194,11 @@ def test_mixed_split_without_float_complement(tmp_path, capsys):
 
 
 def test_mixed_requires_mixed_block(capsys):
+    # the command calls run_mixed, whose refusal the report prints
     assert main(["mixed", "--config", MA_CFG]) == 2
-    assert "mixed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        'error: the composite scenario needs a config with a "mixed" block\n'
+    )
 
 
 def test_config_errors_exit_4(tmp_path, capsys):

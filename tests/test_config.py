@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from socsir.cli import main
 from socsir.config import dump_config, dumps_config, load_config, loads_config
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
-from socsir.errors import ConfigError, MissingFieldError, RangeError
+from socsir.errors import ConfigError, MissingFieldError, OrderError, RangeError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -88,10 +89,11 @@ def test_every_normalization_that_validates_round_trips(name, norm):
 
 
 def test_dumps_config_rejects_non_finite_numbers():
-    # a config built in code can hold inf; standard JSON has no literal for it
+    # a config built in code can hold inf; standard JSON has no literal for
+    # it, and check_times refuses it before json.dumps is reached
     cfg = load_config(str(DATA / "ma_basic.json"))
     for bad in (cfg._replace(t1=float("inf")), cfg._replace(dt=float("nan"))):
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(ValueError, match="must be finite"):
             dumps_config(bad)
 
 
@@ -167,6 +169,31 @@ def test_dump_config_refuses_fields_it_cannot_write():
                 call(bad)
 
 
+def test_dump_config_refuses_what_the_loader_refuses():
+    # each escaped raw (AttributeError, TypeError, or json's ValueError for
+    # a NaN) or was written as a document that the loader refuses
+    mb = load_config(str(DATA / "mb_switching.json"))
+    mixed = load_config(str(DATA / "mixed_switch.json"))
+    init = mb.init_state
+    for bad, message in (
+        (mb._replace(init_state=list(init)), "^init_state must be a StateMB, got list"),
+        (mb._replace(init_state=init._replace(S1=math.nan)), "^init S1 must be finite"),
+        (mb._replace(init_state=init._replace(S1=-1.0, S2=init.S1 + init.S2 + 1.0)),
+         r"^init\.S1 must be nonnegative"),
+        (mb._replace(init_state=init._replace(S1=1.0)), "^init compartments must sum"),
+        (mb._replace(t1=object()), "^t1 must be a number"),
+        (mb._replace(t0=math.nan), "^t0 must be finite"),
+        (mb._replace(record_every=math.nan), "^record_every must be an int >= 1"),
+        (mb._replace(init_rule=math.nan), "^init_rule must be None or"),
+        (mb._replace(outputs=1.5), "^outputs must be a tuple, got float"),
+        (mb._replace(outputs=("I", "Q")), "^outputs must be observable names"),
+        (mixed._replace(mixed=mixed.mixed._replace(rho_split=5.0)), "^rho_split must lie"),
+    ):
+        for call in (dump_config, dumps_config):
+            with pytest.raises(RangeError, match=message):
+                call(bad)
+
+
 def test_invalid_json_is_config_error():
     with pytest.raises(ConfigError):
         loads_config("{not json")
@@ -195,6 +222,37 @@ def test_missing_param_reports_path():
     del doc["params"]["kappa"]
     with pytest.raises(MissingFieldError, match=r"params\.kappa"):
         loads_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("ma_basic", "beta1"), ("ma_basic", "rho"), ("mb_switching", "alpha2"),
+     ("mixed_switch", "N")],
+)
+@pytest.mark.parametrize("value", ["x", True, None, [0.5]])
+def test_params_values_must_be_numbers(name, key, value, tmp_path):
+    # a non-number in "params" was a validation error (exit 2), while one in
+    # any other block is a malformed document (exit 4)
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    doc["params"][key] = value
+    with pytest.raises(ConfigError, match=f"^params\\.{key} must be a number"):
+        loads_config(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path)]) == 4
+
+
+def test_params_numbers_out_of_range_stay_validation_errors():
+    for key, value, error, message in (
+        ("kappa", 5.0, RangeError, "kappa must lie in"),
+        ("beta1", math.nan, RangeError, r"^params\.beta1 must be finite"),
+        ("beta2", 10**400, RangeError, r"^params\.beta2 must be finite"),
+        ("beta1", 0.0001, OrderError, "beta1 must exceed beta2"),
+    ):
+        doc = _doc()
+        doc["params"][key] = value
+        with pytest.raises(error, match=message):
+            loads_config(json.dumps(doc))
 
 
 def test_params_key_strictness_per_model():

@@ -496,6 +496,15 @@ def test_check_times_caps_the_step_count():
         check_times(-1e308, 1e308, 1.0)  # t1 - t0 overflows to inf
 
 
+@pytest.mark.parametrize("every", [0, -3, 1.5, True, None, math.nan])
+def test_check_times_holds_the_record_every_rule(every):
+    # integrate, run_mixed, the config loader and dump_config read it here
+    with pytest.raises(RangeError, match="^record_every must be an int >= 1"):
+        check_times(0.0, 5.0, 1.0, every)
+    with pytest.raises(RangeError, match="^record_every must be an int >= 1"):
+        simulate(ModelKind.MA, FIG_A, FIG_A_INIT, 0.0, 5.0, 1.0, record_every=every)
+
+
 @pytest.mark.parametrize(
     "t0, t1, dt",
     [(0, 10**400, 1), (-(10**400), 0, 1), (0, 10, 10**400)],

@@ -9,14 +9,12 @@ import pytest
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.errors import EmptyTrajectoryError, RangeError
 from socsir.integrator import Trajectory, simulate
-from socsir.output import (
-    CSV_HEADER_MA,
-    CSV_HEADER_MB,
-    _ticks,
-    render_svg,
-    write_csv,
-)
+from socsir.output import _ticks, render_svg, write_csv
 from socsir.scenarios import MixedSpec, ScenarioConfig, run_mixed
+
+# The CSV headers: "t", then the layout's observables in CSV order.
+HEADER_MA = "t,S1,S2,Ia,Is,R,I,N"
+HEADER_MB = "t,S1,S2,A1,A2,Is,R,I,N"
 
 MA_P = validate_params(
     {
@@ -60,10 +58,8 @@ def _traj_mb(t1=10.0, dt=1.0):
 
 
 def test_csv_headers():
-    assert write_csv(_traj_ma()).splitlines()[0] == CSV_HEADER_MA
-    assert write_csv(_traj_mb()).splitlines()[0] == CSV_HEADER_MB
-    assert CSV_HEADER_MA == "t,S1,S2,Ia,Is,R,I,N"
-    assert CSV_HEADER_MB == "t,S1,S2,A1,A2,Is,R,I,N"
+    assert write_csv(_traj_ma()).splitlines()[0] == HEADER_MA
+    assert write_csv(_traj_mb()).splitlines()[0] == HEADER_MB
 
 
 def test_csv_shape_and_endings():
@@ -74,7 +70,7 @@ def test_csv_shape_and_endings():
     assert len(lines) == 1 + 6  # header + six records (t = 0..5)
     for line in lines:
         assert not line.endswith(",")
-        assert len(line.split(",")) == len(CSV_HEADER_MA.split(","))
+        assert len(line.split(",")) == len(HEADER_MA.split(","))
 
 
 def test_csv_first_row_values():
@@ -135,8 +131,8 @@ def test_csv_mixed_run_single_header():
     )
     text = write_csv(run_mixed(cfg).trajectory)
     lines = text.splitlines()
-    assert lines[0] == CSV_HEADER_MB
-    assert sum(1 for l in lines if l == CSV_HEADER_MB) == 1
+    assert lines[0] == HEADER_MB
+    assert sum(1 for l in lines if l == HEADER_MB) == 1
     ts = [float(l.split(",", 1)[0]) for l in lines[1:]]
     assert ts == sorted(ts)
     assert len(set(ts)) == len(ts)
