@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 from .config import _SPLIT_KEYS, load_config
 from .core import ModelKind, Params, _layout, validate_params
 from .errors import ConfigError, NumericError, ValidationError
-from .reproduction import stability
 from .output import csv_pieces, svg_pieces
+from .reproduction import stability
 from .scenarios import (
     covid_mitigation_presets, participation_scan, run_mixed, run_scenario,
 )

@@ -195,7 +195,9 @@ def run_mixed(cfg: ScenarioConfig) -> RunResult:
     """
     _check_kind("cfg", cfg, ScenarioConfig)
     if cfg.mixed is None:
-        raise ValidationError('the composite scenario needs a config with a "mixed" block')
+        raise ValidationError(
+            'the composite scenario needs a config with a "mixed" block'
+        )
     spec = cfg.mixed
     _check_kind("mixed", spec, MixedSpec)
     check_times(cfg.t0, cfg.t1, cfg.dt, cfg.record_every)
