@@ -226,11 +226,12 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     RangeError for a config the loader could not have built: a cfg that is
     not a ScenarioConfig, a model that is not a ModelKind, params that are
     not a Params, a mixed block that is not a MixedSpec or breaks
-    _check_mixed's rules, a model that is SINGLE unless a mixed block is
-    present (the loader's "mixed" documents), times that check_times
-    refuses, an init_rule other than None and INIT_RULE_DFE_PLUS_ONE, an
-    explicit init that _check_init refuses, and outputs that are not a
-    tuple of the run model's observable names."""
+    _check_mixed's rules, unless the model is SINGLE exactly when a mixed
+    block is present (the loader's "mixed" documents), times that check_times
+    refuses, an init_rule other than None and INIT_RULE_DFE_PLUS_ONE or
+    with another init_state than the rule's, an explicit init that
+    _check_init refuses, and outputs that are not a tuple of the run
+    model's observable names."""
     _check_kind("cfg", cfg, ScenarioConfig)
     single = _layout(cfg.model) is _SINGLE
     _check_kind("params", cfg.params, Params)
@@ -247,6 +248,11 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     elif cfg.init_rule != INIT_RULE_DFE_PLUS_ONE:
         raise RangeError(
             f"init_rule must be None or {INIT_RULE_DFE_PLUS_ONE!r}, got {cfg.init_rule!r}"
+        )
+    elif cfg.init_state != _resolve_init_key(cfg.init_rule, cfg.model, cfg.params):
+        # the document holds the rule alone, so the loader would build another init
+        raise RangeError(
+            f"init_state is not the state of its init_rule: {cfg.init_state!r}"
         )
     if single:
         _check_mixed(cfg.mixed, cfg.t0, cfg.t1, cfg.init_state)

@@ -172,6 +172,7 @@ def test_dump_config_refuses_fields_it_cannot_write():
 def test_dump_config_refuses_what_the_loader_refuses():
     # each escaped raw (AttributeError, TypeError, or json's ValueError for
     # a NaN) or was written as a document that the loader refuses
+    ma = load_config(str(DATA / "ma_basic.json"))
     mb = load_config(str(DATA / "mb_switching.json"))
     mixed = load_config(str(DATA / "mixed_switch.json"))
     init = mb.init_state
@@ -185,6 +186,8 @@ def test_dump_config_refuses_what_the_loader_refuses():
         (mb._replace(t0=math.nan), "^t0 must be finite"),
         (mb._replace(record_every=math.nan), "^record_every must be an int >= 1"),
         (mb._replace(init_rule=math.nan), "^init_rule must be None or"),
+        (ma._replace(init_state=ma.init_state._replace(S1=1.0)),
+         "^init_state is not the state of its init_rule"),
         (mb._replace(outputs=1.5), "^outputs must be a tuple, got float"),
         (mb._replace(outputs=("I", "Q")), "^outputs must be observable names"),
         (mixed._replace(mixed=mixed.mixed._replace(rho_split=5.0)), "^rho_split must lie"),

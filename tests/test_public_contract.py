@@ -11,10 +11,10 @@ when a public callable has neither.
 
 Parameters are drawn from validate_params or as values that are not a
 Params; configs from loads_config or as values that are not a
-ScenarioConfig.  A Params or ScenarioConfig built by hand with fields of
-the wrong type is not drawn, since the analysis functions and
-dump_config trust those fields; run_scenario and run_mixed, which check
-the config's fields, draw hand-built configs too.
+ScenarioConfig.  A Params built by hand with fields of the wrong type is
+not drawn, since the analysis functions and dump_config trust those
+fields; run_scenario, run_mixed, dump_config and dumps_config, which
+check the config's fields, draw hand-built configs too.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ STRATEGIES = {
         allow_beta_gt_one=FLAGS,
     ),
     "loads_config": args(TEXTS, allow_beta_gt_one=FLAGS),
-    "dump_config": args(CONFIGS),
-    "dumps_config": args(CONFIGS),
+    "dump_config": args(RUN_CONFIGS),
+    "dumps_config": args(RUN_CONFIGS),
     # output
     "write_csv": args(TRAJS),
     "render_svg": args(TRAJS, NAMES, width=mixed(st.floats(100.0, 900.0)),
