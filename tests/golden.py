@@ -8,9 +8,13 @@ Each part is one sha256 hex digest:
   document run under ``"transition_normalization": "uniform"``;
 * ``cli/ma_dt20/stdout|stderr|exit``: a ``simulate`` whose step fails,
   an MA run at dt 20 that exits 3;
-* ``cli/<case>/stdout|stderr|exit`` for three documents the CLI refuses:
+* ``cli/<case>/stdout|stderr|exit`` for five documents the CLI refuses:
   a ``mixed`` document with ``rho_split`` 5.0 (exit 2), an MA document
-  with an ``alpha1`` key (exit 4) and one without ``time.t1`` (exit 2);
+  with an ``alpha1`` key (exit 4), one without ``time.t1`` (exit 2), one
+  with a NaN ``params.beta1`` (exit 2) and one with ``time.record_every``
+  1.5 (exit 4);
+* ``cli/<case>/stdout|stderr|exit`` for command lines the CLI refuses: an
+  ``r0`` of model ``ma`` with MB's ``--alpha1`` flag (exit 2);
 * ``run/<config>/hex``: the ``float.hex`` of every time and component
   that ``run_scenario`` records for each document that runs to the end,
   since the 9-digit CSV and SVG cannot see a change in the last bits;
@@ -42,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import random
 import sys
@@ -85,6 +90,15 @@ REFUSED = (
     ("ma_alpha1", "simulate", "ma_basic",
      lambda doc: doc["params"].update(alpha1=0.01)),
     ("ma_no_t1", "simulate", "ma_basic", lambda doc: doc["time"].pop("t1")),
+    ("ma_beta1_nan", "simulate", "ma_basic",
+     lambda doc: doc["params"].update(beta1=math.nan)),
+    ("ma_record_every_1_5", "simulate", "ma_basic",
+     lambda doc: doc["time"].update(record_every=1.5)),
+)
+# The refused command lines: a name and the arguments.
+FLAG_ERRORS = (
+    ("r0_ma_alpha1", ["r0", "--model", "ma", "--beta1", "0.42", "--beta2", "0.09",
+                      "--kappa", "0.05", "--rho", "0.5", "--alpha1", "0.1"]),
 )
 SCAN_GRID = tuple(i / 10 for i in range(1, 10))
 SCAN_CAPACITY = 10.0
@@ -213,6 +227,11 @@ def digests() -> dict[str, str]:
             svg.unlink()
             traj = run_scenario(load_config(str(path))).trajectory
             out[f"run/{name}/hex"] = _sha(_hex((traj.times, traj.states)).encode())
+    for name, argv in FLAG_ERRORS:
+        code, stdout, stderr = _main(argv)
+        out[f"cli/{name}/stdout"] = _sha(stdout.encode())
+        out[f"cli/{name}/stderr"] = _sha(stderr.encode())
+        out[f"cli/{name}/exit"] = _sha(str(code).encode())
     # Every field of each NgmResult but the int dimension.
     results = tuple(
         ngm(ModelKind.MB, validate_params(raw, ModelKind.MB))[:5] for raw in NGM_UNIFORM
