@@ -16,10 +16,10 @@ import os
 from typing import Any, Collection, Mapping
 
 from .core import (
-    _SINGLE, ModelKind, Params, _check_kind, _finite, _layout, _state_names,
-    validate_params, with_rho_one,
+    _SINGLE, ModelKind, Params, _check_kind, _finite, _layout, validate_params,
+    with_rho_one,
 )
-from .errors import ConfigError, MissingFieldError, RangeError
+from .errors import ConfigError, MissingFieldError, RangeError, ValidationError
 from .integrator import check_times
 from .scenarios import (
     INIT_RULE_DFE_PLUS_ONE,
@@ -202,66 +202,37 @@ def _resolve_init_key(raw: Any, model: ModelKind, params: Params):
     state_type = _layout(model).state
     _reject_unknown(raw, state_type._fields, '"init"')
     state = state_type._make(_require_number(raw, k, "init") for k in state_type._fields)
-    _check_init(model, state, params.N)
-    return state
-
-
-def _check_init(model: ModelKind, state: object, n_total: float) -> None:
-    """An explicit init's rules, for the loader and dump_config: RangeError
-    unless state is the model's state type, its components pass
-    core._state_names, none is negative, and they sum to N exactly."""
-    _check_kind("init_state", state, _layout(model).state)
-    for name, x in zip(_state_names(model, state, "init", RangeError), state):
+    for name, x in zip(state_type._fields, state):
         if x < 0:
             raise RangeError(f"init.{name} must be nonnegative")
     total = _layout(model).observables["N"](state)
-    if total != n_total:
+    if total != params.N:
         raise RangeError(
-            f"init compartments must sum to N exactly: got {total!r}, N = {n_total!r}"
+            f"init compartments must sum to N exactly: got {total!r}, N = {params.N!r}"
         )
+    return state
 
 
 def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     """Document form of a config.  Reparsing it reproduces the config.
-    RangeError for a config the loader could not have built: a cfg that is
-    not a ScenarioConfig, a model that is not a ModelKind, params that are
-    not a Params, a mixed block that is not a MixedSpec or breaks
-    _check_mixed's rules, unless the model is SINGLE exactly when a mixed
-    block is present (the loader's "mixed" documents), times that check_times
-    refuses, an init_rule other than None and INIT_RULE_DFE_PLUS_ONE or
-    with another init_state than the rule's, an explicit init that
-    _check_init refuses, and outputs that are not a tuple of the run
-    model's observable names."""
+
+    The loader is the one test of what may be written: the document is
+    read back with allow_beta_gt_one, and RangeError, with the loader's
+    message, for a document that the loader refuses or reads back as
+    another config.  Before that, RangeError for a field the
+    document cannot be built from: a cfg that is not a ScenarioConfig, a
+    model that is not a ModelKind, params that are not a Params, an
+    init_state that is not the model's state type, a mixed block that is
+    not a MixedSpec and outputs that are not a tuple.  Equality cannot
+    see those kinds either, since a NamedTuple equals a plain tuple."""
     _check_kind("cfg", cfg, ScenarioConfig)
-    single = _layout(cfg.model) is _SINGLE
+    layout = _layout(cfg.model)
+    single = layout is _SINGLE
     _check_kind("params", cfg.params, Params)
+    _check_kind("init_state", cfg.init_state, layout.state)
     if cfg.mixed is not None:
         _check_kind("mixed", cfg.mixed, MixedSpec)
-    if single is (cfg.mixed is None):
-        raise RangeError(
-            f"model SINGLE goes with a mixed block and every other model "
-            f"without one; got {cfg.model.name} and mixed={cfg.mixed!r}"
-        )
-    check_times(cfg.t0, cfg.t1, cfg.dt, cfg.record_every)
-    if cfg.init_rule is None:
-        _check_init(cfg.model, cfg.init_state, cfg.params.N)
-    elif cfg.init_rule != INIT_RULE_DFE_PLUS_ONE:
-        raise RangeError(
-            f"init_rule must be None or {INIT_RULE_DFE_PLUS_ONE!r}, got {cfg.init_rule!r}"
-        )
-    elif cfg.init_state != _resolve_init_key(cfg.init_rule, cfg.model, cfg.params):
-        # the document holds the rule alone, so the loader would build another init
-        raise RangeError(
-            f"init_state is not the state of its init_rule: {cfg.init_state!r}"
-        )
-    if single:
-        _check_mixed(cfg.mixed, cfg.t0, cfg.t1, cfg.init_state)
     _check_kind("outputs", cfg.outputs, tuple)
-    known = _layout(ModelKind.MB if single else cfg.model).observables
-    if not all(isinstance(name, str) and name in known for name in cfg.outputs):
-        raise RangeError(
-            f"outputs must be observable names of {list(known)}, got {cfg.outputs!r}"
-        )
     model_name = "mixed" if single else cfg.model.value
     params = cfg.params.as_dict()
     if model_name in ("mb", "mixed"):
@@ -278,14 +249,19 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
         doc["mixed"] = cfg.mixed._asdict()
     if cfg.outputs:
         doc["outputs"] = list(cfg.outputs)
+    try:
+        back = _config_from_doc(doc, allow_beta_gt_one=True)
+    except (ConfigError, ValidationError) as exc:
+        raise RangeError(str(exc)) from exc
+    if back != cfg:
+        differ = [name for name, a, b in zip(cfg._fields, cfg, back) if a != b]
+        raise RangeError(
+            f"the loader would read the document back with another {', '.join(differ)}"
+        )
     return doc
 
 
 def dumps_config(cfg: ScenarioConfig) -> str:
-    """JSON text form of a config.
-
-    Raises dump_config's RangeError, and ValueError for a non-finite
-    number in a Params built in code, which standard JSON cannot hold.
-    """
+    """JSON text form of a config.  Raises dump_config's RangeError."""
     doc = dump_config(cfg)
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -90,7 +90,8 @@ def test_every_normalization_that_validates_round_trips(name, norm):
 
 def test_dumps_config_rejects_non_finite_numbers():
     # a config built in code can hold inf; standard JSON has no literal for
-    # it, and check_times refuses it before json.dumps is reached
+    # it, and the loader, reading the document back, refuses it before
+    # json.dumps is reached
     cfg = load_config(str(DATA / "ma_basic.json"))
     for bad in (cfg._replace(t1=float("inf")), cfg._replace(dt=float("nan"))):
         with pytest.raises(ValueError, match="must be finite"):
@@ -152,49 +153,58 @@ def test_dump_config_of_a_non_config_raises_range_error(call):
         call(5)
 
 
-def test_dump_config_refuses_fields_it_cannot_write():
-    # a raw AttributeError for the first two; a SINGLE config without a
-    # mixed block was written as "model": "single", which the loader refuses
-    ma = load_config(str(DATA / "ma_basic.json"))
-    mixed = load_config(str(DATA / "mixed_switch.json"))
-    for bad, message in (
-        (ma._replace(model="ma"), "^model must be a ModelKind"),
-        (ma._replace(params=ma.params.as_dict()), "^params must be a Params"),
-        (ma._replace(model=ModelKind.SINGLE), "^model SINGLE goes with a mixed block"),
-        (mixed._replace(model=ModelKind.MB), "^model SINGLE goes with a mixed block"),
-        (mixed._replace(mixed=tuple(mixed.mixed)), "^mixed must be a MixedSpec"),
-    ):
-        for call in (dump_config, dumps_config):
-            with pytest.raises(RangeError, match=message):
-                call(bad)
-
-
 def test_dump_config_refuses_what_the_loader_refuses():
     # each escaped raw (AttributeError, TypeError, or json's ValueError for
-    # a NaN) or was written as a document that the loader refuses
+    # a NaN) or was written as a document that the loader refuses or reads
+    # back as another config; the messages past the kind checks are the
+    # loader's
     ma = load_config(str(DATA / "ma_basic.json"))
     mb = load_config(str(DATA / "mb_switching.json"))
     mixed = load_config(str(DATA / "mixed_switch.json"))
     init = mb.init_state
     for bad, message in (
+        (ma._replace(model="ma"), "^model must be a ModelKind"),
+        (ma._replace(params=ma.params.as_dict()), "^params must be a Params"),
+        (ma._replace(model=ModelKind.SINGLE), "^missing required key params.alpha1"),
+        (ma._replace(mixed=mixed.mixed), '^"mixed" block is only allowed'),
+        (mixed._replace(model=ModelKind.MB), "^init_state must be a StateMB, got StateMA"),
+        (mixed._replace(mixed=tuple(mixed.mixed)), "^mixed must be a MixedSpec"),
         (mb._replace(init_state=list(init)), "^init_state must be a StateMB, got list"),
-        (mb._replace(init_state=init._replace(S1=math.nan)), "^init S1 must be finite"),
+        (mb._replace(init_state=init._replace(S1=math.nan)), r"^init\.S1 must be finite"),
         (mb._replace(init_state=init._replace(S1=-1.0, S2=init.S1 + init.S2 + 1.0)),
          r"^init\.S1 must be nonnegative"),
         (mb._replace(init_state=init._replace(S1=1.0)), "^init compartments must sum"),
-        (mb._replace(t1=object()), "^t1 must be a number"),
-        (mb._replace(t0=math.nan), "^t0 must be finite"),
-        (mb._replace(record_every=math.nan), "^record_every must be an int >= 1"),
-        (mb._replace(init_rule=math.nan), "^init_rule must be None or"),
+        (mb._replace(t1=object()), r"^time\.t1 must be a number"),
+        (mb._replace(t0=math.nan), r"^time\.t0 must be finite"),
+        (mb._replace(record_every=math.nan), r'^"time\.record_every" must be an integer'),
+        (mb._replace(init_rule=math.nan), '^"init" must be a rule name'),
         (ma._replace(init_state=ma.init_state._replace(S1=1.0)),
-         "^init_state is not the state of its init_rule"),
+         "^the loader would read the document back with another init_state$"),
         (mb._replace(outputs=1.5), "^outputs must be a tuple, got float"),
-        (mb._replace(outputs=("I", "Q")), "^outputs must be observable names"),
+        (mb._replace(outputs=("I", "Q")), r"^unknown observable\(s\) \['Q'\]"),
         (mixed._replace(mixed=mixed.mixed._replace(rho_split=5.0)), "^rho_split must lie"),
+        # a Params built by hand: written as it was, or json's ValueError
+        (ma._replace(params=ma.params._replace(beta1="x")),
+         r"^params\.beta1 must be a number, got 'x'"),
+        (ma._replace(params=ma.params._replace(beta1=ma.params.beta2 / 2)),
+         "^beta1 must exceed beta2"),
+        (ma._replace(params=ma.params._replace(kappa=0)), r"^kappa must lie in \(0, 1\]"),
+        (ma._replace(params=ma.params._replace(beta1=math.nan)),
+         r"^params\.beta1 must be finite, got nan"),
+        (mb._replace(params=mb.params._replace(rho=0.5)),
+         "^the loader would read the document back with another params$"),
     ):
         for call in (dump_config, dumps_config):
             with pytest.raises(RangeError, match=message):
                 call(bad)
+
+
+def test_dump_config_writes_beta1_above_one_for_the_flag():
+    # the document is read back with allow_beta_gt_one, so the gate that
+    # the CLI's --allow-beta-gt-one opens is not closed here
+    ma = load_config(str(DATA / "ma_basic.json"))
+    cfg = ma._replace(params=ma.params._replace(beta1=1.5))
+    assert loads_config(dumps_config(cfg), allow_beta_gt_one=True) == cfg
 
 
 def test_invalid_json_is_config_error():

@@ -498,7 +498,7 @@ def test_check_times_caps_the_step_count():
 
 @pytest.mark.parametrize("every", [0, -3, 1.5, True, None, math.nan])
 def test_check_times_holds_the_record_every_rule(every):
-    # integrate, run_mixed, the config loader and dump_config read it here
+    # integrate, run_mixed and the config loader read it here
     with pytest.raises(RangeError, match="^record_every must be an int >= 1"):
         check_times(0.0, 5.0, 1.0, every)
     with pytest.raises(RangeError, match="^record_every must be an int >= 1"):

@@ -12,9 +12,12 @@ when a public callable has neither.
 Parameters are drawn from validate_params or as values that are not a
 Params; configs from loads_config or as values that are not a
 ScenarioConfig.  A Params built by hand with fields of the wrong type is
-not drawn, since the analysis functions and dump_config trust those
-fields; run_scenario, run_mixed, dump_config and dumps_config, which
-check the config's fields, draw hand-built configs too.
+not drawn for the analysis functions, which trust those fields;
+run_scenario, run_mixed, dump_config and dumps_config, which check the
+config's fields, draw hand-built configs too, and dump_config and
+dumps_config also configs whose Params is built by hand, since they read
+their document back through the loader.  Every config that dumps_config
+writes loads back as the same config.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from socsir import (  # noqa: E402
     MixedSpec,
     ModelKind,
     Observable,
+    Params,
     StateMA,
     StateMB,
     covid_mitigation_presets,
@@ -157,6 +161,21 @@ def hand_built_configs(draw):
 
 RUN_CONFIGS = st.one_of(CONFIGS, hand_built_configs())
 
+
+@st.composite
+def hand_built_params(draw):
+    """A short valid config whose Params has one field replaced by a drawn
+    value: junk, a number, or the value of one of its fields (beta1 equal
+    to beta2, say).  A number in place of an MB rho is stale: it is not
+    alpha2/(alpha1+alpha2)."""
+    cfg = draw(st.sampled_from(CONFIGS_VALID))
+    field = draw(st.sampled_from(Params._fields))
+    value = draw(st.one_of(JUNK, NUMBERS, st.sampled_from(cfg.params)))
+    return cfg._replace(params=cfg.params._replace(**{field: value}))
+
+
+DUMP_CONFIGS = st.one_of(RUN_CONFIGS, hand_built_params())
+
 DOC_TEXTS = [path.read_text() for path in DOC_PATHS]
 TEXTS = mixed(st.sampled_from(DOC_TEXTS + [t.encode() for t in DOC_TEXTS]),
               st.one_of(JUNK, st.text(max_size=8), st.binary(max_size=8)))
@@ -248,8 +267,8 @@ STRATEGIES = {
         allow_beta_gt_one=FLAGS,
     ),
     "loads_config": args(TEXTS, allow_beta_gt_one=FLAGS),
-    "dump_config": args(RUN_CONFIGS),
-    "dumps_config": args(RUN_CONFIGS),
+    "dump_config": args(DUMP_CONFIGS),
+    "dumps_config": args(DUMP_CONFIGS),
     # output
     "write_csv": args(TRAJS),
     "render_svg": args(TRAJS, NAMES, width=mixed(st.floats(100.0, 900.0)),
@@ -312,3 +331,17 @@ def test_only_socsir_errors_escape(name):
             pass
 
     check()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(DUMP_CONFIGS)
+def test_what_dumps_config_writes_loads_back_as_the_config(cfg):
+    # a hand-built Params was written as it was: a string, beta1 <= beta2
+    # or kappa 0 as a document that the loader refuses, a stale MB rho as
+    # one that it reads back as another config
+    try:
+        text = socsir.dumps_config(cfg)
+    except ERRORS:
+        return
+    # dumps_config writes a beta1 above 1, which loads under the flag
+    assert socsir.loads_config(text, allow_beta_gt_one=True) == cfg
