@@ -219,12 +219,12 @@ def dump_config(cfg: ScenarioConfig) -> dict[str, Any]:
     The loader is the one test of what may be written: the document is
     read back with allow_beta_gt_one, and RangeError, with the loader's
     message, for a document that the loader refuses or reads back as
-    another config.  Before that, RangeError for a field the
-    document cannot be built from: a cfg that is not a ScenarioConfig, a
-    model that is not a ModelKind, params that are not a Params, an
-    init_state that is not the model's state type, a mixed block that is
-    not a MixedSpec and outputs that are not a tuple.  Equality cannot
-    see those kinds either, since a NamedTuple equals a plain tuple."""
+    another config.  Before that, RangeError for a field the document
+    cannot be built from: a cfg that is not a ScenarioConfig, a model that
+    is not a ModelKind, params that are not a Params, an init_state that
+    is not the model's state type, a mixed block that is not a MixedSpec
+    and outputs that are not a tuple.  Equality cannot see those kinds
+    either, since a NamedTuple equals a plain tuple."""
     _check_kind("cfg", cfg, ScenarioConfig)
     layout = _layout(cfg.model)
     single = layout is _SINGLE
