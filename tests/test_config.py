@@ -153,15 +153,12 @@ def test_dump_config_of_a_non_config_raises_range_error(call):
         call(5)
 
 
-def test_dump_config_refuses_what_the_loader_refuses():
-    # each escaped raw (AttributeError, TypeError, or json's ValueError for
-    # a NaN) or was written as a document that the loader refuses or reads
-    # back as another config; the messages past the kind checks are the
-    # loader's
+def test_dump_config_refuses_fields_it_cannot_write():
+    # a raw AttributeError for the kind checks; a config whose model and
+    # mixed block disagree was written as a document the loader refuses, and
+    # is now refused with the loader's message
     ma = load_config(str(DATA / "ma_basic.json"))
-    mb = load_config(str(DATA / "mb_switching.json"))
     mixed = load_config(str(DATA / "mixed_switch.json"))
-    init = mb.init_state
     for bad, message in (
         (ma._replace(model="ma"), "^model must be a ModelKind"),
         (ma._replace(params=ma.params.as_dict()), "^params must be a Params"),
@@ -169,6 +166,21 @@ def test_dump_config_refuses_what_the_loader_refuses():
         (ma._replace(mixed=mixed.mixed), '^"mixed" block is only allowed'),
         (mixed._replace(model=ModelKind.MB), "^init_state must be a StateMB, got StateMA"),
         (mixed._replace(mixed=tuple(mixed.mixed)), "^mixed must be a MixedSpec"),
+    ):
+        for call in (dump_config, dumps_config):
+            with pytest.raises(RangeError, match=message):
+                call(bad)
+
+
+def test_dump_config_refuses_what_the_loader_refuses():
+    # each escaped raw (AttributeError, TypeError, or json's ValueError for
+    # a NaN) or was written as a document that the loader refuses or reads
+    # back as another config; its messages are the loader's
+    ma = load_config(str(DATA / "ma_basic.json"))
+    mb = load_config(str(DATA / "mb_switching.json"))
+    mixed = load_config(str(DATA / "mixed_switch.json"))
+    init = mb.init_state
+    for bad, message in (
         (mb._replace(init_state=list(init)), "^init_state must be a StateMB, got list"),
         (mb._replace(init_state=init._replace(S1=math.nan)), r"^init\.S1 must be finite"),
         (mb._replace(init_state=init._replace(S1=-1.0, S2=init.S1 + init.S2 + 1.0)),
