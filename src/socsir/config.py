@@ -114,6 +114,19 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
     # and its trajectory has that model's observables.
     run_model = ModelKind.MB if model_name == "mixed" else model
 
+    mixed = None
+    if model_name == "mixed":
+        raw_mixed = doc.get("mixed")
+        if not isinstance(raw_mixed, dict):
+            raise ConfigError('model "mixed" requires a "mixed" object')
+        _reject_unknown(raw_mixed, MixedSpec._fields, '"mixed"')
+        mixed = MixedSpec(
+            t_switch=_require_number(raw_mixed, "t_switch", "mixed"),
+            rho_split=_require_number(raw_mixed, "rho_split", "mixed"),
+        )
+    elif "mixed" in doc:
+        raise ConfigError('"mixed" block is only allowed with model "mixed"')
+
     raw_params = doc.get("params")
     if not isinstance(raw_params, dict):
         raise ConfigError('"params" must be an object')
@@ -138,20 +151,6 @@ def _config_from_doc(doc: Any, *, allow_beta_gt_one: bool) -> ScenarioConfig:
         check_times(t0, t1, dt, record_every)
     except RangeError as exc:
         raise RangeError(f"time: {exc}") from exc
-
-    mixed = None
-    if model_name == "mixed":
-        raw_mixed = doc.get("mixed")
-        if not isinstance(raw_mixed, dict):
-            raise ConfigError('model "mixed" requires a "mixed" object')
-        _reject_unknown(raw_mixed, MixedSpec._fields, '"mixed"')
-        mixed = MixedSpec(
-            t_switch=_require_number(raw_mixed, "t_switch", "mixed"),
-            rho_split=_require_number(raw_mixed, "rho_split", "mixed"),
-            split_rule=raw_mixed.get("split_rule", "proportional"),
-        )
-    elif "mixed" in doc:
-        raise ConfigError('"mixed" block is only allowed with model "mixed"')
 
     raw_init = doc.get("init")
     init_state = _resolve_init_key(raw_init, model, params)

@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import _check_kind, _column, _finite, _layout, _size
+from .core import _check_kind, _column, _layout, _size
 from .errors import EmptyTrajectoryError, RangeError
 from .integrator import Trajectory
 
-DEFAULT_SVG_WIDTH = 720.0
-DEFAULT_SVG_HEIGHT = 480.0
+# Every plot is this size, in SVG user units.
+_SVG_WIDTH = 720.0
+_SVG_HEIGHT = 480.0
 
 # Records per piece of a streamed document: a CSV piece holds at most this
 # many rows and a polyline piece at most this many points.  A caller that
@@ -127,13 +128,7 @@ def _tick_labels(ticks: list[float]) -> list[str]:
     return labels
 
 
-def svg_pieces(
-    traj: Trajectory,
-    observables: Sequence[str],
-    *,
-    width: float = DEFAULT_SVG_WIDTH,
-    height: float = DEFAULT_SVG_HEIGHT,
-) -> Iterator[str]:
+def svg_pieces(traj: Trajectory, observables: Sequence[str]) -> Iterator[str]:
     """The SVG text of render_svg in pieces.
 
     A generator whose checks, axis ranges (which need every value) and
@@ -144,10 +139,6 @@ def svg_pieces(
     of the model's observable names.
     """
     _check_kind("traj", traj, Trajectory)
-    if _finite("width", width) <= 0 or _finite("height", height) <= 0:
-        raise RangeError(
-            f"plot dimensions must be finite and positive, got {width}x{height}"
-        )
     size = _size(observables)
     if type(size) is not int:
         raise RangeError(f"observables must be a sequence of names, got {size}")
@@ -180,15 +171,15 @@ def svg_pieces(
         y_hi = y_lo + 1.0
     x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
 
-    px0, px1 = _MARGIN_LEFT, width - _MARGIN_RIGHT
-    py0, py1 = height - _MARGIN_BOTTOM, _MARGIN_TOP  # y axis points up
+    px0, px1 = _MARGIN_LEFT, _SVG_WIDTH - _MARGIN_RIGHT
+    py0, py1 = _SVG_HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP  # y axis points up
     x_span, px_span = x_hi - x_lo, px1 - px0
     y_span, py_span = y_hi - y_lo, py1 - py0
 
     yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.2f}" height="{height:.2f}" '
-        f'viewBox="0 0 {width:.2f} {height:.2f}">\n'
+        f'width="{_SVG_WIDTH:.2f}" height="{_SVG_HEIGHT:.2f}" '
+        f'viewBox="0 0 {_SVG_WIDTH:.2f} {_SVG_HEIGHT:.2f}">\n'
         # axes
         f'<line x1="{px0:.2f}" y1="{py0:.2f}" x2="{px1:.2f}" y2="{py0:.2f}" '
         f'stroke="#000000" stroke-width="1"/>\n'
@@ -212,7 +203,7 @@ def svg_pieces(
             f'font-size="11" text-anchor="end">{label}</text>\n'
         )
     yield (
-        f'<text x="{(px0 + px1) / 2:.2f}" y="{height - 12:.2f}" '
+        f'<text x="{(px0 + px1) / 2:.2f}" y="{_SVG_HEIGHT - 12:.2f}" '
         f'font-family="sans-serif" font-size="12" text-anchor="middle">t</text>\n'
     )
 
@@ -254,16 +245,11 @@ def svg_pieces(
     yield "</svg>\n"
 
 
-def render_svg(
-    traj: Trajectory,
-    observables: Sequence[str],
-    *,
-    width: float = DEFAULT_SVG_WIDTH,
-    height: float = DEFAULT_SVG_HEIGHT,
-) -> str:
-    """Render observables of a trajectory as a standalone SVG line plot.
+def render_svg(traj: Trajectory, observables: Sequence[str]) -> str:
+    """Render observables of a trajectory as a standalone 720 x 480 SVG
+    line plot.
 
     One polyline per observable, linear axes with 1-2-5 ticks, and a
     legend naming each curve.  Deterministic for identical inputs.
     """
-    return "".join(svg_pieces(traj, observables, width=width, height=height))
+    return "".join(svg_pieces(traj, observables))

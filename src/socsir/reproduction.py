@@ -48,14 +48,15 @@ def checked_r0(p: Params) -> tuple[float, float]:
     """R0 and B_rho of p, computed as r0 and b_rho compute them.
 
     Raises NumericError when either is not finite: a tiny kappa, or huge
-    rates admitted with allow_beta_gt_one, overflow the float range.
+    rates admitted with allow_beta_gt_one, overflow the float range, and a
+    NaN rate in a hand-built Params makes R0 not a number.
     """
     mixed = b_rho(p.beta1, p.beta2, p.rho)
     value = mixed / p.kappa  # r0, the same expression
     if not (math.isfinite(value) and math.isfinite(mixed)):
+        fault = "is not a number" if math.isnan(value) else "overflows the float range"
         raise NumericError(
-            f"R0 = B_rho / kappa overflows the float range: "
-            f"B_rho = {mixed!r}, kappa = {p.kappa!r}"
+            f"R0 = B_rho / kappa {fault}: B_rho = {mixed!r}, kappa = {p.kappa!r}"
         )
     return value, mixed
 

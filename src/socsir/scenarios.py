@@ -46,11 +46,11 @@ INIT_RULE_DFE_PLUS_ONE = "dfe_plus_one_symptomatic"
 
 
 class MixedSpec(NamedTuple):
-    """Switch description for the mixed scenario."""
+    """Switch description for the mixed scenario: the switch time and the
+    class-1 share of the proportional split (see _split_state)."""
 
     t_switch: float
     rho_split: float
-    split_rule: str = "proportional"
 
 
 class ScenarioConfig(NamedTuple):
@@ -128,16 +128,13 @@ def _split_state(pre: StateMB, rho_split: float) -> StateMB:
 
 def _check_mixed(spec: MixedSpec, t0: float, t1: float, init: State) -> None:
     """The mixed block's rules, which run_mixed and the config loader apply:
-    t_switch inside (t0, t1), rho_split in (0, 1), the proportional split
-    rule, and a single-class start (a five-compartment init with S2 = 0).
-    RangeError for each, and for a t_switch or rho_split that is not a
-    finite number (core._finite)."""
+    t_switch inside (t0, t1), rho_split in (0, 1), and a single-class start
+    (a five-compartment init with S2 = 0).  RangeError for each, and for a
+    t_switch or rho_split that is not a finite number (core._finite)."""
     if not t0 < _finite("t_switch", spec.t_switch) < t1:
         raise RangeError(f"t_switch must lie inside ({t0}, {t1}), got {spec.t_switch}")
     if not 0.0 < _finite("rho_split", spec.rho_split) < 1.0:
         raise RangeError(f"rho_split must lie in (0, 1), got {spec.rho_split}")
-    if spec.split_rule != "proportional":
-        raise RangeError(f"unknown split rule {spec.split_rule!r}")
     if not isinstance(init, StateMA) or init.S2 != 0.0:
         raise RangeError(
             "mixed runs start single-class: the initial state must be a "
@@ -252,13 +249,15 @@ class MitigationPreset(NamedTuple):
 # to the non-compliant class) violates the usual alpha1 > alpha2 > 0
 # requirement and is admitted only through the explicit relaxation below;
 # the resulting parameters are suitable for simulation, not for
-# equilibrium analysis (rho degenerates to 0).
+# equilibrium analysis (rho degenerates to 0).  N is every preset's
+# population, and so every participation scan's.
 PRESET_SHARED: dict[str, float] = {
     "lambda": 0.65,
     "gamma": 0.0001,
     "kappa": 0.0002,
     "alpha1": 0.0001,
     "alpha2": 0.0,
+    "N": 100.0,
 }
 
 _PRESETS = (
@@ -273,11 +272,12 @@ def covid_mitigation_presets() -> tuple[MitigationPreset, ...]:
     return _PRESETS
 
 
-def preset_params(preset: MitigationPreset, n_total: float = 100.0) -> Params:
-    """Full MB parameter vector for a preset (alpha2 = 0 relaxation)."""
+def preset_params(preset: MitigationPreset) -> Params:
+    """Full MB parameter vector for a preset: its class infection rates and
+    PRESET_SHARED, N = 100 included (alpha2 = 0 relaxation).  RangeError
+    for a preset that is not a MitigationPreset."""
     _check_kind("preset", preset, MitigationPreset)
-    raw = dict(PRESET_SHARED)
-    raw.update(beta1=preset.beta1, beta2=preset.beta2, N=n_total)
+    raw = dict(PRESET_SHARED, beta1=preset.beta1, beta2=preset.beta2)
     return validate_params(raw, ModelKind.MB, allow_zero_alpha2=True)
 
 
@@ -394,17 +394,18 @@ def participation_scan(
     capacity: float,
     grid: Sequence[float],
     *,
-    n_total: float = 100.0,
     t1: float = SCAN_T1,
     dt: float = SCAN_DT,
 ) -> ParticipationScanResult:
     """Find the smallest compliant fraction keeping the infected load within capacity.
 
-    For each fraction q on the grid, N - 1 susceptibles are split with the
-    compliant share q in class 2 (rate beta2) and the rest in class 1, one
-    symptomatic individual is seeded, and the two-class model runs over the
-    window [0, t1]; the largest simultaneous infected count (I = A + Is,
-    everyone needing care at one time) is compared against capacity.
+    For each fraction q on the grid, the N - 1 = 99 susceptibles of
+    preset_params are split with the compliant share q in class 2 (rate
+    beta2) and the rest in class 1, one symptomatic individual is seeded,
+    and the two-class model runs over the window [0, t1]; the largest
+    simultaneous infected count (I = A + Is, everyone needing care at one
+    time) is compared against capacity.  t1 and dt default to SCAN_T1 and
+    SCAN_DT.
 
     The runs are independent.  On POSIX the grid is split into contiguous
     chunks, one per usable CPU: this process scans the first and forks up
@@ -420,15 +421,14 @@ def participation_scan(
     if any(not 0.0 < q < 1.0 for q in grid):
         raise RangeError("grid fractions must lie strictly inside (0, 1)")
 
-    p = preset_params(preset, n_total)
-    _seed_pool(p)  # resolve_init's rule: the run seeds one infective out of N
+    p = preset_params(preset)
     check_times(0.0, t1, dt)
     peaks = _parallel_peaks(p, grid, t1, dt)
 
     minimal = next(
         (q for q, peak in zip(grid, peaks) if peak <= capacity), None
     )
-    slack = 1e-9 * n_total
+    slack = 1e-9 * p.N
     monotone = all(b <= a + slack for a, b in zip(peaks, peaks[1:]))
     return ParticipationScanResult(
         preset=preset.name,

@@ -8,11 +8,13 @@ Each part is one sha256 hex digest:
   document run under ``"transition_normalization": "uniform"``;
 * ``cli/ma_dt20/stdout|stderr|exit``: a ``simulate`` whose step fails,
   an MA run at dt 20 that exits 3;
-* ``cli/<case>/stdout|stderr|exit`` for five documents the CLI refuses:
+* ``cli/<case>/stdout|stderr|exit`` for seven documents the CLI refuses:
   a ``mixed`` document with ``rho_split`` 5.0 (exit 2), an MA document
   with an ``alpha1`` key (exit 4), one without ``time.t1`` (exit 2), one
-  with a NaN ``params.beta1`` (exit 2) and one with ``time.record_every``
-  1.5 (exit 4);
+  with a NaN ``params.beta1`` (exit 2), one with ``time.record_every``
+  1.5 (exit 4), an MA document relabelled ``"model": "mixed"`` (exit 4,
+  for its missing ``mixed`` block) and a ``mixed`` document whose block
+  has a ``split_rule`` key (exit 4);
 * ``cli/<case>/stdout|stderr|exit`` for command lines the CLI refuses: an
   ``r0`` of model ``ma`` with MB's ``--alpha1`` flag (exit 2);
 * ``run/<config>/hex``: the ``float.hex`` of every time and component
@@ -94,6 +96,9 @@ REFUSED = (
      lambda doc: doc["params"].update(beta1=math.nan)),
     ("ma_record_every_1_5", "simulate", "ma_basic",
      lambda doc: doc["time"].update(record_every=1.5)),
+    ("ma_as_mixed", "mixed", "ma_basic", lambda doc: doc.update(model="mixed")),
+    ("mixed_split_rule", "mixed", "mixed_switch",
+     lambda doc: doc["mixed"].update(split_rule="proportional")),
 )
 # The refused command lines: a name and the arguments.
 FLAG_ERRORS = (

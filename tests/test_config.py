@@ -49,7 +49,7 @@ def test_load_mixed():
     assert cfg.model is ModelKind.SINGLE
     assert cfg.mixed is not None
     assert cfg.mixed.t_switch == 1000.0
-    assert cfg.mixed.split_rule == "proportional"
+    assert cfg.mixed.rho_split == 0.25
     # single-class opening: the rule puts everyone in class 1
     assert cfg.init_state == StateMA(S1=99.0, S2=0.0, Is=1.0, Ia=0.0, R=0.0)
     # params validate under the two-class model: rho is derived
@@ -162,7 +162,7 @@ def test_dump_config_refuses_fields_it_cannot_write():
     for bad, message in (
         (ma._replace(model="ma"), "^model must be a ModelKind"),
         (ma._replace(params=ma.params.as_dict()), "^params must be a Params"),
-        (ma._replace(model=ModelKind.SINGLE), "^missing required key params.alpha1"),
+        (ma._replace(model=ModelKind.SINGLE), '^model "mixed" requires a "mixed" object'),
         (ma._replace(mixed=mixed.mixed), '^"mixed" block is only allowed'),
         (mixed._replace(model=ModelKind.MB), "^init_state must be a StateMB, got StateMA"),
         (mixed._replace(mixed=tuple(mixed.mixed)), "^mixed must be a MixedSpec"),
@@ -379,6 +379,16 @@ def test_mixed_block_rules():
         loads_config(json.dumps(doc))
     with pytest.raises(ConfigError, match="mixed"):
         loads_config(json.dumps(_doc(mixed={"t_switch": 1.0, "rho_split": 0.5})))
+    # the pairing is read before params, so MA's rho key is not what is
+    # named; it used to be "unknown key(s) 'rho' in "params" ..."
+    with pytest.raises(ConfigError, match='^model "mixed" requires a "mixed" object$'):
+        loads_config(json.dumps(_doc(model="mixed")))
+    # the block takes exactly t_switch and rho_split
+    doc = json.loads((DATA / "mixed_switch.json").read_text())
+    doc["mixed"]["split_rule"] = "proportional"
+    message = r"""^unknown key\(s\) 'split_rule' in "mixed"; allowed: rho_split, t_switch$"""
+    with pytest.raises(ConfigError, match=message):
+        loads_config(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -387,12 +397,11 @@ def test_mixed_block_rules():
         ({"rho_split": 5.0}, r"^rho_split must lie in \(0, 1\), got 5\.0$"),
         ({"t_switch": -3.0}, r"^t_switch must lie inside \(0\.0, 4000\.0\), got -3"),
         ({"t_switch": 1e9}, r"^t_switch must lie inside .*got 1000000000\.0$"),
-        ({"split_rule": 5}, r"^unknown split rule 5$"),
     ],
-    ids=["rho_split-5", "t_switch-negative", "t_switch-1e9", "split_rule-int"],
+    ids=["rho_split-5", "t_switch-negative", "t_switch-1e9"],
 )
 def test_loaded_mixed_block_meets_the_run_rules(change, message):
-    # each loaded, and only run_mixed refused it (split_rule 5 as "5")
+    # each loaded, and only run_mixed refused it
     doc = json.loads((DATA / "mixed_switch.json").read_text())
     doc["mixed"].update(change)
     with pytest.raises(RangeError, match=message):

@@ -152,8 +152,6 @@ def _misfit_calls():
         "scan-preset": lambda: participation_scan("masks", 80.0, [0.5]),
         "preset_params": lambda: preset_params("masks"),
         "finite_diff_check-h": lambda: finite_diff_check(ModelKind.MA, P_MA, "x"),
-        "render_svg-width": lambda: render_svg(_TRAJ_MA, ["I"], width="x"),
-        "render_svg-height": lambda: render_svg(_TRAJ_MA, ["I"], height=True),
     }
     for case, call in not_numbers.items():
         yield pytest.param(call, id=case)

@@ -15,7 +15,7 @@ import pytest
 
 from socsir.core import ModelKind, StateMA, StateMB, validate_params
 from socsir.dynamics import rhs_ma, rhs_mb, vector_field
-from socsir.errors import OrderError, RangeError, SingularMatrixError
+from socsir.errors import NumericError, OrderError, RangeError, SingularMatrixError
 from socsir.reproduction import (
     StabilityVerdict,
     dfe_of,
@@ -245,6 +245,15 @@ def test_stability_marginal_band():
     rep = stability(ModelKind.MA, p)
     assert rep.r0 == pytest.approx(1.0, abs=1e-12)
     assert rep.verdict is StabilityVerdict.MARGINAL
+
+
+def test_stability_of_a_nan_rate_says_r0_is_not_a_number():
+    # a NaN beta1 in a hand-built Params was reported as an overflow
+    with pytest.raises(
+        NumericError,
+        match=r"^R0 = B_rho / kappa is not a number: B_rho = nan, kappa = 0\.0006$",
+    ):
+        stability(ModelKind.MA, _ma()._replace(beta1=math.nan))
 
 
 def test_stability_mb():

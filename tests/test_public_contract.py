@@ -251,12 +251,11 @@ STRATEGIES = {
     "run_scenario": args(RUN_CONFIGS),
     "run_mixed": args(RUN_CONFIGS),
     "covid_mitigation_presets": args(),
-    "preset_params": args(PRESETS, mixed(st.floats(1.0, 1e6))),
+    "preset_params": args(PRESETS),
     # a grid of at most 3 points forks at most 2 workers, over 5 steps
     "participation_scan": args(
         PRESETS, mixed(st.floats(1.0, 100.0)), GRIDS,
         t1=mixed(st.floats(2.0, 10.0)), dt=mixed(st.just(2.0)),
-        n_total=mixed(st.floats(1.0, 1e4)),
     ),
     # config
     "load_config": args(
@@ -271,8 +270,7 @@ STRATEGIES = {
     "dumps_config": args(DUMP_CONFIGS),
     # output
     "write_csv": args(TRAJS),
-    "render_svg": args(TRAJS, NAMES, width=mixed(st.floats(100.0, 900.0)),
-                       height=mixed(st.floats(100.0, 900.0))),
+    "render_svg": args(TRAJS, NAMES),
 }
 
 VALUE_TYPE = "value type: a constructor that stores its fields, checked by its users"

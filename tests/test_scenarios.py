@@ -223,18 +223,6 @@ def test_mixed_validations():
     with pytest.raises(RangeError):
         run_mixed(_mixed_cfg(rho_split=1.0))
     cfg = _mixed_cfg()
-    with pytest.raises(RangeError):
-        run_mixed(
-            ScenarioConfig(
-                model=cfg.model,
-                params=cfg.params,
-                init_state=cfg.init_state,
-                t0=cfg.t0,
-                t1=cfg.t1,
-                dt=cfg.dt,
-                mixed=MixedSpec(t_switch=1000.0, rho_split=0.25, split_rule="equal"),
-            )
-        )
     with pytest.raises(ValidationError):
         run_mixed(
             ScenarioConfig(
