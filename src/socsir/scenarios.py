@@ -404,8 +404,7 @@ def participation_scan(
     beta2) and the rest in class 1, one symptomatic individual is seeded,
     and the two-class model runs over the window [0, t1]; the largest
     simultaneous infected count (I = A + Is, everyone needing care at one
-    time) is compared against capacity.  t1 and dt default to SCAN_T1 and
-    SCAN_DT.
+    time) is compared against capacity.
 
     The runs are independent.  On POSIX the grid is split into contiguous
     chunks, one per usable CPU: this process scans the first and forks up
