@@ -32,7 +32,12 @@ Each part is one sha256 hex digest:
 * ``kernel/<case>/hex``: the records of seeded short ``integrate`` runs
   of the same cases as ``float.hex``, or the error a run ends in (class,
   message, time, compartment and step); a fifth of the runs take a dt
-  large enough to fail often.
+  large enough to fail often;
+* ``analysis/<case>/hex``: ``ngm``, ``stability``, ``sensitivity_indices``,
+  ``ordering_case``, ``finite_diff_check`` and ``classify_feasible_set``
+  on seeded sampler parameters of the same cases, each result's floats as
+  ``float.hex`` (its enums by name, its strings and ``None`` by ``repr``),
+  or the error a call raises (class and message).
 
 Standard library only, so any interpreter can run it:
 
@@ -45,6 +50,7 @@ command and names the changed parts.
 from __future__ import annotations
 
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -117,6 +123,7 @@ BIT_CASES = {
 }
 FIELD_DRAWS = 200
 KERNEL_RUNS = 100
+ANALYSIS_DRAWS = 200
 
 
 def _sha(data: bytes) -> str:
@@ -134,9 +141,14 @@ def _main(argv: list[str]) -> tuple[int, str, str]:
 
 
 def _hex(values) -> str:
-    """float.hex of each float in values, nested tuples flattened."""
+    """float.hex of each float in values, nested tuples flattened; an enum
+    member by name, anything else by repr."""
     return " ".join(
-        _hex(v) if isinstance(v, tuple) else float.hex(v) for v in values
+        _hex(v) if isinstance(v, tuple)
+        else float.hex(v) if isinstance(v, float)
+        else v.name if isinstance(v, enum.Enum)
+        else repr(v)
+        for v in values
     )
 
 
@@ -176,6 +188,41 @@ def _kernel_hex(rng: random.Random, model, extra: dict) -> str:
         except NumericError as exc:
             out.append(repr((type(exc).__name__, str(exc), exc.time,
                              exc.compartment, exc.step)))
+        out.append("")
+    return "\n".join(out)
+
+
+def _analysis_hex(rng: random.Random, model, extra: dict) -> str:
+    """Each analysis call on ANALYSIS_DRAWS sampler draws: its result, or
+    the class and message of the error it raises."""
+    from socsir import (
+        NumericError,
+        ValidationError,
+        classify_feasible_set,
+        finite_diff_check,
+        ngm,
+        ordering_case,
+        sensitivity_indices,
+        stability,
+        validate_params,
+    )
+    from tests._samplers import draw_raw_params
+
+    out = []
+    for _ in range(ANALYSIS_DRAWS):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        for call in (
+            lambda: ngm(model, p),
+            lambda: stability(model, p),
+            lambda: sensitivity_indices(model, p),
+            lambda: ordering_case(model, p),
+            lambda: (finite_diff_check(model, p),),
+            lambda: classify_feasible_set(p.rho, p.kappa, model),
+        ):
+            try:
+                out.append(_hex(call()))
+            except (ValidationError, NumericError) as exc:
+                out.append(repr((type(exc).__name__, str(exc))))
         out.append("")
     return "\n".join(out)
 
@@ -256,8 +303,10 @@ def digests() -> dict[str, str]:
         model = ModelKind[name]
         fields = _field_hex(random.Random(seed), model, extra)
         runs = _kernel_hex(random.Random(100 + seed), model, extra)
+        analysis = _analysis_hex(random.Random(200 + seed), model, extra)
         out[f"field/{case}/hex"] = _sha(fields.encode())
         out[f"kernel/{case}/hex"] = _sha(runs.encode())
+        out[f"analysis/{case}/hex"] = _sha(analysis.encode())
     return out
 
 
