@@ -45,13 +45,12 @@ class FeasibleSetReport(NamedTuple):
 
 
 class BifurcationScan(NamedTuple):
-    """Feasible-set types along a parameter grid.
+    """Feasible-set types along a grid of rho values.
 
     breakpoints holds one (lo, hi) interval per label change, with
     lo == hi when a grid point sat exactly on the knife edge.
     """
 
-    axis: str  # "rho" (scans over kappa are not produced by this module)
     grid: tuple[float, ...]
     labels: tuple[SetType, ...]
     breakpoints: tuple[tuple[float, float], ...]
@@ -179,8 +178,5 @@ def bifurcation_scan(
             breakpoints.append((lo, grid[i + 1]))
 
     return BifurcationScan(
-        axis="rho",
-        grid=grid,
-        labels=labels,
-        breakpoints=tuple(breakpoints),
+        grid=grid, labels=labels, breakpoints=tuple(breakpoints)
     )

@@ -298,7 +298,7 @@ class ParticipationScanResult(NamedTuple):
     monotone: bool
 
 
-# Scan window defaults.  At the preset rates recovery (1/kappa = 5000) is
+# The scan's window.  At the preset rates recovery (1/kappa = 5000) is
 # far slower than spread (beta ~ 0.006), so over a long enough horizon
 # every participation level ends with nearly the whole population infected
 # at once and a capacity comparison degenerates.  What distinguishes the
@@ -390,21 +390,16 @@ def _parallel_peaks(
 
 
 def participation_scan(
-    preset: MitigationPreset,
-    capacity: float,
-    grid: Sequence[float],
-    *,
-    t1: float = SCAN_T1,
-    dt: float = SCAN_DT,
+    preset: MitigationPreset, capacity: float, grid: Sequence[float]
 ) -> ParticipationScanResult:
     """Find the smallest compliant fraction keeping the infected load within capacity.
 
     For each fraction q on the grid, the N - 1 = 99 susceptibles of
     preset_params are split with the compliant share q in class 2 (rate
     beta2) and the rest in class 1, one symptomatic individual is seeded,
-    and the two-class model runs over the window [0, t1]; the largest
-    simultaneous infected count (I = A + Is, everyone needing care at one
-    time) is compared against capacity.
+    and the two-class model runs over the window [0, SCAN_T1] at step
+    SCAN_DT; the largest simultaneous infected count (I = A + Is, everyone
+    needing care at one time) is compared against capacity.
 
     The runs are independent.  On POSIX the grid is split into contiguous
     chunks, one per usable CPU: this process scans the first and forks up
@@ -421,8 +416,7 @@ def participation_scan(
         raise RangeError("grid fractions must lie strictly inside (0, 1)")
 
     p = preset_params(preset)
-    check_times(0.0, t1, dt)
-    peaks = _parallel_peaks(p, grid, t1, dt)
+    peaks = _parallel_peaks(p, grid, SCAN_T1, SCAN_DT)
 
     minimal = next(
         (q for q, peak in zip(grid, peaks) if peak <= capacity), None

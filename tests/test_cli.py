@@ -564,7 +564,7 @@ def test_forked_scan_loads_no_pickle():
         "    return real_fork()\n"
         "os.fork = fork\n"
         "preset = scenarios.covid_mitigation_presets()[0]\n"
-        "scenarios.participation_scan(preset, 80.0, [0.25, 0.75], t1=20.0)\n"
+        "scenarios.participation_scan(preset, 80.0, [0.25, 0.75])\n"
         "print(len(forks), 'pickle' in sys.modules)\n"
     )
     done = subprocess.run(

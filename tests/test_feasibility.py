@@ -123,7 +123,7 @@ def test_vertices_are_feasible_closure():
 
 def test_bifurcation_scan_straddle():
     scan = bifurcation_scan(ModelKind.MB, 0.3, [0.1, 0.25, 0.35, 0.45])
-    assert scan.axis == "rho"
+    assert scan._fields == ("grid", "labels", "breakpoints")
     assert [l.name for l in scan.labels] == [
         "TYPE_1",
         "TYPE_1",

@@ -568,8 +568,7 @@ _BAD_TIME_RUN = textwrap.dedent(
     """
     import math
     from socsir import (ModelKind, RangeError, covid_mitigation_presets,
-                        participation_scan, preset_params, resolve_init,
-                        simulate)
+                        preset_params, resolve_init, simulate)
     masks = covid_mitigation_presets()[0]
     p = preset_params(masks)
     init = resolve_init(ModelKind.MB, p, "dfe_plus_one_symptomatic")
@@ -588,11 +587,7 @@ _BAD_TIME_RUN = textwrap.dedent(
         "simulate(ModelKind.MB, p, init, 0.0, 10.0, 0.0)",
         "simulate(ModelKind.MB, p, init, 0.0, 10.0, -1.0)",
         "simulate(ModelKind.MB, p, init, 0.0, math.inf, 1.0)",
-        "participation_scan(masks, 80.0, [0.5], dt=0.0)",
-        "participation_scan(masks, 80.0, [0.5], dt=-1.0)",
-        "participation_scan(masks, 80.0, [0.5], t1=math.inf)",
         "simulate(ModelKind.MB, p, init, 0.0, 1e9, 1.0)",
-        "participation_scan(masks, 80.0, [0.5], t1=1e9)",
     ],
 )
 def test_bad_times_raise_before_stepping(call):

@@ -252,11 +252,8 @@ STRATEGIES = {
     "run_mixed": args(RUN_CONFIGS),
     "covid_mitigation_presets": args(),
     "preset_params": args(PRESETS),
-    # a grid of at most 3 points forks at most 2 workers, over 5 steps
-    "participation_scan": args(
-        PRESETS, mixed(st.floats(1.0, 100.0)), GRIDS,
-        t1=mixed(st.floats(2.0, 10.0)), dt=mixed(st.just(2.0)),
-    ),
+    # a grid of at most 3 points forks at most 2 workers
+    "participation_scan": args(PRESETS, mixed(st.floats(1.0, 100.0)), GRIDS),
     # config
     "load_config": args(
         # no int or bool: the parent's open() took them for file descriptors

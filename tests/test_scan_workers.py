@@ -29,6 +29,9 @@ from socsir.scenarios import (
 
 GRID99 = [i / 100 for i in range(1, 100)]
 MASKS = covid_mitigation_presets()[0]
+# participation_scan runs the scan window; the tests that need another
+# window call the fork machinery behind it with these parameters.
+MASKS_PARAMS = preset_params(MASKS)
 WORKERS = min(scenarios._usable_cpus(), len(GRID99))
 needs_two_cpus = pytest.mark.skipif(WORKERS < 2, reason="one usable CPU: no fork")
 
@@ -110,11 +113,11 @@ def test_the_largest_grid_through_the_workers_equals_the_serial_scan(monkeypatch
     # MAX_GRID_STEPS points, so each worker's chunk is thousands of peaks
     grid = _grid(MAX_GRID_STEPS)
     forks = _counting_fork(monkeypatch)
-    forked = participation_scan(MASKS, 80.0, grid, t1=4.0).peak_I
+    forked = scenarios._parallel_peaks(MASKS_PARAMS, grid, 4.0, SCAN_DT)
     assert len(forks) == WORKERS - 1
     _assert_no_child_left()
     monkeypatch.setattr(os, "fork", _no_fork)
-    serial = participation_scan(MASKS, 80.0, grid, t1=4.0).peak_I
+    serial = scenarios._parallel_peaks(MASKS_PARAMS, grid, 4.0, SCAN_DT)
     assert len(forked) == MAX_GRID_STEPS
     assert _hexes(forked) == _hexes(serial)
 
@@ -139,16 +142,16 @@ def test_first_failing_grid_point_sets_the_error(monkeypatch):
     # t = 2000, later points already in the step from t = 1000, so the
     # error must come from the first grid point, not the earliest time
     with pytest.raises(NegativeStateError) as scan_err:
-        participation_scan(MASKS, 80.0, GRID99, t1=1e5, dt=1000.0)
+        scenarios._parallel_peaks(MASKS_PARAMS, GRID99, 1e5, 1000.0)
     assert scan_err.value.time == 2000.0
     with pytest.raises(NegativeStateError) as last_err:
-        participation_scan(MASKS, 80.0, GRID99[-1:], t1=1e5, dt=1000.0)
+        scenarios._parallel_peaks(MASKS_PARAMS, GRID99[-1:], 1e5, 1000.0)
     assert last_err.value.time == 1000.0
     _assert_no_child_left()
 
     monkeypatch.setattr(os, "fork", _no_fork)
     with pytest.raises(NegativeStateError) as serial_err:
-        participation_scan(MASKS, 80.0, GRID99, t1=1e5, dt=1000.0)
+        scenarios._parallel_peaks(MASKS_PARAMS, GRID99, 1e5, 1000.0)
     assert str(scan_err.value) == str(serial_err.value)
 
 
@@ -206,15 +209,14 @@ def _counting_fork(monkeypatch):
 @pytest.mark.parametrize("size", [1, 2, 99])
 def test_at_most_one_child_per_extra_cpu(monkeypatch, size):
     forks = _counting_fork(monkeypatch)
-    participation_scan(MASKS, 80.0, GRID99[:size], t1=20.0)
+    scenarios._parallel_peaks(MASKS_PARAMS, GRID99[:size], 20.0, SCAN_DT)
     assert len(forks) == min(WORKERS, size) - 1
 
 
 def test_bad_arguments_raise_before_any_fork(monkeypatch):
     forks = _counting_fork(monkeypatch)
-    for kwargs in [{"dt": 0.0}, {"t1": float("inf")}, {"t1": 1e9, "dt": 1.0}]:
+    for args in [("masks", 80.0, GRID99), (MASKS, 0.0, GRID99),
+                 (MASKS, 80.0, GRID99[::-1])]:
         with pytest.raises(RangeError):
-            participation_scan(MASKS, 80.0, GRID99, **kwargs)
-    with pytest.raises(RangeError):
-        participation_scan(MASKS, 80.0, GRID99[::-1])
+            participation_scan(*args)
     assert forks == []

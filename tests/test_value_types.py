@@ -63,7 +63,7 @@ def _build() -> dict[str, object]:
         "RunSummary": run.summary,
         "RunResult": run,
         "MitigationPreset": MitigationPreset(masks.name, masks.beta1, masks.beta2),
-        "ParticipationScanResult": participation_scan(masks, 80.0, (0.3, 0.6), t1=40.0),
+        "ParticipationScanResult": participation_scan(masks, 80.0, (0.3, 0.6)),
     }
 
 
