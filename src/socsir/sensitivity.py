@@ -112,13 +112,19 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
                                             (beta2/beta1 < rho < beta2/(beta1-beta2))
          D: Ua1 < U_beta2 < Ua2 < U_rho < U_beta1
                                             (rho > beta2/(beta1-beta2))
-    BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint.
+    BOUNDARY when rho sits within BOUNDARY_TOL of a relevant breakpoint,
+    and NumericError when rho or a breakpoint is NaN (no label holds).
     """
     mb = _layout_for(model, p) is _MB
     beta1, beta2, rho = p.beta1, p.beta2, p.rho
     t_sum = beta2 / (beta1 + beta2)
     t_ratio = beta2 / beta1
     t_diff = beta2 / (beta1 - beta2)
+    thresholds = (
+        ("beta2/(beta1+beta2)", t_sum),
+        ("beta2/beta1", t_ratio),
+        ("beta2/(beta1-beta2)", t_diff),
+    )
     if (
         abs(rho - t_sum) <= BOUNDARY_TOL
         or abs(rho - t_ratio) <= BOUNDARY_TOL
@@ -129,15 +135,14 @@ def ordering_case(model: ModelKind, p: Params) -> OrderingCase:
         label = "A"
     elif rho < t_ratio:
         label = "B"
-    elif not mb or rho < t_diff:
+    elif rho > t_ratio and (not mb or rho < t_diff):
         label = "C"
-    else:
+    elif mb and rho > t_diff:
         label = "D"
-    thresholds = (
-        ("beta2/(beta1+beta2)", t_sum),
-        ("beta2/beta1", t_ratio),
-        ("beta2/(beta1-beta2)", t_diff),
-    )
+    else:  # every comparison with a NaN is false
+        raise NumericError(
+            f"rho = {rho!r} or a breakpoint is not a number: {thresholds}"
+        )
     return tuple.__new__(OrderingCase, (label, _CHAINS[label][mb], thresholds))
 
 
@@ -152,7 +157,7 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
     SINGLE) contributes its absolute error instead.
 
     Raises NumericError when the rates are so small that 2*h*r0 or a
-    closed-form index underflows to zero.
+    closed-form index underflows to zero, and when a deviation is NaN.
     """
     mb = _layout_for(model, p) is _MB
     if not 1e-10 < _finite("h", h) <= 1e-2:
@@ -196,9 +201,12 @@ def finite_diff_check(model: ModelKind, p: Params, h: float = 1e-6) -> float:
             f"h={h:g}: 2*h*r0 or a closed-form index underflows to zero"
         )
     # zip stops at the last diff, so an MA's None alphas are never read.
-    return max(
-        [
-            abs(diff / scale - closed) / (abs(closed) or 1.0)
-            for diff, closed in zip(diffs, closed_forms)
-        ]
-    )
+    deviations = [
+        abs(diff / scale - closed) / (abs(closed) or 1.0)
+        for diff, closed in zip(diffs, closed_forms)
+    ]
+    if not sum(deviations) >= 0.0:  # each is >= 0 or a NaN, which max drops
+        raise NumericError(
+            f"a deviation from the central differences is not a number: {deviations}"
+        )
+    return max(deviations)

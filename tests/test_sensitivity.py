@@ -7,6 +7,7 @@ ties those forms back to the bare definition (p/R0) dR0/dp.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -235,3 +236,38 @@ def test_finite_diff_underflow_is_numeric_error(beta1, beta2, rho):
     p = _ma(rho, beta1=beta1, beta2=beta2, kappa=1.0)
     with pytest.raises(NumericError, match="too small for a central difference"):
         finite_diff_check(ModelKind.MA, p)
+
+
+# --- NaN rates in a hand-built Params -----------------------------------------
+
+# The MB set whose alpha1 = NaN finite_diff_check used to answer 1.1e-10,
+# max dropping the NaN deviation of U_alpha1.
+NAN_MB = {"beta1": 0.5, "beta2": 0.1, "lambda": 0.5, "gamma": 0.1, "kappa": 0.5,
+          "alpha1": 0.3, "alpha2": 0.1, "N": 100.0}
+
+
+def _nan(model, field):
+    p = _ma() if model is ModelKind.MA else validate_params(NAN_MB, ModelKind.MB)
+    return p._replace(**{field: math.nan})
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [(ModelKind.MA, "rho"), (ModelKind.MA, "beta1"), (ModelKind.MA, "beta2"),
+     (ModelKind.MB, "rho"), (ModelKind.MB, "beta1"), (ModelKind.MB, "beta2")],
+)
+def test_ordering_case_of_a_nan_raises(model, field):
+    # every comparison with NaN is false, which used to leave label C (MA)
+    # or D (MB) by elimination
+    with pytest.raises(NumericError, match="is not a number"):
+        ordering_case(model, _nan(model, field))
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [(ModelKind.MA, "rho"), (ModelKind.MA, "beta1"), (ModelKind.MA, "kappa"),
+     (ModelKind.MB, "beta2"), (ModelKind.MB, "alpha1"), (ModelKind.MB, "alpha2")],
+)
+def test_finite_diff_check_of_a_nan_raises(model, field):
+    with pytest.raises(NumericError, match="is not a number"):
+        finite_diff_check(model, _nan(model, field))
