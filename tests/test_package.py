@@ -67,6 +67,7 @@ def _fresh(code: str):
 def test_all_is_the_frozen_public_surface():
     assert len(ALL) == 70
     assert socsir.__all__ == ALL
+    assert dir(socsir) == sorted({*vars(socsir), *ALL})
 
 
 @pytest.mark.parametrize("module", list(PUBLIC))

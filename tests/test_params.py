@@ -242,6 +242,11 @@ def test_total_population_exact_at_dfe():
     assert total_population(mb) == n
 
 
+def test_state_mb_derives_its_totals():
+    s = StateMB(S1=50.0, S2=30.0, A1=0.5, A2=0.25, Is=2.0, R=17.25)
+    assert (s.A, s.I) == (0.75, 2.75)
+
+
 @pytest.mark.parametrize("state", [(1.0,) * 0, (1.0,) * 4, (1.0,) * 7, 5, None],
                          ids=["0", "4", "7", "int", "none"])
 def test_total_population_rejects_other_lengths(state):
