@@ -11,6 +11,15 @@ import random
 
 from socsir.core import ModelKind
 
+# The models and normalizations the oracle tests cover: a model and the
+# fields that override its draws.
+MODEL_CASES = {
+    "MA": (ModelKind.MA, {}),
+    "SINGLE": (ModelKind.SINGLE, {"rho": 1.0}),
+    "MB-asymmetric": (ModelKind.MB, {}),
+    "MB-uniform": (ModelKind.MB, {"transition_normalization": "uniform"}),
+}
+
 
 def draw_raw_params(rng: random.Random, model: ModelKind) -> dict[str, float]:
     raw = {

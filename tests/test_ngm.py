@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -24,7 +25,8 @@ from socsir.reproduction import (
     rho_from_alphas,
     stability,
 )
-from tests._samplers import draw_raw_params
+from tests._dual import Dual
+from tests._samplers import MODEL_CASES, draw_raw_params
 
 
 def _ma(**overrides):
@@ -152,22 +154,14 @@ def test_ngm_matches_closed_form_both_models():
         assert abs(resb.dominant - wantb) <= 1e-10 * wantb
 
 
-_ORACLE_CASES = {
-    "MA": (ModelKind.MA, {}),
-    "SINGLE": (ModelKind.SINGLE, {"rho": 1.0}),
-    "MB-asymmetric": (ModelKind.MB, {}),
-    "MB-uniform": (ModelKind.MB, {"transition_normalization": "uniform"}),
-}
-
-
-@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+@pytest.mark.parametrize("case", list(MODEL_CASES))
 def test_ngm_linearizes_the_vector_field(case):
     # At the DFE the infected equations of the field are linear in the
     # infected compartments (van den Driessche & Watmough, Math. Biosci.
     # 180 (2002) 29-48), so f(dfe + e_j) - f(dfe) is column j of their
     # Jacobian, which T + Sigma must be.  The infected compartments sit
     # at positions 2, 3 (and 4) of the state, in ngm's order.
-    model, extra = _ORACLE_CASES[case]
+    model, extra = MODEL_CASES[case]
     rng = random.Random(20021029)
     for _ in range(300):
         p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
@@ -183,6 +177,48 @@ def test_ngm_linearizes_the_vector_field(case):
             column = [a - b for a, b in zip(f(*bumped)[2:2 + n], at_dfe[2:])]
             expected = [res.T[i][j] + res.Sigma[i][j] for i in range(n)]
             assert column == pytest.approx(expected, rel=1e-9, abs=1e-15), (p, j)
+
+
+# The dual-number oracle's bands, chosen on 3,000 draws per case of another
+# seed.  Sigma's worst there was 0 ulp for MA and SINGLE and 2 ulp for MB.
+# T = J - Sigma cancels where T is far below Sigma (T's relative error
+# reached 4e-11), so T is measured in units of eps * (|J| + |Sigma|), the
+# size of the subtraction's operands: its worst there was 6.25.
+SIGMA_ULPS = {ModelKind.MA: 0, ModelKind.SINGLE: 0, ModelKind.MB: 4}
+T_EPS = 16
+
+
+def _infected_jacobian(model, p):
+    """The Jacobian of the field text's infected equations at dfe_of, from
+    one evaluation of vector_field on duals in the infected compartments."""
+    dfe = dfe_of(model, p)
+    n = len(dfe) - 3  # all but S1, S2 and R, in ngm's order
+    infected = [Dual.seed(dfe[2 + j], j, n) for j in range(n)]
+    rates = vector_field(model, p)(*dfe[:2], *infected, dfe[-1])[2:2 + n]
+    return [rate.partials for rate in rates]
+
+
+@pytest.mark.parametrize("case", list(MODEL_CASES))
+def test_ngm_is_the_exact_jacobian_of_the_field_text(case):
+    # Sigma is the Jacobian J of the infected equations with beta1 = beta2
+    # = 0, and T = J - Sigma; the duals differentiate with no step size
+    model, extra = MODEL_CASES[case]
+    rng = random.Random(1729)
+    for _ in range(300):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        res = ngm(model, p)
+        jac = _infected_jacobian(model, p)
+        sigma = _infected_jacobian(model, p._replace(beta1=0.0, beta2=0.0))
+        for i, j in product(range(res.dimension), repeat=2):
+            closed, derived = res.Sigma[i][j], sigma[i][j]
+            assert abs(derived - closed) <= SIGMA_ULPS[model] * math.ulp(closed), (
+                f"Sigma[{i}][{j}] of {p}: ngm {closed!r}, field text {derived!r}"
+            )
+            closed, derived = res.T[i][j], jac[i][j] - sigma[i][j]
+            band = T_EPS * sys.float_info.epsilon * (abs(jac[i][j]) + abs(sigma[i][j]))
+            assert abs(derived - closed) <= band, (
+                f"T[{i}][{j}] of {p}: ngm {closed!r}, field text {derived!r}"
+            )
 
 
 @pytest.mark.parametrize("model", [ModelKind.MA, ModelKind.MB])

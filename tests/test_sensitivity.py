@@ -14,8 +14,10 @@ import pytest
 
 from socsir.core import ModelKind, Params, validate_params
 from socsir.errors import NumericError, RangeError
+from socsir.reproduction import r0
 from socsir.sensitivity import finite_diff_check, ordering_case, sensitivity_indices
-from tests._samplers import draw_raw_params
+from tests._dual import Dual
+from tests._samplers import MODEL_CASES, draw_raw_params
 
 BASE = {
     "beta1": 0.0042,
@@ -191,6 +193,35 @@ def test_chain_always_matches_direct_sort():
         assert oc.chain == tuple(sorted(values, key=values.__getitem__))
         checked += 1
     assert checked > 400
+
+
+# --- the exact oracle -------------------------------------------------------
+
+# Chosen on 3,000 draws per case of another seed, whose worst was 31 eps:
+# the dual in an alpha reaches r0 as rho's partial times beta1 and beta2
+# apart, which then cancel.
+INDEX_REL = 1e-13
+
+
+@pytest.mark.parametrize("case", list(MODEL_CASES))
+def test_indices_are_the_exact_log_derivatives_of_r0(case):
+    # a dual in theta through r0 gives theta * dR0/dtheta / R0 with no step
+    # size; MB's alphas reach r0 through rho = alpha2 / (alpha1 + alpha2)
+    model, extra = MODEL_CASES[case]
+    rng = random.Random(1729)
+    for _ in range(300):
+        p = validate_params(dict(draw_raw_params(rng, model), **extra), model)
+        for name, closed in sensitivity_indices(model, p).as_dict().items():
+            rates = {"beta1": p.beta1, "beta2": p.beta2, "rho": p.rho,
+                     "alpha1": p.alpha1, "alpha2": p.alpha2}
+            theta = rates[name] = Dual.seed(rates[name], 0, 1)
+            if name.startswith("alpha"):
+                rates["rho"] = rates["alpha2"] / (rates["alpha1"] + rates["alpha2"])
+            r = r0(rates["beta1"], rates["beta2"], rates["rho"], p.kappa)
+            derived = theta.value * r.partials[0] / r.value
+            assert abs(derived - closed) <= INDEX_REL * abs(closed), (
+                f"U_{name} of {p}: closed form {closed!r}, dual {derived!r}"
+            )
 
 
 # --- finite differences ------------------------------------------------------
