@@ -177,6 +177,4 @@ def bifurcation_scan(
             lo = grid[i + 1] if there is SetType.TYPE_0 else grid[i]
             breakpoints.append((lo, grid[i + 1]))
 
-    return BifurcationScan(
-        grid=grid, labels=labels, breakpoints=tuple(breakpoints)
-    )
+    return BifurcationScan(grid=grid, labels=labels, breakpoints=tuple(breakpoints))
